@@ -130,9 +130,11 @@ def _cmd_train(args) -> int:
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    final = history[-1] if history else {}
-    print(f"trained {len(history)} epochs; final loss {final.get('loss'):.4f} "
-          f"acc {final.get('acc'):.4f}; checkpoint at {out / 'checkpoint.bin'}")
+    summary = f"trained {len(history)} epochs"
+    if history:
+        final = history[-1]
+        summary += f"; final loss {final['loss']:.4f} acc {final['acc']:.4f}"
+    print(f"{summary}; checkpoint at {out / 'checkpoint.bin'}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Neural primitives with forward and backward rules.
 
-Layers are Modules owning Parameters; functional ops (silu, softmax,
+Layers are Modules owning Parameters; functional ops (silu, relu, softmax,
 dropout, cross_entropy) live alongside. Convolutions are same-padded
-cross-correlations (no kernel flip), stride 1, implemented as a loop over
-kernel taps where each tap is one BLAS matmul — fast, and with a fixed
-accumulation order.
+cross-correlations (no kernel flip), stride 1, lowered by im2col: the batch
+is split into chunks whose column matrices fit in cache, and each chunk is
+one gather of kernel-tap windows followed by one BLAS matmul.
 """
 
 from __future__ import annotations
@@ -96,92 +96,26 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 # BLAS fast path. Forward can retain the column buffers so the backward
 # weight gradient skips the re-gather.
 
-_COLS_BUDGET_BYTES = 6e8
-
-try:
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _gather2d_nb(xpt, cols, k, h, w):
-        nc, n = xpt.shape[0], xpt.shape[1]
-        for tc in prange(k * k * nc):
-            t = tc // nc
-            c = tc - t * nc
-            o0 = t // k
-            o1 = t - o0 * k
-            row = cols[tc]
-            col = 0
-            for b in range(n):
-                for hh in range(h):
-                    row[col:col + w] = xpt[c, b, hh + o0, o1:o1 + w]
-                    col += w
-
-    @njit(cache=True, parallel=True)
-    def _gather3d_nb(xpt, cols, k, h, w, d):
-        nc, n = xpt.shape[0], xpt.shape[1]
-        for tc in prange(k * k * k * nc):
-            t = tc // nc
-            c = tc - t * nc
-            o0 = t // (k * k)
-            o1 = (t // k) % k
-            o2 = t % k
-            row = cols[tc]
-            col = 0
-            for b in range(n):
-                for hh in range(h):
-                    for ww in range(w):
-                        row[col:col + d] = xpt[c, b, hh + o0, ww + o1, o2:o2 + d]
-                        col += d
-
-    @njit(cache=True, parallel=True)
-    def _scatter2d_nb(gxpt, col_grad, k, h, w):
-        # parallel over channels only: taps overlap in the padded plane,
-        # and the fixed per-channel tap order keeps results bit-stable
-        nc, n = gxpt.shape[0], gxpt.shape[1]
-        for c in prange(nc):
-            for t in range(k * k):
-                o0 = t // k
-                o1 = t - o0 * k
-                row = col_grad[t * nc + c]
-                col = 0
-                for b in range(n):
-                    for hh in range(h):
-                        gxpt[c, b, hh + o0, o1:o1 + w] += row[col:col + w]
-                        col += w
-
-    @njit(cache=True, parallel=True)
-    def _scatter3d_nb(gxpt, col_grad, k, h, w, d):
-        nc, n = gxpt.shape[0], gxpt.shape[1]
-        for c in prange(nc):
-            for t in range(k * k * k):
-                o0 = t // (k * k)
-                o1 = (t // k) % k
-                o2 = t % k
-                row = col_grad[t * nc + c]
-                col = 0
-                for b in range(n):
-                    for hh in range(h):
-                        for ww in range(w):
-                            gxpt[c, b, hh + o0, ww + o1, o2:o2 + d] += row[col:col + d]
-                            col += d
+# Column bytes per batch chunk, sized to cache rather than to a memory
+# ceiling: a chunk's columns are still cached when the matmul reads them,
+# and the transient columns stop growing with the batch. Swept from 5e6 to
+# 6e8 (2-core Xeon, 105 MB shared L3, one BLAS thread, CFG32 on 9x9x32
+# patches): every budget from 5e6 to 8e7 ran eval forward at batch 64
+# 20-25% and a batch-32 training step 10-16% faster than 6e8, and 2e7 had
+# the lowest eval median. At 2e7 the block's spectral conv (17.9 MB of
+# float32 columns per sample) runs one sample per chunk, while the stem and
+# the 2D conv still take a whole batch at once.
+_COLS_BUDGET_BYTES = 2e7
 
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
     spatial = xd.shape[2:]
     k = wd.shape[2]
     pad = (k - 1) // 2
-    positions = int(np.prod(spatial))
     rows = wd.shape[1] * k ** len(spatial)
-    per_sample = rows * positions * xd.itemsize
+    per_sample = rows * int(np.prod(spatial)) * xd.itemsize
     chunk = max(1, int(_COLS_BUDGET_BYTES // max(per_sample, 1)))
-    return spatial, k, pad, positions, rows, chunk
+    return spatial, k, pad, rows, chunk
 
 
 def _weight_matrix(wd: np.ndarray) -> np.ndarray:
@@ -203,6 +137,14 @@ def _padded_transpose(x_chunk: np.ndarray, pad: int, spatial) -> np.ndarray:
     return xpt
 
 
+def _tap_windows(k: int, spatial):
+    """(tap index, index of that tap's window into a padded [C,n,*S+2p])."""
+    for t, offs in enumerate(product(range(k), repeat=len(spatial))):
+        yield t, (slice(None), slice(None)) + tuple(
+            slice(off, off + ext) for off, ext in zip(offs, spatial)
+        )
+
+
 def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarray:
     """[n,C,*S] -> [k^d * C, n * prod(S)] column matrix (tap-major rows)."""
     n, c = x_chunk.shape[:2]
@@ -210,17 +152,10 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
     if k == 1:
         return xpt.reshape(c, -1)
     cols = np.empty((k ** len(spatial) * c, n * int(np.prod(spatial))), dtype=x_chunk.dtype)
-    if _HAVE_NUMBA:
-        if len(spatial) == 2:
-            _gather2d_nb(xpt, cols, k, spatial[0], spatial[1])
-        else:
-            _gather3d_nb(xpt, cols, k, spatial[0], spatial[1], spatial[2])
-        return cols
-    for t, offs in enumerate(product(range(k), repeat=len(spatial))):
-        window = (slice(None), slice(None)) + tuple(
-            slice(off, off + ext) for off, ext in zip(offs, spatial)
-        )
-        cols[t * c:(t + 1) * c] = xpt[window].reshape(c, -1)
+    for t, window in _tap_windows(k, spatial):
+        # each tap's rows are contiguous, so the reshape is a view and the
+        # strided window is copied once, straight into place
+        cols[t * c:(t + 1) * c].reshape((c, n) + spatial)[...] = xpt[window]
     return cols
 
 
@@ -231,7 +166,7 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     Returns (out, cols_cache); cols_cache is a per-chunk list when
     keep_cols is set, else None.
     """
-    spatial, k, pad, positions, _, chunk = _conv_geometry(xd, wd)
+    spatial, k, pad, _, chunk = _conv_geometry(xd, wd)
     b = xd.shape[0]
     o = wd.shape[0]
     wmat = _weight_matrix(wd)
@@ -251,8 +186,12 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                    cols_cache=None):
-    """Gradients of _conv_forward wrt input, weight, bias."""
-    spatial, k, pad, positions, rows, chunk = _conv_geometry(xd, wd)
+    """Gradients of _conv_forward wrt input, weight, bias.
+
+    Works chunk by chunk like the forward, so the column gradient and the
+    padded input gradient never exceed one chunk.
+    """
+    spatial, k, pad, rows, chunk = _conv_geometry(xd, wd)
     b, c = xd.shape[:2]
     o = wd.shape[0]
     nsp = len(spatial)
@@ -260,6 +199,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     gw_mat = np.zeros((o, rows), dtype=wd.dtype)
     gx = np.empty_like(xd)
     padded_spatial = tuple(ext + 2 * pad for ext in spatial)
+    crop = (slice(None), slice(None)) + tuple(slice(pad, pad + ext) for ext in spatial)
     for ci, start in enumerate(range(0, b, chunk)):
         n = min(chunk, b - start)
         gt = np.ascontiguousarray(
@@ -275,20 +215,8 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
             gxpt = col_grad.reshape((c, n) + spatial)
         else:
             gxpt = np.zeros((c, n) + padded_spatial, dtype=xd.dtype)
-            if _HAVE_NUMBA:
-                if nsp == 2:
-                    _scatter2d_nb(gxpt, col_grad, k, spatial[0], spatial[1])
-                else:
-                    _scatter3d_nb(gxpt, col_grad, k, spatial[0], spatial[1], spatial[2])
-            else:
-                for t, offs in enumerate(product(range(k), repeat=nsp)):
-                    window = (slice(None), slice(None)) + tuple(
-                        slice(off, off + ext) for off, ext in zip(offs, spatial)
-                    )
-                    gxpt[window] += col_grad[t * c:(t + 1) * c].reshape((c, n) + spatial)
-            crop = (slice(None), slice(None)) + tuple(
-                slice(pad, pad + ext) for ext in spatial
-            )
+            for t, window in _tap_windows(k, spatial):
+                gxpt[window] += col_grad[t * c:(t + 1) * c].reshape((c, n) + spatial)
             gxpt = gxpt[crop]
         gx[start:start + n] = np.swapaxes(gxpt, 0, 1)
     gw = np.ascontiguousarray(

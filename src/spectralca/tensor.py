@@ -233,6 +233,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
+    """x * c. A numpy float64 c would promote float32 x, so c is applied as a
+    Python float and the output keeps x's dtype."""
+    c = float(c)
     out = x.data * c
 
     def backward(g):

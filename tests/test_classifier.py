@@ -11,7 +11,9 @@ from spectralca.classifier import (
     read_manifest,
     save_checkpoint,
 )
-from spectralca.tensor import ShapeError, Tensor
+from spectralca.nn import cross_entropy
+from spectralca.tensor import ShapeError, Tape, Tensor
+from spectralca.trainer import Adam
 
 TINY_BLOCK = SpectralCAConfig(channels=4, dim=8, heads=2, dropout_rate=0.0)
 TINY_MODEL = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=1,
@@ -49,6 +51,24 @@ class TestModelForward:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model(Tensor(np.zeros((2, 1, 7, 7, 8), dtype=np.float32)))
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_step_keeps_the_model_dtype(self, dtype):
+        model = tiny_model().astype(dtype)
+        opt = Adam(model.parameters())
+        with Tape() as tape:
+            logits = model(Tensor(rand_patches(4).astype(dtype)), training=True,
+                           rng=np.random.default_rng(2))
+            loss = cross_entropy(logits, np.array([0, 1, 2, 0]))
+        tape.backward(loss)
+        opt.step()
+        assert logits.dtype == dtype
+        wrong = sorted({n.op for n in tape.nodes if n.output.dtype != dtype})
+        assert not wrong, f"ops leaving {np.dtype(dtype).name}: {wrong}"
+        assert all(p.data.dtype == dtype and p.grad.dtype == dtype
+                   for p in model.parameters())
 
 
 class TestParameterCounts:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,8 +116,7 @@ class TestConv3D:
             Conv3D(1, 1, 2, RNG)
 
 
-def test_conv_numpy_fallback_matches_bruteforce(monkeypatch):
-    monkeypatch.setattr(nn, "_HAVE_NUMBA", False)
+def test_conv_numpy_fallback_matches_bruteforce():
     rng = np.random.default_rng(77)
     layer = Conv3D(2, 3, 3, rng, dtype=np.float64)
     layer.bias.data[:] = rng.standard_normal(3)
@@ -132,19 +133,74 @@ def test_conv_numpy_fallback_matches_bruteforce(monkeypatch):
     assert report.ok, str(report)
 
 
-def test_conv_numba_and_numpy_paths_agree():
-    if not nn._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(78)
-    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-    cols_fast = nn._gather_columns(x, 3, 1, (4, 5))
-    have = nn._HAVE_NUMBA
+# --- convolutions split into several batch chunks -------------------------
+
+MULTI_CHUNK_LAYERS = {
+    "conv2d": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (4, 2, 4, 3)),
+    "conv3d": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (3, 2, 3, 3, 4)),
+    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r, dtype=np.float64), (3, 3, 2, 2, 3)),
+}
+
+
+@pytest.fixture
+def one_sample_chunks(monkeypatch):
+    # a budget below one sample's columns gives one chunk per sample
+    monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", 1)
+
+
+@pytest.mark.parametrize("name", list(MULTI_CHUNK_LAYERS))
+def test_multi_chunk_conv_matches_bruteforce(name, one_sample_chunks):
+    build, shape = MULTI_CHUNK_LAYERS[name]
+    rng = np.random.default_rng(79)
+    layer = build(rng)
+    layer.bias.data[:] = rng.standard_normal(layer.bias.shape)
+    x = rng.standard_normal(shape)
+    w, b = layer.weight.data, layer.bias.data
+    out, cache = nn._conv_forward(x, w, b, keep_cols=True)
+    assert len(cache) == shape[0] >= 3
+    np.testing.assert_allclose(out, conv_reference(x, w, b), atol=1e-12)
+    # backward from kept columns and from re-gathered columns agree exactly
+    g = rng.standard_normal(out.shape)
+    for kept, regathered in zip(nn._conv_backward(g, x, w, cache),
+                                nn._conv_backward(g, x, w, None)):
+        np.testing.assert_array_equal(kept, regathered)
+
+
+@pytest.mark.parametrize("name", list(MULTI_CHUNK_LAYERS))
+def test_gradcheck_multi_chunk_conv(name, one_sample_chunks):
+    _gradcheck_layer(*MULTI_CHUNK_LAYERS[name])
+
+
+def _transient_bytes(fn):
+    """tracemalloc peak of fn() above what was allocated before the call,
+    less the bytes of the arrays it returns."""
+    tracemalloc.start()
     try:
-        nn._HAVE_NUMBA = False
-        cols_ref = nn._gather_columns(x, 3, 1, (4, 5))
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        nn._HAVE_NUMBA = have
-    np.testing.assert_array_equal(cols_fast, cols_ref)
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in result if isinstance(a, np.ndarray))
+    return peak - base - returned
+
+
+def test_conv_transient_memory_does_not_grow_with_batch():
+    # the block's spectral conv (64 -> 96 channels, 3x3x3) on 9x9x32
+    # patches: one sample's float32 columns are 17.9 MB
+    rng = np.random.default_rng(80)
+    w = (0.01 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
+    b = np.zeros(96, dtype=np.float32)
+    sample_cols = 64 * 27 * 9 * 9 * 32 * 4
+    forward, backward = {}, {}
+    for batch in (2, 4):
+        x = rng.standard_normal((batch, 64, 9, 9, 32)).astype(np.float32)
+        forward[batch] = _transient_bytes(lambda: nn._conv_forward(x, w, b))
+        g = rng.standard_normal((batch, 96, 9, 9, 32)).astype(np.float32)
+        backward[batch] = _transient_bytes(lambda: nn._conv_backward(g, x, w, None))
+    # two more samples may not add their columns to the transient peak
+    assert forward[4] - forward[2] < sample_cols, forward
+    assert backward[4] - backward[2] < sample_cols, backward
 
 
 class TestBatchNorm:
