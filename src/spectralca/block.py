@@ -6,9 +6,11 @@ Input and output are [B, C, H, W, D] hypercube features (channel axis 1,
 band axis last). The block runs two extraction paths (2D over the
 band-mean, 3D over the full cube), tokenizes them (H*W spatial tokens, D
 spectral tokens), exchanges information through bi-directional
-cross-attention with residual/FFN branches, then concatenates both
-streams and projects back to C channels with a 1x1x1 convolution under a
-global residual.
+cross-attention with residual/FFN branches, then projects both streams
+back to C channels under a global residual. The paper's projection is a
+1x1x1 convolution over both streams replicated to cube size and
+concatenated; each half is constant along its replicated axes, so it is
+computed exactly as two token matmuls and a broadcast add.
 """
 
 from __future__ import annotations
@@ -104,13 +106,11 @@ class SpectralCABlock(Module):
         """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm."""
         self._check_input(x)
         feat = silu(self.spectral_bn(self.spectral_conv(x), training))
-        pooled = T.mean_axis(T.mean_axis(feat, 2), 2)  # [B,d,D]
+        pooled = T.mean_axis(feat, (2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]
 
     def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         self._check_input(x)
-        b, c, hh, ww, dd = x.shape
-        d = self.config.dim
         rate = self.config.dropout_rate
 
         spatial = self.spatial_path(x, training)
@@ -122,15 +122,36 @@ class SpectralCABlock(Module):
         spectral = T.add(spectral, dropout(att2, rate, training, rng))
         spectral = T.add(spectral, self.spectral_ffn(self.spectral_ffn_norm(spectral), training, rng))
 
-        # tokens back to cube layout: spatial replicated over bands,
-        # spectral replicated over positions
-        smap = T.reshape(T.transpose(spatial, (0, 2, 1)), (b, d, hh, ww))
-        smap = T.expand(smap, 4, dd)  # [B,d,H,W,D]
-        pmap = T.transpose(spectral, (0, 2, 1))  # [B,d,D]
-        pmap = T.expand(T.expand(pmap, 2, hh), 3, ww)  # [B,d,H,W,D]
+        return _project_streams(x, spatial, spectral, self.projector)
 
-        merged = T.concat_channels(smap, pmap)  # [B,2d,H,W,D]
-        return T.add(self.projector(merged), x)
+
+def _project_streams(x: Tensor, spatial: Tensor, spectral: Tensor,
+                    projector: Conv3D) -> Tensor:
+    """x + projector(concat(spatial over D, spectral over H,W)) as one op:
+    with the 1x1x1 weight [c,2d,1,1,1] split into W_s and W_p [c,d], this is
+    x + W_s s broadcast over D + (W_p p + b) broadcast over H,W, for x
+    [B,c,H,W,D], spatial tokens s [B,H*W,d] and spectral tokens p [B,D,d]."""
+    b, c, hh, ww, dd = x.shape
+    d = spatial.shape[2]
+    weight, bias = projector.weight, projector.bias
+    wmat = weight.data.reshape(c, 2 * d)
+    w_s, w_p = wmat[:, :d], wmat[:, d:]
+    sd, pd = spatial.data, spectral.data
+    ys = (sd @ w_s.T).transpose(0, 2, 1).reshape(b, c, hh, ww, 1)
+    yp = (pd @ w_p.T + bias.data).transpose(0, 2, 1).reshape(b, c, 1, 1, dd)
+    out = x.data + ys
+    out += yp
+
+    def backward(g):
+        g_s = g.sum(axis=4).reshape(b, c, hh * ww)  # [B,c,H*W]
+        g_p = g.sum(axis=(2, 3))  # [B,c,D]
+        gw = np.concatenate((np.tensordot(g_s, sd, axes=([0, 2], [0, 1])),
+                             np.tensordot(g_p, pd, axes=([0, 2], [0, 1]))), axis=1)
+        return (g, g_s.transpose(0, 2, 1) @ w_s, g_p.transpose(0, 2, 1) @ w_p,
+                gw.reshape(weight.shape), g_p.sum(axis=(0, 2)))
+
+    return T.record_op("project_streams", (x, spatial, spectral, weight, bias),
+                       out, backward)
 
 
 class BaselineViTBlock(Module):

@@ -5,6 +5,7 @@ average pooling, and a linear head.
 Checkpoint format (byte-exact):
   magic "SCK1" | u64 LE manifest byte length | manifest JSON (UTF-8,
   sorted keys) | blob of little-endian float32 values.
+Saving writes <path>.tmp in the same directory and renames it over <path>.
 The manifest carries format_version, the model config, an optional seed
 record and data recipe, and the ordered entry registry
 (name/shape/offset/kind) covering both trainable parameters and running
@@ -14,6 +15,7 @@ statistics; the blob holds exactly sum(prod(shape)) * 4 bytes.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,7 +118,7 @@ class PatchClassifier(Module):
         if cfg.depth == 2:
             x = relu(self.mid_bn(self.mid(x), training))
             x = self.block2(x, training, rng)
-        pooled = T.mean_axis(T.mean_axis(T.mean_axis(x, 2), 2), 2)  # [B, C]
+        pooled = T.mean_axis(x, (2, 3, 4))  # [B, C]
         return self.head(pooled)
 
     def predict_proba(self, patches: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -191,12 +193,20 @@ def save_checkpoint(model: PatchClassifier, path, seed: int | None = None,
         "blob_bytes": offset,
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(payload).to_bytes(8, "little"))
-        fh.write(payload)
-        for raw in chunks:
-            fh.write(raw)
+    # a failed write leaves whatever checkpoint was at `path` intact
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(payload).to_bytes(8, "little"))
+            fh.write(payload)
+            for raw in chunks:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_manifest(path) -> dict:

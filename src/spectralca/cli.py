@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import PRESETS, AuditMismatchError, param_audit
+from .block import (PRESETS, AuditMismatchError, BaselineViTBlock, SpectralCABlock,
+                    SpectralCAConfig, param_audit)
 from .classifier import (
     CheckpointError,
     ModelConfig,
@@ -37,6 +38,12 @@ from .selftrain import SslConfig, run_self_training
 from .tensor import NonFiniteError, ShapeError
 from .trainer import TrainConfig, benchmark, comparative_benchmark, evaluate, train
 from .verify import GRADCHECK_TOLERANCE, gradcheck_suite
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one ERR: line, not usage text and exit 2
+        raise ValueError(f"{self.prog}: {message}")
+
 
 _ERROR_CODES: list[tuple[type, str]] = [
     (AuditMismatchError, "audit-mismatch"),
@@ -110,8 +117,6 @@ def _cmd_train(args) -> int:
                                    test_fraction=recipe.get("test_fraction"))
 
     model_fields = dict(raw.get("model", {}))
-    from .block import SpectralCAConfig  # local to keep module import light
-
     for key in ("block1", "block2"):
         if key in model_fields:
             model_fields[key] = SpectralCAConfig(**model_fields[key])
@@ -217,8 +222,6 @@ def _cmd_bench(args) -> int:
                                         bands=args.bands, warmup=args.warmup,
                                         runs=args.runs, seed=args.seed)
     else:
-        from .block import BaselineViTBlock, SpectralCABlock
-
         rng = np.random.default_rng(args.seed)
         cls = SpectralCABlock if args.block == "spectralca" else BaselineViTBlock
         module = cls(preset, rng)
@@ -233,7 +236,7 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectralca",
         description="Hyperspectral cross-attention block: training, audits, benchmarks",
     )
@@ -302,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:  # mapped to stable error codes
         for etype, code in _ERROR_CODES:

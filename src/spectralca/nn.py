@@ -6,7 +6,9 @@ cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
 the batch is split into chunks whose buffers fit in cache; each chunk
 gathers the kernel taps over all spatial axes but the last, and the k taps
 along the last axis are k BLAS matmuls on shifted views of those columns.
-The input gradient is the same lowering applied with the flipped kernel.
+Backward keeps nothing of the forward but its input: the weight gradient
+gathers the columns again, chunk by chunk, and the input gradient is the
+same lowering applied with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -96,8 +98,10 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 # the leading spatial axes and keep the last axis whole and zero-padded, so
 # the last-axis taps are k GEMMs on column-shifted views of one buffer.
 # Column rows are ordered tap-major (row = leading_tap * C + c) and each
-# last-axis tap's weight matrix is permuted to match. Forward can retain the
-# column buffers so the backward weight gradient skips the re-gather.
+# last-axis tap's weight matrix is permuted to match. The weight gradient
+# gathers each chunk's columns again rather than keep them from forward
+# (202 MB for the spectral conv at batch 32; forward plus backward took
+# 1.31-1.40 s kept and 1.24-1.45 s re-gathered, 2-core Xeon, one thread).
 
 # Bytes of columns plus GEMM accumulator per batch chunk, sized to cache
 # rather than to a memory ceiling: a chunk's columns are still cached when
@@ -107,8 +111,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
 # patches, 8 interleaved reps): 1e6, 2.5e6 and 5e6 were within noise of
 # each other and ran eval forward at batch 64 17% and a batch-32 training
 # step 8% faster than 2e7. At 2.5e6 the block's spectral conv (6.3 MB of
-# float32 columns and 1.1 MB of accumulator per sample) and the projector
-# run one sample per chunk, the stem three and the 2D conv 24.
+# float32 columns and 1.1 MB of accumulator per sample) runs one sample per
+# chunk, the stem three and the 2D conv 24.
 _COLS_BUDGET_BYTES = 2.5e6
 
 
@@ -153,19 +157,13 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
     return cols
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                  keep_cols: bool = False):
-    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O].
-
-    Returns (out, cols_cache); cols_cache is a per-chunk list when
-    keep_cols is set, else None.
-    """
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O]."""
     spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b = xd.shape[0]
     o = wd.shape[0]
     wstack = _tap_weights(wd)
     out = np.empty((b, o) + spatial, dtype=xd.dtype)
-    cache = [] if keep_cols else None
     for start in range(0, b, chunk):
         piece = xd[start:start + chunk]
         n = piece.shape[0]
@@ -180,29 +178,25 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
             acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
         acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
         out[start:start + n] = np.swapaxes(acc, 0, 1)
-        if keep_cols:
-            cache.append(cols)
     out += bd.reshape((1, o) + (1,) * len(spatial))
-    return out, cache
+    return out
 
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
-                   cols_cache=None, need_gx: bool = True):
+                   need_gx: bool = True):
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
-    and bias. The weight gradient works chunk by chunk like the forward; the
-    input gradient is the forward with the flipped, channel-swapped kernel.
+    and bias. The weight gradient re-gathers the columns chunk by chunk like
+    the forward; the input gradient is the forward with the flipped,
+    channel-swapped kernel.
     """
     spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b, c = xd.shape[:2]
     o = wd.shape[0]
     gw_t = np.zeros((k, c * k ** (len(spatial) - 1), o), dtype=wd.dtype)
     padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
-    for ci, start in enumerate(range(0, b, chunk)):
+    for start in range(0, b, chunk):
         n = min(chunk, b - start)
-        if cols_cache is not None:
-            cols = cols_cache[ci]
-        else:
-            cols = _gather_columns(xd[start:start + n], k, pad, spatial)
+        cols = _gather_columns(xd[start:start + n], k, pad, spatial)
         m = cols.shape[1] - (k - 1)
         # g in the padded column order, zero where no output was computed
         gp = np.zeros((o, n) + padded, dtype=g.dtype)
@@ -217,19 +211,16 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     gx = None
     if need_gx:
         flipped = np.flip(wd, axis=tuple(range(2, wd.ndim))).swapaxes(0, 1)
-        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype))[0]
+        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype))
     return gx, gw, gb
 
 
 def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    from .tensor import active_tape
-
-    keep = active_tape() is not None
-    out, cache = _conv_forward(x.data, weight.data, bias.data, keep_cols=keep)
+    out = _conv_forward(x.data, weight.data, bias.data)
     xd, wd, need_gx = x.data, weight.data, x.requires_grad
 
     def backward(g):
-        return _conv_backward(g, xd, wd, cache, need_gx)
+        return _conv_backward(g, xd, wd, need_gx)
 
     return record_op(opname, (x, weight, bias), out, backward)
 
@@ -326,29 +317,18 @@ class BatchNorm(Module):
         xd = x.data
         n = x.size // self.channels
 
-        if training:
-
-            def backward(g):
-                xhat = (xd - mu.reshape(bshape)) * inv.reshape(bshape)
-                gg = (g * xhat).sum(axis=axes)
-                gb = g.sum(axis=axes)
-                gxh = g * gamma.data.reshape(bshape)
-                term = (
+        def backward(g):
+            xhat = (xd - mu.reshape(bshape)) * inv.reshape(bshape)
+            gg = (g * xhat).sum(axis=axes)
+            gb = g.sum(axis=axes)
+            gxh = g * gamma.data.reshape(bshape)
+            if training:  # the batch statistics depend on x too
+                gxh = (
                     gxh
                     - gxh.mean(axis=axes, keepdims=True)
                     - xhat * (gxh * xhat).sum(axis=axes, keepdims=True) / n
                 )
-                gx = term * inv.reshape(bshape)
-                return gx, gg, gb
-
-        else:
-
-            def backward(g):
-                xhat = (xd - mu.reshape(bshape)) * inv.reshape(bshape)
-                gg = (g * xhat).sum(axis=axes)
-                gb = g.sum(axis=axes)
-                gx = g * (gamma.data * inv).reshape(bshape)
-                return gx, gg, gb
+            return gxh * inv.reshape(bshape), gg, gb
 
         return record_op("batchnorm", (x, gamma, beta), out, backward)
 

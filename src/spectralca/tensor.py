@@ -69,9 +69,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
@@ -208,16 +205,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record_op("add", (a, b), out, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape, "sub")
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return record_op("sub", (a, b), out, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape(a.shape, b.shape, "mul")
     out = a.data * b.data
@@ -280,15 +267,17 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return record_op("transpose", (x,), out, backward, check_finite=False)
 
 
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    """Arithmetic mean along one axis; the axis is removed from the shape."""
-    if not (0 <= axis < x.ndim):
-        raise ShapeError(f"mean_axis: axis {axis} out of range for rank {x.ndim}")
-    n = x.shape[axis]
-    out = x.data.mean(axis=axis)
+def mean_axis(x: Tensor, axis: int | Sequence[int]) -> Tensor:
+    """Arithmetic mean over one axis or a tuple of distinct axes, in one
+    pass; those axes are removed from the shape."""
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    if not axes or len(set(axes)) != len(axes) or not all(0 <= a < x.ndim for a in axes):
+        raise ShapeError(f"mean_axis: axes {axis} invalid for rank {x.ndim}")
+    n = int(np.prod([x.shape[a] for a in axes]))
+    out = x.data.mean(axis=axes)
 
     def backward(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
+        return (np.broadcast_to(np.expand_dims(g / n, axes), x.shape),)
 
     return record_op("mean_axis", (x,), out, backward)
 
@@ -311,20 +300,6 @@ def mean_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(g / n, shp),)
 
     return record_op("mean_all", (x,), out, backward)
-
-
-def expand(x: Tensor, axis: int, n: int) -> Tensor:
-    """Insert a new axis of extent n at `axis` by replication."""
-    if not (0 <= axis <= x.ndim):
-        raise ShapeError(f"expand: axis {axis} out of range for rank {x.ndim}")
-    out = np.broadcast_to(
-        np.expand_dims(x.data, axis), x.shape[:axis] + (n,) + x.shape[axis:]
-    )
-
-    def backward(g):
-        return (g.sum(axis=axis),)
-
-    return record_op("expand", (x,), out, backward, check_finite=False)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -386,6 +361,8 @@ def grad_check(
     parameter is small). Relative error is
     |g_ad - g_fd| / max(1e-8, |g_ad| + |g_fd|).
     """
+    if samples_per_parameter < 1:
+        raise ValueError(f"samples_per_parameter must be >= 1, got {samples_per_parameter}")
     rng = rng or np.random.default_rng(0)
     for p in params:
         if p.dtype != np.float64:

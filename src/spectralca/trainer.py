@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import mean, median
 
@@ -17,7 +18,7 @@ except ImportError:  # pragma: no cover
     threadpool_limits = None
 
 from .block import CFG32, BaselineViTBlock, SpectralCABlock, SpectralCAConfig
-from .classifier import PatchClassifier, load_checkpoint, save_checkpoint  # noqa: F401
+from .classifier import PatchClassifier
 from .data import PatchSet
 from .metrics import (
     ConfusionMatrix,
@@ -202,37 +203,35 @@ class BenchReport:
 
 
 def _device_note() -> str:
-    return f"cpu ({platform.machine()}, {platform.system()})"
+    pinning = ("BLAS pinned to 1 thread" if threadpool_limits is not None
+               else "BLAS threads not pinned: threadpoolctl is not installed")
+    return f"cpu ({platform.machine()}, {platform.system()}; {pinning})"
 
 
 def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
                        param_count: int = 0) -> BenchReport:
-    """Monotonic-clock wall times for fn(); warmup >= 3 runs are discarded
-    and the measured region is pinned to one BLAS thread when possible."""
+    """Monotonic-clock wall times for fn(); warmup >= 3 runs are discarded.
+    The measured region is pinned to one BLAS thread only if threadpoolctl
+    is installed; the report's device note says whether it was."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     warmup = max(warmup, 3)
     times = []
-
-    def sample_all():
+    with threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext():
         for _ in range(warmup):
             fn()
         for _ in range(runs):
             t0 = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t0)
-
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            sample_all()
-    else:  # pragma: no cover
-        sample_all()
     return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count)
 
 
 def benchmark(module: Module, batch_shape: tuple[int, ...], warmup: int = 3,
               runs: int = 10, seed: int = 0) -> BenchReport:
     """Eval-mode forward timing on one reused random input."""
+    if min(batch_shape) < 1:
+        raise ValueError(f"batch shape {batch_shape} needs every extent >= 1")
     x = Tensor(np.random.default_rng(seed).standard_normal(batch_shape).astype(np.float32))
     return benchmark_callable(
         lambda: module(x, training=False),

@@ -41,7 +41,7 @@ def _tensor_ops_report(seed: int, samples: int) -> GradCheckReport:
     def f():
         s = T.add(a, T.scale(b, 0.5))
         m = T.mul(s, b)
-        cat = T.concat_channels(m, T.expand(T.mean_axis(a, 1), 1, 2))
+        cat = T.concat_channels(m, T.reshape(T.mean_axis(a, 1), (2, 1, 4)))
         prod = T.matmul(T.transpose(cat, (0, 2, 1)), T.reshape(w, (2, 4, 4)))
         return _quadratic(prod)
 
@@ -67,7 +67,7 @@ def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
         tokens = dropout(lin(tokens), 0.2, training=True, rng=np.random.default_rng(5))
         sm = softmax(tokens, axis=-1)
         b = relu(conv3(x3))
-        pooled = T.mean_axis(T.mean_axis(T.mean_axis(b, 2), 2), 2)
+        pooled = T.mean_axis(b, (2, 3, 4))
         ce = cross_entropy(head(pooled), labels)
         return T.add(_quadratic(sm), T.scale(ce, _PROBE_SCALE))
 

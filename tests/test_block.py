@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralca import tensor as T
+from spectralca import block as block_module, tensor as T
 from spectralca.block import (
     CFG32,
     CFG64,
@@ -15,6 +15,8 @@ from spectralca.block import (
     param_audit,
 )
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
+from spectralca.verify import TINY_BLOCK_CONFIG
+from test_nn import conv_reference
 
 TINY = SpectralCAConfig(channels=2, dim=4, heads=2, dropout_rate=0.0)
 
@@ -139,6 +141,71 @@ class TestBlockForward:
         block = tiny_block()
         with pytest.raises(T.ShapeError):
             block(Tensor(np.zeros((1, 3, 3, 3, 3), dtype=np.float32)))
+
+
+def concat_projection_reference(x, spatial, spectral, weight, bias):
+    """The paper's output stage in float64: spatial tokens replicated over
+    bands, spectral tokens over positions, concatenated on channels, then a
+    1x1x1 convolution and the global residual."""
+    b, _, hh, ww, dd = x.shape
+    d = spatial.shape[2]
+    smap = spatial.transpose(0, 2, 1).reshape(b, d, hh, ww, 1)
+    pmap = spectral.transpose(0, 2, 1).reshape(b, d, 1, 1, dd)
+    merged = np.concatenate((np.broadcast_to(smap, (b, d, hh, ww, dd)),
+                             np.broadcast_to(pmap, (b, d, hh, ww, dd))), axis=1)
+    return x + conv_reference(merged, weight, bias)
+
+
+class TestOutputStage:
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("config,shape", [
+        (TINY_BLOCK_CONFIG, (2, 2, 3, 4, 5)),
+        (CFG32, (1, CFG32.channels, 3, 3, 4)),
+    ])
+    def test_matches_concat_projection(self, config, shape, training, monkeypatch):
+        rng = np.random.default_rng(10)
+        block = SpectralCABlock(config, rng, dtype=np.float64)
+        block.projector.bias.data[:] = rng.standard_normal(config.channels)
+        seen = []
+
+        def spy(*args):
+            seen.append([t.data for t in args[:3]])
+            return project(*args)
+
+        project = block_module._project_streams
+        monkeypatch.setattr(block_module, "_project_streams", spy)
+        x = Tensor(rng.standard_normal(shape))
+        out = block(x, training=training, rng=np.random.default_rng(11))
+        xd, spatial, spectral = seen[0]
+        assert xd is x.data and spatial.shape[1:] == (shape[2] * shape[3], config.dim)
+        expected = concat_projection_reference(xd, spatial, spectral,
+                                               block.projector.weight.data,
+                                               block.projector.bias.data)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_gradients_are_adjoints(self):
+        # linear in the tokens for a fixed weight and bilinear in (tokens,
+        # weight), so <out - x - b, g> = <s, gs> + <p, gp> = <W, gW>
+        rng = np.random.default_rng(12)
+        block = tiny_block(dtype=np.float64)
+        weight, bias = block.projector.weight, block.projector.bias
+        bias.data[:] = rng.standard_normal(bias.shape)
+        x = Tensor(rng.standard_normal((2, 2, 3, 4, 5)), requires_grad=True)
+        s = Tensor(rng.standard_normal((2, 12, 4)), requires_grad=True)
+        p = Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+        g = rng.standard_normal(x.shape)
+        block.zero_grad()
+        with Tape() as tape:
+            out = block_module._project_streams(x, s, p, block.projector)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        assert len(tape.nodes) == 3
+        linear = np.vdot(out.data - x.data - bias.data.reshape(1, -1, 1, 1, 1), g)
+        np.testing.assert_allclose(np.vdot(s.data, s.grad) + np.vdot(p.data, p.grad),
+                                   linear, rtol=1e-12)
+        np.testing.assert_allclose(np.vdot(weight.data, weight.grad), linear, rtol=1e-12)
+        np.testing.assert_array_equal(x.grad, g)
+        np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3, 4)), rtol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

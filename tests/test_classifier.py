@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spectralca import nn
+from spectralca import classifier, nn
 from spectralca.block import SpectralCAConfig
 from spectralca.classifier import (
     CheckpointError,
@@ -181,6 +181,39 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "m.bin")
         after = load_checkpoint(tmp_path / "m.bin").predict_proba(patches)
         assert np.array_equal(before, after)
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.bin"
+        saved = tiny_model(seed=10)
+        save_checkpoint(saved, path, seed=10)
+
+        class FailsMidWrite:
+            """A file whose third write raises, after the header is out."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("injected: no space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(classifier, "open", lambda *a, **k: FailsMidWrite(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(tiny_model(seed=11), path, seed=11)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin"]
+        back = load_checkpoint(path)
+        for (na, pa), (nb, pb) in zip(saved.named_parameters(), back.named_parameters()):
+            assert na == nb and np.array_equal(pa.data, pb.data)
 
     def test_corrupted_blob_length_rejected(self, tmp_path):
         model = tiny_model()

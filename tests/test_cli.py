@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spectralca.cli import main
+from spectralca.cli import build_parser, main
 from test_classifier import rewrite_manifest
 
 TINY_RECIPE = {
@@ -71,3 +71,46 @@ def test_eval_on_bad_offsets_is_one_checkpoint_err_line(scene, tmp_path, capsys,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERR:checkpoint: ")
+
+
+# one malformed input per subcommand, and the error code it must map to
+MALFORMED = {
+    "gen": (["gen", "--seed", "1", "--bands", "0", "--out", "{tmp}/g"], "invalid-argument"),
+    "train": (["train", "--data", "{scene}", "--config", "{bad_json}", "--out", "{tmp}/t"],
+              "config-parse"),
+    "eval": (["eval", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/r.json"],
+             "checkpoint"),
+    "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
+            "checkpoint"),
+    "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
+    "gradcheck": (["gradcheck", "--samples", "0", "--no-full-size-spot"], "invalid-argument"),
+    "bench": (["bench", "--height", "0", "--runs", "1"], "invalid-argument"),
+}
+
+
+def test_malformed_input_covers_every_subcommand():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(MALFORMED) == sorted(subcommands)
+
+
+@pytest.mark.parametrize("command", list(MALFORMED))
+def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"train": ')
+    (tmp_path / "bad.bin").write_bytes(b"not a checkpoint")
+    paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
+             "bad_bin": tmp_path / "bad.bin"}
+    argv, code = MALFORMED[command]
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"ERR:{code}: "), captured.err
+
+
+def test_gradcheck_passes_every_module(capsys):
+    assert main(["gradcheck", "--no-full-size-spot", "--samples", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "tensor_ops", "nn_ops", "attention", "block_tiny", "classifier_tiny"]
+    assert all(line.endswith(" ok") for line in lines)

@@ -156,14 +156,9 @@ def test_multi_chunk_conv_matches_bruteforce(name, one_sample_chunks):
     layer.bias.data[:] = rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal(shape)
     w, b = layer.weight.data, layer.bias.data
-    out, cache = nn._conv_forward(x, w, b, keep_cols=True)
-    assert len(cache) == shape[0] >= 3
-    np.testing.assert_allclose(out, conv_reference(x, w, b), atol=1e-12)
-    # backward from kept columns and from re-gathered columns agree exactly
-    g = rng.standard_normal(out.shape)
-    for kept, regathered in zip(nn._conv_backward(g, x, w, cache),
-                                nn._conv_backward(g, x, w, None)):
-        np.testing.assert_array_equal(kept, regathered)
+    assert nn._conv_geometry(x, w)[3] == 1 and shape[0] >= 3
+    np.testing.assert_allclose(nn._conv_forward(x, w, b), conv_reference(x, w, b),
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("name", list(MULTI_CHUNK_LAYERS))
@@ -177,9 +172,9 @@ def test_conv_backward_skips_unneeded_input_gradient():
         w = build(rng).weight.data
         x = rng.standard_normal(shape)
         g = rng.standard_normal((shape[0], w.shape[0]) + shape[2:])
-        gx, gw, gb = nn._conv_backward(g, x, w, None, False)
+        gx, gw, gb = nn._conv_backward(g, x, w, False)
         assert gx is None
-        full = nn._conv_backward(g, x, w, None, True)
+        full = nn._conv_backward(g, x, w, True)
         assert full[0].shape == x.shape
         np.testing.assert_array_equal(gw, full[1])
         np.testing.assert_array_equal(gb, full[2])
@@ -214,12 +209,12 @@ def test_edge_shape_conv_matches_bruteforce(name, chunking):
     w[...] = np.arange(w.size).reshape(w.shape) / w.size - 0.5
     b = rng.standard_normal(w.shape[0])
     x = rng.standard_normal(shape)
-    out, cache = nn._conv_forward(x, w, b, keep_cols=True)
+    out = nn._conv_forward(x, w, b)
     np.testing.assert_allclose(out, conv_reference(x, w, b), atol=1e-12)
     # the conv is bilinear in (x, w), so its gradients are its adjoints:
     # <conv(x, w), g> = <x, gx> = <w, gw>
     g = rng.standard_normal(out.shape)
-    gx, gw, gb = nn._conv_backward(g, x, w, cache)
+    gx, gw, gb = nn._conv_backward(g, x, w)
     linear = np.vdot(out - b.reshape((1, -1) + (1,) * (x.ndim - 2)), g)
     np.testing.assert_allclose(np.vdot(x, gx), linear, rtol=1e-12)
     np.testing.assert_allclose(np.vdot(w, gw), linear, rtol=1e-12)
@@ -231,18 +226,26 @@ def test_gradcheck_edge_shape_conv(name, chunking):
     _gradcheck_layer(*EDGE_LAYERS[name])
 
 
-def _transient_bytes(fn):
-    """tracemalloc peak of fn() above what was allocated before the call,
-    less the bytes of the arrays it returns."""
+def _traced_bytes(fn):
+    """(result, peak, retained): fn()'s result, and the tracemalloc peak
+    during the call and the bytes still allocated after it, each above what
+    was allocated before the call."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in result if isinstance(a, np.ndarray))
-    return peak - base - returned
+    return result, peak - base, current - base
+
+
+def _transient_bytes(fn):
+    """tracemalloc peak of fn() above what was allocated before the call,
+    less the bytes of the arrays it returns."""
+    result, peak, _ = _traced_bytes(fn)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return peak - sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
 def test_conv_transient_memory_does_not_grow_with_batch():
@@ -257,10 +260,24 @@ def test_conv_transient_memory_does_not_grow_with_batch():
         x = rng.standard_normal((batch, 64, 9, 9, 32)).astype(np.float32)
         forward[batch] = _transient_bytes(lambda: nn._conv_forward(x, w, b))
         g = rng.standard_normal((batch, 96, 9, 9, 32)).astype(np.float32)
-        backward[batch] = _transient_bytes(lambda: nn._conv_backward(g, x, w, None))
+        backward[batch] = _transient_bytes(lambda: nn._conv_backward(g, x, w))
     # two more samples may not add their columns to the transient peak
     assert forward[4] - forward[2] < sample_cols, forward
     assert backward[4] - backward[2] < sample_cols, backward
+
+
+def test_recorded_conv_retains_only_its_output():
+    # the block's spectral conv under a tape: backward re-gathers its
+    # columns, so after the forward only the output stays allocated (kept
+    # columns would add 6.3 MB of partial columns per sample)
+    rng = np.random.default_rng(83)
+    conv = Conv3D(64, 96, 3, rng)
+    x = Tensor(rng.standard_normal((2, 64, 9, 9, 32)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        out, _, retained = _traced_bytes(lambda: conv(x))
+    assert len(tape.nodes) == 1
+    assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
 
 
 class TestBatchNorm:

@@ -71,8 +71,10 @@ class TestMeanAxis:
         assert T.mean_axis(x, 4).shape == (2, 64, 9, 9)
 
     def test_axis_out_of_range(self):
-        with pytest.raises(ShapeError):
-            T.mean_axis(Tensor(np.zeros((2, 2))), 2)
+        # out of range, negative, a repeated axis and no axis at all
+        for axis in (2, -1, (0, 2), (1, 1), ()):
+            with pytest.raises(ShapeError):
+                T.mean_axis(Tensor(np.zeros((2, 2))), axis)
 
     def test_backward_distributes_uniformly(self):
         x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -214,11 +216,12 @@ LINEAR_CASES = {
     "add_broadcast_rhs": ((1, 3, 1), lambda x: T.add(Tensor(np.ones((2, 3, 4))), x), (2, 3, 4)),
     "scale": ((3, 5), lambda x: T.scale(x, -2.5), (3, 5)),
     "mean_axis": ((2, 5, 3), lambda x: T.mean_axis(x, 1), (2, 3)),
+    "mean_axis_tuple": ((2, 5, 3, 4), lambda x: T.mean_axis(x, (3, 1)), (2, 3)),
+    "mean_axis_all": ((2, 3, 4), lambda x: T.mean_axis(x, (0, 1, 2)), ()),
     "sum_all": ((4, 3), lambda x: T.sum_all(x), ()),
     "mean_all": ((4, 3), lambda x: T.mean_all(x), ()),
     "reshape": ((2, 6), lambda x: T.reshape(x, (3, 4)), (3, 4)),
     "transpose": ((2, 3, 4), lambda x: T.transpose(x, (2, 0, 1)), (4, 2, 3)),
-    "expand": ((2, 3), lambda x: T.expand(x, 1, 5), (2, 5, 3)),
     "concat_lhs": ((1, 2, 3), lambda x: T.concat_channels(x, Tensor(np.ones((1, 4, 3)))), (1, 6, 3)),
     "matmul_lhs": ((2, 3, 4), lambda x: T.matmul(x, Tensor(np.ones((2, 4, 5)))), (2, 3, 5)),
     "matmul_rhs": ((2, 4, 5), lambda x: T.matmul(Tensor(np.ones((2, 3, 4))), x), (2, 3, 5)),
@@ -255,10 +258,13 @@ small_extent = st.integers(min_value=1, max_value=5)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_extent, min_size=1, max_size=4), st.data())
 def test_mean_axis_shape_property(shape, data):
-    axis = data.draw(st.integers(min_value=0, max_value=len(shape) - 1))
+    axis = st.integers(min_value=0, max_value=len(shape) - 1)
+    axes = data.draw(axis | st.lists(axis, min_size=1, unique=True).map(tuple))
     x = Tensor(np.random.default_rng(0).standard_normal(shape))
-    out = T.mean_axis(x, axis)
-    assert out.shape == tuple(shape[:axis] + shape[axis + 1:])
+    out = T.mean_axis(x, axes)
+    dropped = {axes} if isinstance(axes, int) else set(axes)
+    assert out.shape == tuple(e for i, e in enumerate(shape) if i not in dropped)
+    np.testing.assert_allclose(out.data, x.data.mean(axis=axes), rtol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,16 +274,6 @@ def test_concat_channels_shape_property(shape, ca, cb):
     b = Tensor(np.zeros(tuple([shape[0], cb] + shape[2:]), dtype=np.float32))
     out = T.concat_channels(a, b)
     assert out.shape == tuple([shape[0], ca + cb] + shape[2:])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(small_extent, min_size=1, max_size=3), st.data())
-def test_expand_shape_property(shape, data):
-    axis = data.draw(st.integers(min_value=0, max_value=len(shape)))
-    n = data.draw(small_extent)
-    x = Tensor(np.zeros(shape, dtype=np.float32))
-    out = T.expand(x, axis, n)
-    assert out.shape == tuple(shape[:axis] + [n] + shape[axis:])
 
 
 def test_gradcheck_report_formatting():
