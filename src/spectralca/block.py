@@ -37,10 +37,10 @@ class SpectralCAConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
-        if self.dim % self.heads != 0:
-            raise ValueError(f"heads {self.heads} must divide dim {self.dim}")
+        if min(self.channels, self.dim) < 1:
+            raise ValueError(f"channels {self.channels} and dim {self.dim} must be >= 1")
+        if self.heads < 1 or self.dim % self.heads != 0:
+            raise ValueError(f"heads {self.heads} must be positive and divide dim {self.dim}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout rate {self.dropout_rate} outside [0, 1)")
 
@@ -68,6 +68,11 @@ class FeedForward(Module):
         return self.narrow(h)
 
 
+def _check_input(x: Tensor, channels: int) -> None:
+    if x.ndim != 5 or x.shape[1] != channels:
+        raise T.ShapeError(f"expected [B,{channels},H,W,D], got {x.shape}")
+
+
 class SpectralCABlock(Module):
     def __init__(self, config: SpectralCAConfig, rng: np.random.Generator,
                  dtype=np.float32):
@@ -87,15 +92,9 @@ class SpectralCABlock(Module):
         self.spectral_ffn = FeedForward(d, config.dropout_rate, rng, dtype)
         self.projector = Conv3D(2 * d, c, 1, rng, dtype)
 
-    def _check_input(self, x: Tensor) -> None:
-        if x.ndim != 5 or x.shape[1] != self.config.channels:
-            raise T.ShapeError(
-                f"expected [B,{self.config.channels},H,W,D], got {x.shape}"
-            )
-
     def spatial_path(self, x: Tensor, training: bool) -> Tensor:
         """Band-mean -> Conv2D -> BN -> SiLU -> H*W tokens -> LayerNorm."""
-        self._check_input(x)
+        _check_input(x, self.config.channels)
         b, _, hh, ww, _ = x.shape
         flat = T.mean_axis(x, 4)  # [B,C,H,W]
         feat = silu(self.spatial_bn(self.spatial_conv(flat), training))
@@ -104,15 +103,14 @@ class SpectralCABlock(Module):
 
     def spectral_path(self, x: Tensor, training: bool) -> Tensor:
         """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm."""
-        self._check_input(x)
+        _check_input(x, self.config.channels)
         feat = silu(self.spectral_bn(self.spectral_conv(x), training))
         pooled = T.mean_axis(feat, (2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]
 
     def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
-        self._check_input(x)
         rate = self.config.dropout_rate
-
+        # spatial_path checks the input shape before any work is done
         spatial = self.spatial_path(x, training)
         spectral = self.spectral_path(x, training)
         att1, att2 = self.cross(spatial, spectral)
@@ -177,10 +175,7 @@ class BaselineViTBlock(Module):
         self.fusion = Conv3D(2 * c, c, 3, rng, dtype)
 
     def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
-        if x.ndim != 5 or x.shape[1] != self.config.channels:
-            raise T.ShapeError(
-                f"expected [B,{self.config.channels},H,W,D], got {x.shape}"
-            )
+        _check_input(x, self.config.channels)
         b, c, hh, ww, dd = x.shape
         d = self.config.dim
         local = silu(self.local_conv(x))

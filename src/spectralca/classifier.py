@@ -121,25 +121,18 @@ class PatchClassifier(Module):
         pooled = T.mean_axis(x, (2, 3, 4))  # [B, C]
         return self.head(pooled)
 
-    def predict_proba(self, patches: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Eval-mode class probabilities, [N, num_classes], rows sum to 1."""
-        patches = np.asarray(patches)
-        out = np.empty((len(patches), self.config.num_classes), dtype=np.float32)
-        for start in range(0, len(patches), batch_size):
-            chunk = Tensor(patches[start:start + batch_size])
-            logits = self(chunk, training=False)
-            out[start:start + len(chunk.data)] = softmax(logits, axis=1).data
-        return out
+    def predict_proba(self, patches: np.ndarray) -> np.ndarray:
+        """Eval-mode class probabilities, [N, num_classes], rows sum to 1,
+        from one forward over the whole batch given; scene-sized input is
+        cut into batches by the caller, as `pseudo_label_select` does."""
+        logits = self(Tensor(np.asarray(patches)), training=False)
+        return softmax(logits, axis=1).data
 
-    def predict(self, patches: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Eval-mode argmax class indices (0-based)."""
-        patches = np.asarray(patches)
-        out = np.empty(len(patches), dtype=np.int64)
-        for start in range(0, len(patches), batch_size):
-            chunk = Tensor(patches[start:start + batch_size])
-            logits = self(chunk, training=False)
-            out[start:start + len(chunk.data)] = logits.data.argmax(axis=1)
-        return out
+    def predict(self, patches: np.ndarray) -> np.ndarray:
+        """Eval-mode argmax class indices (0-based), from one forward over
+        the whole batch given; send scene-sized input through
+        `trainer.predict_set`, which batches it."""
+        return self(Tensor(np.asarray(patches)), training=False).data.argmax(axis=1)
 
 
 def model_audit(model: PatchClassifier) -> list[tuple[str, int]]:
@@ -218,6 +211,8 @@ def read_manifest(path) -> dict:
         manifest = json.loads(blob[12:12 + length].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')}"
@@ -256,8 +251,12 @@ def load_checkpoint(path) -> PatchClassifier:
         raise CheckpointError(
             f"blob length mismatch: expected {expected} bytes, got {len(blob)}"
         )
-    config = ModelConfig.from_dict(manifest["model"])
-    model = PatchClassifier(config, rng=np.random.default_rng(manifest.get("seed") or 0))
+    try:
+        config = ModelConfig.from_dict(manifest["model"])
+        # every array is overwritten from the blob below, so the seed is moot
+        model = PatchClassifier(config, rng=np.random.default_rng(0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad model config in manifest: {exc!r}") from exc
     available = {name: (kind, arr) for name, kind, arr in _entry_arrays(model)}
     for entry in entries:
         name = entry["name"]

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -33,11 +34,15 @@ from .data import (
     save_labels,
     split,
 )
-from .metrics import ObjectiveWeights, objective_j
+from .metrics import ObjectiveWeights
 from .selftrain import SslConfig, run_self_training
 from .tensor import NonFiniteError, ShapeError
 from .trainer import TrainConfig, benchmark, comparative_benchmark, evaluate, train
 from .verify import GRADCHECK_TOLERANCE, gradcheck_suite
+
+
+class ConfigError(ValueError):
+    """A train config that is not JSON objects of known keys and value types."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,6 +59,7 @@ _ERROR_CODES: list[tuple[type, str]] = [
     (ShapeError, "shape"),
     (FileNotFoundError, "not-found"),
     (json.JSONDecodeError, "config-parse"),
+    (ConfigError, "config-parse"),
     (ValueError, "invalid-argument"),
     (RuntimeError, "runtime"),
 ]
@@ -103,12 +109,59 @@ _TRAIN_CONFIG_DEFAULTS = {
     "test_fraction": None,
     "split_seed": 0,
 }
+# what a train config may set at its top level
+_TRAIN_CONFIG_TYPES = {
+    "patch_size": int,
+    "train_fraction": float,
+    "test_fraction": float | None,
+    "split_seed": int,
+    "train": dict,
+    "model": dict,
+}
+
+
+def _accepts(hint, value) -> bool:
+    """isinstance against a field's type hint, where an int passes as a
+    float and a bool passes as neither."""
+    types = get_args(hint) or (hint,)
+    if float in types:
+        types += (int,)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _config_section(payload, name: str, hints: dict) -> dict:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(payload).__name__}")
+    for key, value in payload.items():
+        if key not in hints:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+        if not _accepts(hints[key], value):
+            raise ConfigError(f"{name}.{key} has the wrong type: {value!r}")
+    return payload
+
+
+def _read_train_config(path) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    return _config_section(raw, "config", _TRAIN_CONFIG_TYPES)
 
 
 def _cmd_train(args) -> int:
-    raw = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    raw = _read_train_config(args.config) if args.config else {}
     recipe = {k: raw.get(k, v) for k, v in _TRAIN_CONFIG_DEFAULTS.items()}
-    train_cfg = TrainConfig(**raw.get("train", {}))
+    train_cfg = TrainConfig(**_config_section(raw.get("train", {}), "train",
+                                              get_type_hints(TrainConfig)))
+    # the scene fixes the class count, band count and (via the recipe) patch size
+    model_hints = {k: dict if hint is SpectralCAConfig else hint
+                   for k, hint in get_type_hints(ModelConfig).items()
+                   if k not in ("num_classes", "patch_size", "bands")}
+    model_fields = dict(_config_section(raw.get("model", {}), "model", model_hints))
+    for key in ("block1", "block2"):
+        if key in model_fields:
+            model_fields[key] = SpectralCAConfig(**_config_section(
+                model_fields[key], key, get_type_hints(SpectralCAConfig)))
 
     cube, labels = _load_scene(Path(args.data))
     patches = extract_patches(cube, labels, recipe["patch_size"])
@@ -116,10 +169,6 @@ def _cmd_train(args) -> int:
                                    recipe["split_seed"],
                                    test_fraction=recipe.get("test_fraction"))
 
-    model_fields = dict(raw.get("model", {}))
-    for key in ("block1", "block2"):
-        if key in model_fields:
-            model_fields[key] = SpectralCAConfig(**model_fields[key])
     config = ModelConfig(num_classes=labels.num_classes,
                          patch_size=recipe["patch_size"], bands=cube.bands,
                          **model_fields)

@@ -1,5 +1,7 @@
 """Hypercube data model: synthetic scene generation, raw cube I/O, patch
 extraction with mirror padding, and stratified labeled/unlabeled splits.
+Patches are always standardized per band, with the mean and standard
+deviation of the training pixels alone, when the scene is split.
 
 File formats (byte-exact):
   cube header  - UTF-8 text, one "key = value" per line; required keys
@@ -11,7 +13,7 @@ File formats (byte-exact):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ class Hypercube:
 
     values: np.ndarray
     name: str = ""
-    wavelengths: list[float] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -155,8 +156,12 @@ def save_cube(cube: Hypercube, header_path, data_path) -> None:
 
 
 def load_cube(header_path, data_path) -> Hypercube:
+    try:
+        header = Path(header_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"header is not UTF-8 text: {exc}") from exc
     fields = {}
-    for lineno, line in enumerate(Path(header_path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(header.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -191,7 +196,8 @@ def save_labels(raster: LabelRaster, path) -> None:
     Path(path).write_bytes(np.ascontiguousarray(raster.labels.astype("<u2")).tobytes())
 
 
-def load_labels(path, height: int, width: int, num_classes: int | None = None) -> LabelRaster:
+def load_labels(path, height: int, width: int) -> LabelRaster:
+    """The class count is the largest label id in the raster."""
     raw = Path(path).read_bytes()
     expected = height * width * 2
     if len(raw) != expected:
@@ -199,9 +205,7 @@ def load_labels(path, height: int, width: int, num_classes: int | None = None) -
             f"length mismatch: expected {expected} bytes, got {len(raw)}"
         )
     labels = np.frombuffer(raw, dtype="<u2").reshape(height, width).copy()
-    if num_classes is None:
-        num_classes = int(labels.max(initial=0))
-    return LabelRaster(labels, num_classes)
+    return LabelRaster(labels, int(labels.max(initial=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +214,15 @@ def load_labels(path, height: int, width: int, num_classes: int | None = None) -
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-band affine standardization, recorded for reproducibility."""
+    """Per-band affine standardization from the training pixels, recorded
+    for reproducibility."""
 
     band_mean: np.ndarray
     band_std: np.ndarray
-    source: str = "train-labeled-pixels"
 
 
 class PatchSet:
-    """Pixel-centered patches over a (possibly normalized) padded cube.
+    """Pixel-centered patches over a padded cube, standardized once split.
 
     Entries are (coordinate, patch tensor [1,p,p,D], label) with label 0
     marking unlabeled pixels; patch tensors are materialized on access
@@ -227,17 +231,13 @@ class PatchSet:
 
     def __init__(self, padded: np.ndarray, coords: np.ndarray, labels: np.ndarray,
                  patch_size: int, num_classes: int,
-                 stats: NormalizationStats | None = None,
-                 normalize_mode: str = "per-band-standard",
-                 seed: int | None = None):
+                 stats: NormalizationStats | None = None):
         self.padded = padded
         self.coords = np.asarray(coords, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.patch_size = patch_size
         self.num_classes = num_classes
         self.stats = stats
-        self.normalize_mode = normalize_mode
-        self.seed = seed
         if len(self.coords) != len(self.labels):
             raise ValueError("coords/labels length mismatch")
 
@@ -269,12 +269,18 @@ class PatchSet:
             out[k, 0] = self.padded[r:r + p, c:c + p, :]
         return out
 
+    def batches(self, indices, size: int):
+        """(idx, self.batch(idx)) for each consecutive run of `size` of
+        `indices`; each batch is fetched when the generator advances."""
+        for start in range(0, len(indices), size):
+            idx = indices[start:start + size]
+            yield idx, self.batch(idx)
+
     def subset(self, indices, labels: np.ndarray | None = None) -> "PatchSet":
         indices = np.asarray(indices, dtype=np.int64)
         new_labels = self.labels[indices] if labels is None else np.asarray(labels, dtype=np.int64)
         return PatchSet(self.padded, self.coords[indices], new_labels,
-                        self.patch_size, self.num_classes, self.stats,
-                        self.normalize_mode, self.seed)
+                        self.patch_size, self.num_classes, self.stats)
 
 
 def merge_patchsets(a: PatchSet, b: PatchSet) -> PatchSet:
@@ -283,7 +289,7 @@ def merge_patchsets(a: PatchSet, b: PatchSet) -> PatchSet:
         raise ValueError("patch sets come from different cubes")
     return PatchSet(a.padded, np.concatenate([a.coords, b.coords]),
                     np.concatenate([a.labels, b.labels]), a.patch_size,
-                    a.num_classes, a.stats, a.normalize_mode, a.seed)
+                    a.num_classes, a.stats)
 
 
 def _mirror_pad(values: np.ndarray, radius: int) -> np.ndarray:
@@ -296,16 +302,13 @@ def _mirror_pad(values: np.ndarray, radius: int) -> np.ndarray:
     return np.pad(values, ((radius, radius), (radius, radius), (0, 0)), mode="reflect")
 
 
-def extract_patches(cube: Hypercube, raster: LabelRaster, patch_size: int,
-                    normalize: str = "per-band-standard") -> PatchSet:
+def extract_patches(cube: Hypercube, raster: LabelRaster, patch_size: int) -> PatchSet:
     """One entry per pixel in raster-scan order; borders are mirrored
-    (reflection about the edge sample, an involution on indices).
-    Normalization statistics are computed later, at split time, from the
-    training portion only."""
+    (reflection about the edge sample, an involution on indices). The
+    patches hold raw cube values: `split` standardizes them per band with
+    statistics from the training pixels alone."""
     if patch_size % 2 != 1 or patch_size < 1:
         raise ValueError(f"patch size must be odd and positive, got {patch_size}")
-    if normalize not in ("per-band-standard", "none"):
-        raise ValueError(f"unknown normalization {normalize!r}")
     if raster.labels.shape != (cube.height, cube.width):
         raise ValueError("label raster extents do not match the cube")
     radius = patch_size // 2
@@ -313,8 +316,7 @@ def extract_patches(cube: Hypercube, raster: LabelRaster, patch_size: int,
     rows, cols = np.mgrid[0:cube.height, 0:cube.width]
     coords = np.stack([rows.ravel(), cols.ravel()], axis=1)
     labels = raster.labels.ravel().astype(np.int64)
-    return PatchSet(padded, coords, labels, patch_size, raster.num_classes,
-                    stats=None, normalize_mode=normalize)
+    return PatchSet(padded, coords, labels, patch_size, raster.num_classes)
 
 
 class SplitError(ValueError):
@@ -329,8 +331,8 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     and the pool is the label-0 entries. With `test_fraction` given, the
     labeled entries partition into train/test/pool and the pool entries'
     labels are hidden (useful for self-training experiments on fully
-    labeled scenes). Per-band normalization statistics come from the
-    train pixels alone and apply to all three outputs.
+    labeled scenes). All three outputs are standardized per band with the
+    mean and standard deviation of the train pixels alone.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train fraction {train_fraction} outside (0, 1]")
@@ -365,26 +367,21 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     pool_sel = np.concatenate(pool_idx) if pool_idx else np.empty(0, dtype=np.int64)
 
     radius = patchset.patch_size // 2
-    if patchset.normalize_mode == "per-band-standard":
-        # raw (un-normalized) cube values live in the padded array's core
-        h = patchset.padded.shape[0] - 2 * radius
-        w = patchset.padded.shape[1] - 2 * radius
-        core = patchset.padded[radius:radius + h, radius:radius + w, :]
-        train_pixels = core[patchset.coords[train_sel, 0], patchset.coords[train_sel, 1], :]
-        mean = train_pixels.mean(axis=0)
-        std = np.maximum(train_pixels.std(axis=0), 1e-8)
-        stats = NormalizationStats(band_mean=mean, band_std=std)
-        padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
-    else:
-        stats = None
-        padded_norm = patchset.padded
+    # raw (un-normalized) cube values live in the padded array's core
+    h = patchset.padded.shape[0] - 2 * radius
+    w = patchset.padded.shape[1] - 2 * radius
+    core = patchset.padded[radius:radius + h, radius:radius + w, :]
+    train_pixels = core[patchset.coords[train_sel, 0], patchset.coords[train_sel, 1], :]
+    mean = train_pixels.mean(axis=0)
+    std = np.maximum(train_pixels.std(axis=0), 1e-8)
+    stats = NormalizationStats(band_mean=mean, band_std=std)
+    padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
 
     def build(sel: np.ndarray, hide_labels: bool = False) -> PatchSet:
         order = sel[np.argsort(sel)]  # raster-scan order
         labels = np.zeros(len(order), dtype=np.int64) if hide_labels else patchset.labels[order]
         return PatchSet(padded_norm, patchset.coords[order], labels,
-                        patchset.patch_size, patchset.num_classes, stats,
-                        patchset.normalize_mode, seed)
+                        patchset.patch_size, patchset.num_classes, stats)
 
     hide = test_fraction is not None
     return build(train_sel), build(test_sel), build(pool_sel, hide_labels=hide)

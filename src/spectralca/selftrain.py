@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import PatchClassifier
 from .data import PatchSet, merge_patchsets
-from .trainer import TrainConfig, evaluate, train
+from .trainer import EVAL_BATCH, TrainConfig, evaluate, train
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,14 @@ class PseudoLabelSet:
 
 
 def pseudo_label_select(model: PatchClassifier, pool: PatchSet, threshold: float,
-                        round_index: int = 0, cap: int | None = None,
-                        batch_size: int = 64) -> PseudoLabelSet:
+                        round_index: int = 0, cap: int | None = None) -> PseudoLabelSet:
     """Confidence = max class probability; selection is strict (> threshold).
     With a cap, the highest-confidence entries win; ties resolve by pool order."""
     if len(pool) == 0:
         return PseudoLabelSet(np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64),
                               np.empty(0, dtype=np.int64), np.empty(0), threshold, round_index)
-    probs = np.empty((len(pool), pool.num_classes), dtype=np.float32)
-    for start in range(0, len(pool), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(pool)))
-        probs[idx] = model.predict_proba(pool.batch(idx), batch_size)
+    probs = np.concatenate([model.predict_proba(patches) for _, patches
+                            in pool.batches(np.arange(len(pool)), EVAL_BATCH)])
     confidences = probs.max(axis=1).astype(np.float64)
     selected = np.nonzero(confidences > threshold)[0]
     if cap is not None and len(selected) > cap:

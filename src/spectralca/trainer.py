@@ -7,7 +7,7 @@ import json
 import platform
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean, median
 
 import numpy as np
@@ -32,6 +32,9 @@ from .metrics import (
 )
 from .nn import Module, cross_entropy
 from .tensor import Parameter, Tape, Tensor
+
+# patches per eval forward in predict_set, evaluate and pseudo-labelling
+EVAL_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -98,12 +101,10 @@ def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
     n = len(train_set)
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            x = Tensor(train_set.batch(idx))
+        for idx, patches in train_set.batches(shuffle_rng.permutation(n), cfg.batch_size):
+            x = Tensor(patches)
             y = labels[idx] - 1
             model.zero_grad()
             with Tape() as tape:
@@ -122,26 +123,22 @@ def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
     return history
 
 
-def predict_set(model: PatchClassifier, patchset: PatchSet, indices=None,
-                batch_size: int = 64) -> np.ndarray:
-    """Eval-mode 0-based predictions over (a subset of) a patch set."""
+def predict_set(model: PatchClassifier, patchset: PatchSet, indices=None) -> np.ndarray:
+    """Eval-mode 0-based predictions over (a subset of) a patch set, one
+    forward per EVAL_BATCH patches."""
     if indices is None:
         indices = np.arange(len(patchset))
-    preds = np.empty(len(indices), dtype=np.int64)
-    for start in range(0, len(indices), batch_size):
-        chunk = indices[start:start + batch_size]
-        preds[start:start + len(chunk)] = model.predict(patchset.batch(chunk), batch_size)
-    return preds
+    preds = [model.predict(patches) for _, patches in patchset.batches(indices, EVAL_BATCH)]
+    return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
 
 def evaluate(model: PatchClassifier, test_set: PatchSet,
              infer_time_s: float | None = None,
-             weights: ObjectiveWeights | None = None,
-             batch_size: int = 64) -> EvalReport:
+             weights: ObjectiveWeights | None = None) -> EvalReport:
     labeled = test_set.labeled_indices
     if len(labeled) == 0:
         raise ValueError("test set has no labeled entries")
-    preds = predict_set(model, test_set, labeled, batch_size)
+    preds = predict_set(model, test_set, labeled)
     y_true = test_set.labels[labeled] - 1
     cm = ConfusionMatrix.from_predictions(y_true, preds, test_set.num_classes)
     oa = overall_accuracy(cm)

@@ -329,10 +329,15 @@ class TestConfig:
     def test_invalid_heads(self):
         with pytest.raises(ValueError):
             SpectralCAConfig(channels=4, dim=10, heads=3)
+        for heads in (0, -2):  # -2 divides 8, and 0 would divide by zero
+            with pytest.raises(ValueError):
+                SpectralCAConfig(channels=4, dim=8, heads=heads)
 
     def test_invalid_channels(self):
         with pytest.raises(ValueError):
             SpectralCAConfig(channels=0, dim=8, heads=2)
+        with pytest.raises(ValueError):
+            SpectralCAConfig(channels=4, dim=0, heads=2)
 
     def test_presets_pinned(self):
         assert (CFG32.channels, CFG32.dim) == (64, 96)

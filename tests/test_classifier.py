@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralca import classifier, nn
 from spectralca.block import SpectralCAConfig
@@ -17,22 +19,36 @@ from spectralca.classifier import (
 from spectralca.nn import cross_entropy
 from spectralca.tensor import ShapeError, Tape, Tensor
 from spectralca.trainer import Adam
+from test_data import mutated_bytes
 
 TINY_BLOCK = SpectralCAConfig(channels=4, dim=8, heads=2, dropout_rate=0.0)
 TINY_MODEL = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=1,
                          stem_channels=4, block1=TINY_BLOCK)
 
 
-def rewrite_manifest(path, mutate):
+def rewrite_manifest(path, mutate, whole=False):
     """Apply mutate(entries by name, blob_bytes) to a saved checkpoint's
-    manifest and write the file back with the blob unchanged."""
+    manifest, or with `whole` replace the manifest by mutate(manifest), and
+    write the file back with the blob unchanged."""
     blob = path.read_bytes()
     length = int.from_bytes(blob[4:12], "little")
     manifest = json.loads(blob[12:12 + length])
-    mutate({e["name"]: e for e in manifest["entries"]}, manifest["blob_bytes"])
+    if whole:
+        manifest = mutate(manifest)
+    else:
+        mutate({e["name"]: e for e in manifest["entries"]}, manifest["blob_bytes"])
     payload = json.dumps(manifest).encode("utf-8")
     path.write_bytes(blob[:4] + len(payload).to_bytes(8, "little") + payload
                      + blob[12 + length:])
+
+
+def with_model(block1=(), **fields):
+    """A whole-manifest edit that updates the model config and its block1."""
+    def edit(manifest):
+        manifest["model"].update(fields)
+        manifest["model"]["block1"].update(block1)
+        return manifest
+    return edit
 
 
 def tiny_model(seed=0):
@@ -250,6 +266,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="manifest entries"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: {k: v for k, v in manifest.items() if k != "model"},
+        with_model(block1={"bogus": 1}),
+        with_model(num_classes="3"),
+        lambda manifest: [manifest],
+        with_model(block1={"heads": 3}),
+        with_model(block1={"heads": 0}),
+        with_model(block1={"dim": 0}),
+    ], ids=["no_model", "unknown_block_key", "string_num_classes", "list",
+            "heads_not_dividing_dim", "zero_heads", "zero_dim"])
+    def test_bad_manifest_rejected(self, tmp_path, edit):
+        path = tmp_path / "m.bin"
+        save_checkpoint(tiny_model(), path)
+        rewrite_manifest(path, edit, whole=True)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "m.bin").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(CheckpointError, match="magic"):
@@ -264,6 +297,28 @@ class TestCheckpoint:
         assert manifest["seed"] == 11
         assert manifest["data_recipe"] == recipe
         assert manifest["model"]["num_classes"] == 3
+
+
+@pytest.fixture(scope="module")
+def checkpoint_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("checkpoint")
+    save_checkpoint(tiny_model(), root / "m.bin", seed=0,
+                    data_recipe={"patch_size": 5, "train_fraction": 0.5, "split_seed": 0})
+    return root
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(checkpoint_dir, data):
+    payload = (checkpoint_dir / "m.bin").read_bytes()
+    manifest_end = 12 + int.from_bytes(payload[4:12], "little")
+    mutated = data.draw(mutated_bytes(payload, hot=manifest_end))
+    (checkpoint_dir / "mutated.bin").write_bytes(mutated)
+    try:
+        model = load_checkpoint(checkpoint_dir / "mutated.bin")
+    except CheckpointError:
+        return
+    assert isinstance(model, PatchClassifier)
 
 
 class TestModelConfig:

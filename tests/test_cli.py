@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from spectralca.classifier import PatchClassifier, save_checkpoint
 from spectralca.cli import build_parser, main
-from test_classifier import rewrite_manifest
+from test_classifier import TINY_MODEL, rewrite_manifest, with_model
 
 TINY_RECIPE = {
     "patch_size": 3,
@@ -73,13 +75,33 @@ def test_eval_on_bad_offsets_is_one_checkpoint_err_line(scene, tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("ERR:checkpoint: ")
 
 
-# one malformed input per subcommand, and the error code it must map to
+# train config files that are not UTF-8 JSON objects of known keys and
+# value types, or hold an invalid value, and the error code each maps to
+BAD_CONFIGS = {
+    "list": (b"[]", "config-parse"),
+    "train-list": (b'{"train": []}', "config-parse"),
+    "train-unknown-key": (b'{"train": {"bogus": 1}}', "config-parse"),
+    "string-patch-size": (b'{"patch_size": "9"}', "config-parse"),
+    "string-channels": (b'{"model": {"block1": {"channels": "x", "dim": 8}}}', "config-parse"),
+    "non-utf8": (b'{"patch_size": 9}\xff', "config-parse"),
+    "zero-heads": (b'{"model": {"block1": {"channels": 64, "dim": 96, "heads": 0}}}',
+                   "invalid-argument"),
+}
+
+# malformed inputs, at least one per subcommand, and the error code each
+# must map to
 MALFORMED = {
     "gen": (["gen", "--seed", "1", "--bands", "0", "--out", "{tmp}/g"], "invalid-argument"),
     "train": (["train", "--data", "{scene}", "--config", "{bad_json}", "--out", "{tmp}/t"],
               "config-parse"),
+    **{f"train-{name}": (["train", "--data", "{scene}", "--config", f"{{tmp}}/{name}.json",
+                          "--out", "{tmp}/t"], code)
+       for name, (_, code) in BAD_CONFIGS.items()},
     "eval": (["eval", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/r.json"],
              "checkpoint"),
+    # a manifest whose block heads do not divide its dim
+    "eval-manifest": (["eval", "--model", "{bad_heads_bin}", "--data", "{scene}",
+                       "--out", "{tmp}/r.json"], "checkpoint"),
     "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
             "checkpoint"),
     "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
@@ -90,15 +112,20 @@ MALFORMED = {
 
 def test_malformed_input_covers_every_subcommand():
     subcommands = build_parser()._subparsers._group_actions[0].choices
-    assert sorted(MALFORMED) == sorted(subcommands)
+    assert sorted({argv[0] for argv, _ in MALFORMED.values()}) == sorted(subcommands)
 
 
 @pytest.mark.parametrize("command", list(MALFORMED))
 def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"train": ')
+    for name, (payload, _) in BAD_CONFIGS.items():
+        (tmp_path / f"{name}.json").write_bytes(payload)
     (tmp_path / "bad.bin").write_bytes(b"not a checkpoint")
+    save_checkpoint(PatchClassifier(TINY_MODEL, np.random.default_rng(0)),
+                    tmp_path / "bad_heads.bin")
+    rewrite_manifest(tmp_path / "bad_heads.bin", with_model(block1={"heads": 3}), whole=True)
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
-             "bad_bin": tmp_path / "bad.bin"}
+             "bad_bin": tmp_path / "bad.bin", "bad_heads_bin": tmp_path / "bad_heads.bin"}
     argv, code = MALFORMED[command]
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) != 0

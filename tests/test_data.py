@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralca.data import (
     DataFormatError,
@@ -95,10 +97,73 @@ class TestCubeIO:
         assert np.array_equal(back.labels, raster.labels)
         assert back.num_classes == 3
 
+    def test_non_utf8_header_rejected(self, tmp_path):
+        save_cube(Hypercube(np.zeros((1, 1, 1))), tmp_path / "c.hdr", tmp_path / "c.raw")
+        (tmp_path / "c.hdr").write_bytes(b"\xff" + (tmp_path / "c.hdr").read_bytes())
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            load_cube(tmp_path / "c.hdr", tmp_path / "c.raw")
+
     def test_label_length_mismatch(self, tmp_path):
         (tmp_path / "l.raw").write_bytes(b"\0" * 6)
         with pytest.raises(DataFormatError, match="length mismatch"):
             load_labels(tmp_path / "l.raw", 2, 2)
+
+
+@st.composite
+def mutated_bytes(draw, payload: bytes, hot: int | None = None) -> bytes:
+    """`payload` with one byte overwritten, truncated, or extended. Given
+    `hot`, half the overwrites land in payload[:hot] (a header); half of all
+    overwrites write a byte that means something in JSON or a header."""
+    kind = draw(st.sampled_from(["overwrite", "truncate", "extend"]))
+    if kind == "truncate":
+        return payload[:draw(st.integers(0, len(payload) - 1))]
+    if kind == "extend":
+        return payload + draw(st.binary(min_size=1, max_size=16))
+    positions = st.integers(0, len(payload) - 1)
+    if hot is not None:
+        positions = st.one_of(st.integers(0, hot - 1), positions)
+    i = draw(positions)
+    byte = draw(st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789-.e ="{}[],:#\n')))
+    return payload[:i] + bytes([byte]) + payload[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def scene_files(tmp_path_factory):
+    """A saved 3x4x2 cube and its label raster, and a scratch directory."""
+    cube, raster = generate_synthetic(5, 3, 4, 2, 2, 0.1)
+    root = tmp_path_factory.mktemp("scene")
+    save_cube(cube, root / "c.hdr", root / "c.raw")
+    save_labels(raster, root / "l.raw")
+    return root, tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["c.hdr", "c.raw"]), st.data())
+def test_mutated_cube_loads_or_raises_data_format_error(scene_files, name, data):
+    root, out = scene_files
+    for other in ("c.hdr", "c.raw"):
+        payload = (root / other).read_bytes()
+        if other == name:
+            payload = data.draw(mutated_bytes(payload))
+        (out / other).write_bytes(payload)
+    try:
+        cube = load_cube(out / "c.hdr", out / "c.raw")
+    except DataFormatError:
+        return
+    assert np.isfinite(cube.values).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_mutated_labels_load_or_raise_data_format_error(scene_files, data):
+    root, out = scene_files
+    (out / "l.raw").write_bytes(data.draw(mutated_bytes((root / "l.raw").read_bytes())))
+    try:
+        raster = load_labels(out / "l.raw", 3, 4)
+    except DataFormatError:
+        return
+    assert raster.labels.shape == (3, 4)
+    assert raster.num_classes == int(raster.labels.max())
 
 
 class TestExtractPatches:

@@ -25,7 +25,7 @@ class _FixedProbaModel:
         self.rows = np.asarray(rows, dtype=np.float32)
         self._cursor = 0
 
-    def predict_proba(self, patches, batch_size=64):
+    def predict_proba(self, patches):
         out = self.rows[self._cursor:self._cursor + len(patches)]
         self._cursor += len(patches)
         return out

@@ -7,14 +7,17 @@ from spectralca.block import SpectralCAConfig
 from spectralca.classifier import ModelConfig, PatchClassifier
 from spectralca.data import PatchSet, extract_patches, generate_synthetic, split
 from spectralca.metrics import EvalReport
+from spectralca.selftrain import pseudo_label_select
 from spectralca.tensor import NonFiniteError, Parameter
 from spectralca.trainer import (
+    EVAL_BATCH,
     Adam,
     TrainConfig,
     benchmark,
     benchmark_callable,
     comparative_benchmark,
     evaluate,
+    predict_set,
     train,
 )
 
@@ -127,7 +130,7 @@ class _ConstantModel:
     def __init__(self, num_classes):
         self.num_classes = num_classes
 
-    def predict(self, patches, batch_size=64):
+    def predict(self, patches):
         return np.zeros(len(patches), dtype=np.int64)
 
     def param_count(self):
@@ -147,7 +150,7 @@ class TestEvaluate:
         model = _ConstantModel(3)
         cursor = 0
 
-        def perfect_predict(patches, batch_size=64):
+        def perfect_predict(patches):
             # follows evaluate's chunking order over the labeled indices
             nonlocal cursor
             out = ps.labels[ps.labeled_indices[cursor:cursor + len(patches)]] - 1
@@ -169,6 +172,39 @@ class TestEvaluate:
         ps.labels[:] = 0
         with pytest.raises(ValueError):
             evaluate(_ConstantModel(4), ps)
+
+
+class _CountingModel(_ConstantModel):
+    """Records the number of patches in every predict or predict_proba call."""
+
+    def __init__(self, num_classes):
+        super().__init__(num_classes)
+        self.calls = []
+
+    def predict(self, patches):
+        self.calls.append(len(patches))
+        return super().predict(patches)
+
+    def predict_proba(self, patches):
+        self.calls.append(len(patches))
+        return np.full((len(patches), self.num_classes), 1 / self.num_classes, np.float32)
+
+
+@pytest.mark.parametrize("run", [predict_set, evaluate,
+                                 lambda model, ps: pseudo_label_select(model, ps, 0.9)],
+                         ids=["predict_set", "evaluate", "pseudo_label_select"])
+def test_one_model_call_per_eval_batch(run):
+    model = _CountingModel(2)
+    run(model, balanced_patchset(num_classes=2, per_class=65))
+    assert EVAL_BATCH == 64
+    assert model.calls == [64, 64, 2]
+
+
+def test_predict_set_on_no_indices_is_empty_int64():
+    model = _CountingModel(2)
+    preds = predict_set(model, balanced_patchset(num_classes=2, per_class=5), np.arange(0))
+    assert preds.shape == (0,) and preds.dtype == np.int64
+    assert model.calls == []
 
 
 class TestBenchmark:
