@@ -47,20 +47,20 @@ class CrossAttention(Module):
     maps, so the parameter count is 8(d^2 + d).
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"heads {heads} must divide dim {dim}")
         self.dim = dim
         self.heads = heads
-        self.q_spatial = Linear(dim, dim, rng, dtype)
-        self.k_spatial = Linear(dim, dim, rng, dtype)
-        self.v_spatial = Linear(dim, dim, rng, dtype)
-        self.q_spectral = Linear(dim, dim, rng, dtype)
-        self.k_spectral = Linear(dim, dim, rng, dtype)
-        self.v_spectral = Linear(dim, dim, rng, dtype)
-        self.out_spatial = Linear(dim, dim, rng, dtype)
-        self.out_spectral = Linear(dim, dim, rng, dtype)
+        self.q_spatial = Linear(dim, dim, rng)
+        self.k_spatial = Linear(dim, dim, rng)
+        self.v_spatial = Linear(dim, dim, rng)
+        self.q_spectral = Linear(dim, dim, rng)
+        self.k_spectral = Linear(dim, dim, rng)
+        self.v_spectral = Linear(dim, dim, rng)
+        self.out_spatial = Linear(dim, dim, rng)
+        self.out_spectral = Linear(dim, dim, rng)
 
     def __call__(self, spatial_tokens: Tensor, spectral_tokens: Tensor,
                  return_weights: bool = False):
@@ -96,16 +96,16 @@ class CrossAttention(Module):
 class SelfAttention(Module):
     """Standard multi-head self-attention: three projections plus one output map."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if dim % heads != 0:
             raise ValueError(f"heads {heads} must divide dim {dim}")
         self.dim = dim
         self.heads = heads
-        self.q = Linear(dim, dim, rng, dtype)
-        self.k = Linear(dim, dim, rng, dtype)
-        self.v = Linear(dim, dim, rng, dtype)
-        self.out = Linear(dim, dim, rng, dtype)
+        self.q = Linear(dim, dim, rng)
+        self.k = Linear(dim, dim, rng)
+        self.v = Linear(dim, dim, rng)
+        self.out = Linear(dim, dim, rng)
 
     def __call__(self, tokens: Tensor) -> Tensor:
         ctx, _ = _attend(self.q(tokens), self.k(tokens), self.v(tokens), self.heads)

@@ -56,12 +56,11 @@ PRESETS = {"cfg32": CFG32, "cfg64": CFG64}
 class FeedForward(Module):
     """Linear(d -> 2d), SiLU, Dropout, Linear(2d -> d)."""
 
-    def __init__(self, dim: int, dropout_rate: float, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, dim: int, dropout_rate: float, rng: np.random.Generator):
         super().__init__()
         self.dropout_rate = dropout_rate
-        self.widen = Linear(dim, 2 * dim, rng, dtype)
-        self.narrow = Linear(2 * dim, dim, rng, dtype)
+        self.widen = Linear(dim, 2 * dim, rng)
+        self.narrow = Linear(2 * dim, dim, rng)
 
     def __call__(self, x: Tensor, training: bool, rng=None) -> Tensor:
         h = dropout(silu(self.widen(x)), self.dropout_rate, training, rng)
@@ -74,23 +73,22 @@ def _check_input(x: Tensor, channels: int) -> None:
 
 
 class SpectralCABlock(Module):
-    def __init__(self, config: SpectralCAConfig, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, config: SpectralCAConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
         c, d = config.channels, config.dim
-        self.spatial_conv = Conv2D(c, d, rng, dtype)
-        self.spatial_bn = BatchNorm(d, dtype=dtype)
-        self.spectral_conv = Conv3D(c, d, 3, rng, dtype)
-        self.spectral_bn = BatchNorm(d, dtype=dtype)
-        self.cross = CrossAttention(d, config.heads, rng, dtype)
-        self.spatial_token_norm = LayerNorm(d, dtype=dtype)
-        self.spectral_token_norm = LayerNorm(d, dtype=dtype)
-        self.spatial_ffn_norm = LayerNorm(d, dtype=dtype)
-        self.spectral_ffn_norm = LayerNorm(d, dtype=dtype)
-        self.spatial_ffn = FeedForward(d, config.dropout_rate, rng, dtype)
-        self.spectral_ffn = FeedForward(d, config.dropout_rate, rng, dtype)
-        self.projector = Conv3D(2 * d, c, 1, rng, dtype)
+        self.spatial_conv = Conv2D(c, d, rng)
+        self.spatial_bn = BatchNorm(d)
+        self.spectral_conv = Conv3D(c, d, 3, rng)
+        self.spectral_bn = BatchNorm(d)
+        self.cross = CrossAttention(d, config.heads, rng)
+        self.spatial_token_norm = LayerNorm(d)
+        self.spectral_token_norm = LayerNorm(d)
+        self.spatial_ffn_norm = LayerNorm(d)
+        self.spectral_ffn_norm = LayerNorm(d)
+        self.spatial_ffn = FeedForward(d, config.dropout_rate, rng)
+        self.spectral_ffn = FeedForward(d, config.dropout_rate, rng)
+        self.projector = Conv3D(2 * d, c, 1, rng)
 
     def spatial_path(self, x: Tensor, training: bool) -> Tensor:
         """Band-mean -> Conv2D -> BN -> SiLU -> H*W tokens -> LayerNorm."""
@@ -160,19 +158,18 @@ class BaselineViTBlock(Module):
     under a global residual. Shape-preserving, and heavier than the
     cross-attention block at matched (channels, dim)."""
 
-    def __init__(self, config: SpectralCAConfig, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, config: SpectralCAConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
         c, d = config.channels, config.dim
-        self.local_conv = Conv3D(c, c, 3, rng, dtype)
-        self.embed = Conv3D(c, d, 1, rng, dtype)
-        self.attn_norm = LayerNorm(d, dtype=dtype)
-        self.attn = SelfAttention(d, config.heads, rng, dtype)
-        self.ffn_norm = LayerNorm(d, dtype=dtype)
-        self.ffn = FeedForward(d, config.dropout_rate, rng, dtype)
-        self.unembed = Conv3D(d, c, 1, rng, dtype)
-        self.fusion = Conv3D(2 * c, c, 3, rng, dtype)
+        self.local_conv = Conv3D(c, c, 3, rng)
+        self.embed = Conv3D(c, d, 1, rng)
+        self.attn_norm = LayerNorm(d)
+        self.attn = SelfAttention(d, config.heads, rng)
+        self.ffn_norm = LayerNorm(d)
+        self.ffn = FeedForward(d, config.dropout_rate, rng)
+        self.unembed = Conv3D(d, c, 1, rng)
+        self.fusion = Conv3D(2 * c, c, 3, rng)
 
     def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
         _check_input(x, self.config.channels)

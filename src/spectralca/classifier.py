@@ -91,17 +91,17 @@ class ModelConfig:
 
 
 class PatchClassifier(Module):
-    def __init__(self, config: ModelConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         super().__init__()
         self.config = config
-        self.stem = Conv3D(1, config.stem_channels, 3, rng, dtype)
-        self.stem_bn = BatchNorm(config.stem_channels, dtype=dtype)
-        self.block1 = SpectralCABlock(config.block1, rng, dtype)
+        self.stem = Conv3D(1, config.stem_channels, 3, rng)
+        self.stem_bn = BatchNorm(config.stem_channels)
+        self.block1 = SpectralCABlock(config.block1, rng)
         if config.depth == 2:
-            self.mid = Conv3D(config.block1.channels, config.mid_channels, 3, rng, dtype)
-            self.mid_bn = BatchNorm(config.mid_channels, dtype=dtype)
-            self.block2 = SpectralCABlock(config.block2, rng, dtype)
-        self.head = Linear(config.feature_channels, config.num_classes, rng, dtype)
+            self.mid = Conv3D(config.block1.channels, config.mid_channels, 3, rng)
+            self.mid_bn = BatchNorm(config.mid_channels)
+            self.block2 = SpectralCABlock(config.block2, rng)
+        self.head = Linear(config.feature_channels, config.num_classes, rng)
         # zero head: a fresh model emits uniform class probabilities
         self.head.weight.data[:] = 0.0
 
@@ -232,6 +232,11 @@ def _well_formed(entry) -> bool:
 
 
 def load_checkpoint(path) -> PatchClassifier:
+    return read_checkpoint(path)[0]
+
+
+def read_checkpoint(path) -> tuple[PatchClassifier, dict]:
+    """The model and the manifest (blob removed) from one read of `path`."""
     manifest = read_manifest(path)
     blob = manifest.pop("_blob")
     entries = manifest.get("entries")
@@ -273,4 +278,4 @@ def load_checkpoint(path) -> PatchClassifier:
         arr[...] = values.reshape(shape)
     if available:
         raise CheckpointError(f"checkpoint missing entries: {sorted(available)}")
-    return model
+    return model, manifest

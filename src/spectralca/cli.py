@@ -19,8 +19,7 @@ from .classifier import (
     CheckpointError,
     ModelConfig,
     PatchClassifier,
-    load_checkpoint,
-    read_manifest,
+    read_checkpoint,
     save_checkpoint,
 )
 from .data import (
@@ -76,11 +75,21 @@ def _load_scene(data_dir: Path):
     return cube, labels
 
 
-def _split_from_recipe(data_dir: Path, recipe: dict):
-    cube, labels = _load_scene(data_dir)
+def _checkpoint_and_split(args, default_recipe: dict | None = None):
+    """The model and data recipe of the checkpoint at --model, read once,
+    and the (train, test, pool) split of the scene at --data by that recipe
+    (default_recipe when the checkpoint carries none)."""
+    model, manifest = read_checkpoint(args.model)
+    recipe = manifest.get("data_recipe") or default_recipe
+    if recipe is None:
+        raise CheckpointError("checkpoint carries no data recipe for re-splitting")
+    cube, labels = _load_scene(Path(args.data))
+    if labels.num_classes != model.config.num_classes:
+        raise CheckpointError(f"scene has {labels.num_classes} classes, checkpoint "
+                              f"{model.config.num_classes}")
     patches = extract_patches(cube, labels, recipe["patch_size"])
-    return split(patches, recipe["train_fraction"], recipe["split_seed"],
-                 test_fraction=recipe.get("test_fraction"))
+    return model, recipe, split(patches, recipe["train_fraction"], recipe["split_seed"],
+                                test_fraction=recipe.get("test_fraction"))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +202,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = load_checkpoint(args.model)
-    manifest = read_manifest(args.model)
-    recipe = manifest.get("data_recipe") or dict(_TRAIN_CONFIG_DEFAULTS)
-    _, test_set, _ = _split_from_recipe(Path(args.data), recipe)
+    model, _, (_, test_set, _) = _checkpoint_and_split(args, _TRAIN_CONFIG_DEFAULTS)
     weights = None
     if args.infer_time_s is not None:
         weights = ObjectiveWeights(1 / 3, 1 / 3, 1 / 3, args.time_ref,
@@ -210,12 +216,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ssl(args) -> int:
-    model = load_checkpoint(args.model)
-    manifest = read_manifest(args.model)
-    recipe = manifest.get("data_recipe")
-    if recipe is None:
-        return _fail("checkpoint", "checkpoint carries no data recipe for re-splitting")
-    train_set, test_set, pool = _split_from_recipe(Path(args.data), recipe)
+    model, recipe, (train_set, test_set, pool) = _checkpoint_and_split(args)
     if len(pool) == 0:
         return _fail("invalid-argument",
                      "no unlabeled pool (generate with test_fraction or unlabeled pixels)")

@@ -256,11 +256,6 @@ class PatchSet:
     def unlabeled_indices(self) -> np.ndarray:
         return np.nonzero(self.labels == 0)[0]
 
-    def patch(self, i: int) -> np.ndarray:
-        r, c = self.coords[i]
-        p = self.patch_size
-        return self.padded[r:r + p, c:c + p, :][None, ...].copy()
-
     def batch(self, indices) -> np.ndarray:
         p = self.patch_size
         out = np.empty((len(indices), 1, p, p, self.bands), dtype=self.padded.dtype)

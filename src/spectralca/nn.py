@@ -1,14 +1,15 @@
 """Neural primitives with forward and backward rules.
 
 Layers are Modules owning Parameters; functional ops (silu, relu, softmax,
-dropout, cross_entropy) live alongside. Convolutions are same-padded
-cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
-the batch is split into chunks whose buffers fit in cache; each chunk
-gathers the kernel taps over all spatial axes but the last, and the k taps
-along the last axis are k BLAS matmuls on shifted views of those columns.
-Backward keeps nothing of the forward but its input: the weight gradient
-gathers the columns again, chunk by chunk, and the input gradient is the
-same lowering applied with the flipped kernel.
+dropout, cross_entropy) live alongside. Every layer is built in float32;
+``Module.astype(np.float64)`` converts a built model for gradient checks.
+Convolutions are same-padded cross-correlations (no kernel flip), stride 1,
+lowered by partial im2col: the batch is split into chunks whose buffers
+fit in cache; each chunk gathers the kernel taps over all spatial axes but
+the last, and the k taps along the last axis are k BLAS matmuls on shifted
+views of those columns. Backward keeps nothing of the forward but its
+input: the weight gradient gathers the columns again, chunk by chunk, and
+the input gradient is the same lowering applied with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -44,23 +45,27 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def named_parameters(self, prefix: str = ""):
-        """Yield (dotted path, Parameter); stamps each parameter's name."""
-        for name, p in self._params.items():
-            path = f"{prefix}{name}"
-            p.name = path
-            yield path, p
+    def named_modules(self, prefix: str = ""):
+        """Pre-order walk of the module tree: (dotted path prefix, module),
+        the prefix "" for this module and "<path>." for each descendant."""
+        yield prefix, self
         for name, child in self._modules.items():
-            yield from child.named_parameters(prefix=f"{prefix}{name}.")
+            yield from child.named_modules(f"{prefix}{name}.")
+
+    def named_parameters(self):
+        """Yield (dotted path, Parameter); stamps each parameter's name."""
+        for prefix, m in self.named_modules():
+            for name, p in m._params.items():
+                p.name = f"{prefix}{name}"
+                yield p.name, p
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield f"{prefix}{name}", b
-        for name, child in self._modules.items():
-            yield from child.named_buffers(prefix=f"{prefix}{name}.")
+    def named_buffers(self):
+        for prefix, m in self.named_modules():
+            for name, b in m._buffers.items():
+                yield f"{prefix}{name}", b
 
     def param_count(self) -> int:
         """Number of trainable scalar entries."""
@@ -71,24 +76,20 @@ class Module:
             p.zero_grad()
 
     def astype(self, dtype) -> "Module":
-        """Convert parameters and buffers in place (64-bit mode is for grad checks)."""
-        for _, p in self.named_parameters():
-            p.data = p.data.astype(dtype)
-            p.grad = np.zeros_like(p.data)
-        for m in self._iter_modules():
+        """Convert parameters and buffers in place. Layers are built in
+        float32; this is the one way to a float64 model (for grad checks)."""
+        for _, m in self.named_modules():
+            for p in m._params.values():
+                p.data = p.data.astype(dtype)
+                p.grad = np.zeros_like(p.data)
             for name, b in m._buffers.items():
                 m.register_buffer(name, b.astype(dtype))
         return self
 
-    def _iter_modules(self):
-        yield self
-        for child in self._modules.values():
-            yield from child._iter_modules()
 
-
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +226,58 @@ def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tens
     return record_op(opname, (x, weight, bias), out, backward)
 
 
-class Conv2D(Module):
-    """3x3 convolution, stride 1, zero padding 1: spatial extents are preserved."""
+class _Conv(Module):
+    """Convolution with a k^d kernel (k in {1,3}) over the d = spatial_dims
+    trailing axes, stride 1, zero padding (k-1)/2: spatial extents are
+    preserved. Conv2D and Conv3D fix d."""
 
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator,
-                 dtype=np.float32):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        fan_in = in_channels * 9
-        self.weight = Parameter(_kaiming_uniform(rng, (out_channels, in_channels, 3, 3), fan_in, dtype))
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv2d expects [B,{self.in_channels},H,W], got {x.shape}"
-            )
-        return _conv_op("conv2d", x, self.weight, self.bias)
-
-
-class Conv3D(Module):
-    """kxkxk convolution (k in {1,3}), stride 1, same padding on H, W and the band axis."""
+    spatial_dims: int
+    op: str  # the tape op's name
+    axes: str  # the input's spatial axes, for shape errors
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__()
         if kernel not in (1, 3):
             raise ValueError(f"kernel {kernel} unsupported (use 1 or 3)")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
-        fan_in = in_channels * kernel ** 3
-        shape = (out_channels, in_channels, kernel, kernel, kernel)
-        self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in, dtype))
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
+        fan_in = in_channels * kernel ** self.spatial_dims
+        shape = (out_channels, in_channels) + (kernel,) * self.spatial_dims
+        self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in))
+        self.bias = Parameter(np.zeros(out_channels, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 5 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv3d expects [B,{self.in_channels},H,W,D], got {x.shape}"
-            )
-        return _conv_op("conv3d", x, self.weight, self.bias)
+        if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
+            raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
+                             f"got {x.shape}")
+        return _conv_op(self.op, x, self.weight, self.bias)
+
+
+class Conv2D(_Conv):
+    """3x3 convolution over H and W of [B,C,H,W]."""
+
+    spatial_dims = 2
+    op = "conv2d"
+    axes = "H,W"
+
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        super().__init__(in_channels, out_channels, 3, rng)
+
+
+class Conv3D(_Conv):
+    """kxkxk convolution over H, W and the band axis of [B,C,H,W,D]."""
+
+    spatial_dims = 3
+    op = "conv3d"
+    axes = "H,W,D"
+
+
+# every BatchNorm and LayerNorm adds NORM_EPS to the variance; BatchNorm's
+# running estimates take BN_MOMENTUM of each training batch's statistics
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 class BatchNorm(Module):
@@ -277,16 +288,13 @@ class BatchNorm(Module):
     gamma/beta are the only trainable entries.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=np.float32):
+    def __init__(self, channels: int):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(channels, dtype=dtype))
-        self.beta = Parameter(np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
-        self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.gamma = Parameter(np.ones(channels, dtype=np.float32))
+        self.beta = Parameter(np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
+        self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
@@ -299,7 +307,7 @@ class BatchNorm(Module):
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
             mu = x.data.mean(axis=axes)
             var = x.data.var(axis=axes)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean *= 1.0 - m
             self.running_mean += m * mu.astype(self.running_mean.dtype)
             self.running_var *= 1.0 - m
@@ -307,7 +315,7 @@ class BatchNorm(Module):
         else:
             mu = self.running_mean
             var = self.running_var
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         # fused per-channel affine: out = x*scale + shift
         scale = (self.gamma.data * inv).astype(x.dtype)
         shift = (self.beta.data - mu * scale).astype(x.dtype)
@@ -336,19 +344,18 @@ class BatchNorm(Module):
 class LayerNorm(Module):
     """Normalization over the last (embedding) axis with population variance."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
-        self.gamma = Parameter(np.ones(dim, dtype=dtype))
-        self.beta = Parameter(np.zeros(dim, dtype=dtype))
+        self.gamma = Parameter(np.ones(dim, dtype=np.float32))
+        self.beta = Parameter(np.zeros(dim, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"layernorm expects last extent {self.dim}, got {x.shape}")
         mu = x.data.mean(axis=-1, keepdims=True)
         var = x.data.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (x.data - mu) * inv
         out = self.gamma.data * xhat + self.beta.data
         gamma, beta = self.gamma, self.beta
@@ -371,13 +378,12 @@ class LayerNorm(Module):
 class Linear(Module):
     """Affine map over the last axis: y = x W^T + b."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(_kaiming_uniform(rng, (out_features, in_features), in_features, dtype))
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
+        self.weight = Parameter(_kaiming_uniform(rng, (out_features, in_features), in_features))
+        self.bias = Parameter(np.zeros(out_features, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:

@@ -1,14 +1,16 @@
 """Dense tensors plus a reverse-mode differentiation tape.
 
-Values are numpy arrays (float32 by default, float64 for gradient
-checking). Operations are module-level functions that compute the forward
-result eagerly and, when a Tape is active and an input requires a
-gradient, record a node whose backward rule routes the upstream gradient
-to the inputs. Replaying the nodes in reverse recording order is a valid
-topological order because nodes are appended in execution order.
+Values are numpy arrays: float32, or float64 for gradient checking, where
+a model built in float32 is converted by ``Module.astype``. Operations are
+module-level functions that compute the forward result eagerly and, when a
+Tape is active and an input requires a gradient, record a node whose
+backward rule routes the upstream gradient to the inputs. Replaying the
+nodes in reverse recording order is a valid topological order because
+nodes are appended in execution order.
 
 Every op validates that its output is finite (its min and max are finite);
-NaN/Inf raises NonFiniteError instead of propagating silently.
+NaN/Inf raises NonFiniteError instead of propagating silently, naming the
+module of the op's first named Parameter input, if it has one.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-def _ensure_finite(data: np.ndarray, op: str, name: str | None = None) -> None:
+def _ensure_finite(data: np.ndarray, op: str, inputs: Sequence[Tensor]) -> None:
+    """Raise NonFiniteError naming `op` and the module of its first named
+    Parameter input: `block1.spectral_conv` for `block1.spectral_conv.weight`
+    (a name without a dot is kept whole)."""
     # min and max are two allocation-free passes with no arithmetic to
     # overflow: a NaN propagates through both and an Inf is one of them
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
-        where = f" (tensor {name!r})" if name else ""
+        names = [t.name for t in inputs if isinstance(t, Parameter) and t.name]
+        where = f" in {names[0].rpartition('.')[0] or names[0]}" if names else ""
         raise NonFiniteError(f"non-finite values produced by {op}{where}")
 
 
@@ -43,8 +49,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -159,7 +163,7 @@ def record_op(
 ) -> Tensor:
     """Wrap an eagerly computed result and register its backward rule."""
     if check_finite:
-        _ensure_finite(out_data, op)
+        _ensure_finite(out_data, op, inputs)
     tape = active_tape()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)

@@ -3,19 +3,12 @@ into EvalReports, and a warmup/median timing harness."""
 
 from __future__ import annotations
 
-import json
 import platform
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from statistics import mean, median
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from .block import CFG32, BaselineViTBlock, SpectralCABlock, SpectralCAConfig
 from .classifier import PatchClassifier
@@ -195,32 +188,24 @@ class BenchReport:
             "params_millions": self.params_millions,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 def _device_note() -> str:
-    pinning = ("BLAS pinned to 1 thread" if threadpool_limits is not None
-               else "BLAS threads not pinned: threadpoolctl is not installed")
-    return f"cpu ({platform.machine()}, {platform.system()}; {pinning})"
+    return f"cpu ({platform.machine()}, {platform.system()})"
 
 
 def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
                        param_count: int = 0) -> BenchReport:
-    """Monotonic-clock wall times for fn(); warmup >= 3 runs are discarded.
-    The measured region is pinned to one BLAS thread only if threadpoolctl
-    is installed; the report's device note says whether it was."""
+    """Monotonic-clock wall times for fn(); warmup >= 3 runs are discarded."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     warmup = max(warmup, 3)
     times = []
-    with threadpool_limits(limits=1) if threadpool_limits is not None else nullcontext():
-        for _ in range(warmup):
-            fn()
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
+    for _ in range(warmup):
+        fn()
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
     return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count)
 
 

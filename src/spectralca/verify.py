@@ -50,12 +50,12 @@ def _tensor_ops_report(seed: int, samples: int) -> GradCheckReport:
 
 def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    conv2 = Conv2D(2, 3, rng, dtype=np.float64)
-    bn2 = BatchNorm(3, dtype=np.float64)
-    conv3 = Conv3D(2, 2, 3, rng, dtype=np.float64)
-    ln = LayerNorm(3, dtype=np.float64)
-    lin = Linear(3, 4, rng, dtype=np.float64)
-    head = Linear(2, 3, rng, dtype=np.float64)
+    conv2 = Conv2D(2, 3, rng).astype(np.float64)
+    bn2 = BatchNorm(3).astype(np.float64)
+    conv3 = Conv3D(2, 2, 3, rng).astype(np.float64)
+    ln = LayerNorm(3).astype(np.float64)
+    lin = Linear(3, 4, rng).astype(np.float64)
+    head = Linear(2, 3, rng).astype(np.float64)
     x2 = Parameter(rng.standard_normal((2, 2, 4, 5)), name="x2")
     x3 = Parameter(rng.standard_normal((2, 2, 3, 3, 3)), name="x3")
     labels = np.array([0, 2])
@@ -77,7 +77,7 @@ def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
 
 def _attention_report(seed: int, samples: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    ca = CrossAttention(8, 2, rng, dtype=np.float64)
+    ca = CrossAttention(8, 2, rng).astype(np.float64)
     s = Parameter(rng.standard_normal((1, 4, 8)), name="spatial")
     p = Parameter(rng.standard_normal((1, 3, 8)), name="spectral")
 
@@ -91,7 +91,7 @@ def _attention_report(seed: int, samples: int) -> GradCheckReport:
 def _block_report(config: SpectralCAConfig, input_shape, seed: int,
                   samples: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
-    block = SpectralCABlock(config, rng, dtype=np.float64)
+    block = SpectralCABlock(config, rng).astype(np.float64)
     x = Parameter(rng.standard_normal(input_shape), name="x")
 
     def f():
@@ -106,7 +106,7 @@ def _classifier_report(seed: int, samples: int) -> GradCheckReport:
         num_classes=3, patch_size=5, bands=8, depth=1, stem_channels=2,
         block1=SpectralCAConfig(channels=2, dim=4, heads=2, dropout_rate=0.0),
     )
-    model = PatchClassifier(config, rng, dtype=np.float64)
+    model = PatchClassifier(config, rng).astype(np.float64)
     x = Parameter(rng.standard_normal((2, 1, 5, 5, 8)), name="x")
     labels = np.array([0, 2])
 

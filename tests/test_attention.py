@@ -44,7 +44,7 @@ def brute_force_cross_attention(ca, spatial, spectral):
 
 
 def identity_initialized(dim, heads):
-    ca = CrossAttention(dim, heads, np.random.default_rng(0), dtype=np.float64)
+    ca = CrossAttention(dim, heads, np.random.default_rng(0)).astype(np.float64)
     for layer in (ca.q_spatial, ca.k_spatial, ca.v_spatial, ca.q_spectral,
                   ca.k_spectral, ca.v_spectral, ca.out_spatial, ca.out_spectral):
         layer.weight.data[:] = np.eye(dim)
@@ -55,7 +55,7 @@ def identity_initialized(dim, heads):
 class TestCrossAttention:
     def test_single_key_broadcasts_value(self):
         rng = np.random.default_rng(11)
-        ca = CrossAttention(8, 2, rng, dtype=np.float64)
+        ca = CrossAttention(8, 2, rng).astype(np.float64)
         spatial = Tensor(rng.standard_normal((2, 5, 8)))
         spectral = Tensor(rng.standard_normal((2, 1, 8)))
         att1, _ = ca(spatial, spectral)
@@ -74,7 +74,7 @@ class TestCrossAttention:
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
-        ca = CrossAttention(96, 4, rng, dtype=np.float64)
+        ca = CrossAttention(96, 4, rng).astype(np.float64)
         spatial = rng.standard_normal((2, 7, 96))
         spectral = rng.standard_normal((2, 5, 96))
         att1, att2 = ca(Tensor(spatial), Tensor(spectral))
@@ -84,7 +84,7 @@ class TestCrossAttention:
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        ca = CrossAttention(12, 3, rng, dtype=np.float64)
+        ca = CrossAttention(12, 3, rng).astype(np.float64)
         s = Tensor(rng.standard_normal((2, 4, 12)))
         p = Tensor(rng.standard_normal((2, 6, 12)))
         _, _, w1, w2 = ca(s, p, return_weights=True)
@@ -93,7 +93,7 @@ class TestCrossAttention:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
-        ca = CrossAttention(8, 2, rng, dtype=np.float64)
+        ca = CrossAttention(8, 2, rng).astype(np.float64)
         s = rng.standard_normal((1, 5, 8))
         p = rng.standard_normal((1, 6, 8))
         att1, att2 = ca(Tensor(s), Tensor(p))
@@ -124,7 +124,7 @@ class TestCrossAttention:
         # keeps the finite-difference noise on those dead directions well
         # below the relative-error floor
         rng = np.random.default_rng(5)
-        ca = CrossAttention(6, 2, rng, dtype=np.float64)
+        ca = CrossAttention(6, 2, rng).astype(np.float64)
         s = Parameter(rng.standard_normal((1, 3, 6)), name="s")
         p = Parameter(rng.standard_normal((1, 2, 6)), name="p")
 
@@ -146,7 +146,7 @@ class TestSelfAttention:
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
-        sa = SelfAttention(4, 2, rng, dtype=np.float64)
+        sa = SelfAttention(4, 2, rng).astype(np.float64)
         x = Parameter(rng.standard_normal((1, 3, 4)), name="x")
 
         def f():

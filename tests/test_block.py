@@ -22,7 +22,7 @@ TINY = SpectralCAConfig(channels=2, dim=4, heads=2, dropout_rate=0.0)
 
 
 def tiny_block(dtype=np.float32, seed=0):
-    return SpectralCABlock(TINY, np.random.default_rng(seed), dtype=dtype)
+    return SpectralCABlock(TINY, np.random.default_rng(seed)).astype(dtype)
 
 
 class TestSpatialPath:
@@ -164,7 +164,7 @@ class TestOutputStage:
     ])
     def test_matches_concat_projection(self, config, shape, training, monkeypatch):
         rng = np.random.default_rng(10)
-        block = SpectralCABlock(config, rng, dtype=np.float64)
+        block = SpectralCABlock(config, rng).astype(np.float64)
         block.projector.bias.data[:] = rng.standard_normal(config.channels)
         seen = []
 
@@ -312,7 +312,7 @@ class TestBaseline:
         # h=1e-5 here: the embed bias feeds LayerNorm directly (no BatchNorm
         # in between as in the main block), and its curvature makes the
         # h=1e-4 truncation error marginal at these tiny dims
-        block = BaselineViTBlock(TINY, np.random.default_rng(3), dtype=np.float64)
+        block = BaselineViTBlock(TINY, np.random.default_rng(3)).astype(np.float64)
         rng = np.random.default_rng(10)
         x = Parameter(rng.standard_normal((1, 2, 2, 3, 2)), name="x")
 

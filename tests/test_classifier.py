@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from spectralca.classifier import (
     save_checkpoint,
 )
 from spectralca.nn import cross_entropy
-from spectralca.tensor import ShapeError, Tape, Tensor
+from spectralca.tensor import NonFiniteError, ShapeError, Tape, Tensor
 from spectralca.trainer import Adam
 from test_data import mutated_bytes
 
@@ -82,6 +83,15 @@ class TestModelForward:
         model = tiny_model()
         with pytest.raises(ShapeError):
             model(Tensor(np.zeros((2, 1, 7, 7, 8), dtype=np.float32)))
+
+
+def test_non_finite_error_names_the_layer():
+    model = tiny_model()
+    params = dict(model.named_parameters())
+    params["block1.spectral_conv.weight"].data[0, 0, 1, 1, 1] = np.nan
+    with pytest.raises(NonFiniteError) as exc:
+        model(Tensor(rand_patches(2)))
+    assert str(exc.value) == "non-finite values produced by conv3d in block1.spectral_conv"
 
 
 class TestPrecision:
@@ -168,7 +178,24 @@ class TestPredictProba:
         np.testing.assert_array_equal(preds, logits.argmax(axis=1))
 
 
+# sha256 of the SCK1 file of a fresh PatchClassifier(ModelConfig(num_classes=8,
+# depth=depth), default_rng(0)), saved with no seed or recipe: pins the
+# initial values and the order of the entries
+FRESH_CHECKPOINT_SHA256 = {
+    1: "901f429a5c87817d29bf02a509e312dd17c7ad0b6eaa3ae47f20d1743d7fa418",
+    2: "ae6e690e7ad5be9853af9fdb91c7ec4ac8679b47f1a1391c36a58b6cfa67fd5a",
+}
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_fresh_model_bytes_pinned(self, tmp_path, depth):
+        model = PatchClassifier(ModelConfig(num_classes=8, depth=depth),
+                                np.random.default_rng(0))
+        save_checkpoint(model, tmp_path / "m.bin")
+        digest = hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest()
+        assert digest == FRESH_CHECKPOINT_SHA256[depth]
+
     def test_round_trip_bit_exact(self, tmp_path):
         model = tiny_model(seed=7)
         # move BN running stats off their defaults

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,6 +105,11 @@ MALFORMED = {
                        "--out", "{tmp}/r.json"], "checkpoint"),
     "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
             "checkpoint"),
+    # a 3-class checkpoint on the 2-class scene
+    "eval-classes": (["eval", "--model", "{three_classes_bin}", "--data", "{scene}",
+                      "--out", "{tmp}/r.json"], "checkpoint"),
+    "ssl-classes": (["ssl", "--model", "{three_classes_bin}", "--data", "{scene}",
+                     "--out", "{tmp}/s"], "checkpoint"),
     "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
     "gradcheck": (["gradcheck", "--samples", "0", "--no-full-size-spot"], "invalid-argument"),
     "bench": (["bench", "--height", "0", "--runs", "1"], "invalid-argument"),
@@ -124,8 +130,15 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     save_checkpoint(PatchClassifier(TINY_MODEL, np.random.default_rng(0)),
                     tmp_path / "bad_heads.bin")
     rewrite_manifest(tmp_path / "bad_heads.bin", with_model(block1={"heads": 3}), whole=True)
+    # fits the scene's bands and the recipe's patch size in all but its class count
+    three_classes = PatchClassifier(replace(TINY_MODEL, patch_size=3, bands=4),
+                                    np.random.default_rng(0))
+    save_checkpoint(three_classes, tmp_path / "three_classes.bin",
+                    data_recipe={"patch_size": 3, "train_fraction": 0.5,
+                                 "test_fraction": None, "split_seed": 0})
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
-             "bad_bin": tmp_path / "bad.bin", "bad_heads_bin": tmp_path / "bad_heads.bin"}
+             "bad_bin": tmp_path / "bad.bin", "bad_heads_bin": tmp_path / "bad_heads.bin",
+             "three_classes_bin": tmp_path / "three_classes.bin"}
     argv, code = MALFORMED[command]
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) != 0

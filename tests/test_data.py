@@ -171,14 +171,14 @@ class TestExtractPatches:
         cube = Hypercube(np.full((6, 6, 4), 2.5, dtype=np.float32))
         raster = LabelRaster(np.ones((6, 6), dtype=np.uint16), 1)
         ps = extract_patches(cube, raster, 3)
-        assert (ps.patch(len(ps) // 2) == 2.5).all()
+        assert (ps.batch([len(ps) // 2])[0] == 2.5).all()
 
     def test_corner_mirroring_hand_case(self):
         values = np.arange(9, dtype=np.float32).reshape(3, 3)[..., None]
         cube = Hypercube(values)
         raster = LabelRaster(np.ones((3, 3), dtype=np.uint16), 1)
         ps = extract_patches(cube, raster, 3)
-        corner = ps.patch(0)[0, :, :, 0]  # pixel (0,0)
+        corner = ps.batch([0])[0][0, :, :, 0]  # pixel (0,0)
         # reflection about the edge sample: index -1 mirrors to +1
         expected = np.array([[4.0, 3.0, 4.0], [1.0, 0.0, 1.0], [4.0, 3.0, 4.0]])
         np.testing.assert_array_equal(corner, expected)
@@ -190,7 +190,7 @@ class TestExtractPatches:
         ps = extract_patches(cube, raster, 5)
         for i in [0, 13, len(ps) - 1]:
             r, c = ps.coords[i]
-            np.testing.assert_array_equal(ps.patch(i)[0, 2, 2, :], cube.values[r, c, :])
+            np.testing.assert_array_equal(ps.batch([i])[0][0, 2, 2, :], cube.values[r, c, :])
 
     def test_labeled_count_matches_raster(self):
         labels = np.zeros((5, 5), dtype=np.uint16)
@@ -290,7 +290,7 @@ class TestSplit:
         idx = [0, 2, 3]
         batch = train.batch(idx)
         for k, i in enumerate(idx):
-            np.testing.assert_array_equal(batch[k], train.patch(i))
+            np.testing.assert_array_equal(batch[k], train.batch([i])[0])
 
     def test_merge_patchsets(self):
         train, test, _ = split(small_scene(), 0.5, seed=8)

@@ -44,7 +44,7 @@ def conv_reference(x, w, b):
 
 class TestConv2D:
     def test_identity_kernel(self):
-        layer = Conv2D(1, 1, RNG, dtype=np.float64)
+        layer = Conv2D(1, 1, RNG).astype(np.float64)
         layer.weight.data[:] = 0.0
         layer.weight.data[0, 0, 1, 1] = 1.0
         layer.bias.data[:] = 0.0
@@ -53,7 +53,7 @@ class TestConv2D:
         np.testing.assert_allclose(out.data, x.data)
 
     def test_ones_kernel_border_counts(self):
-        layer = Conv2D(1, 1, RNG, dtype=np.float64)
+        layer = Conv2D(1, 1, RNG).astype(np.float64)
         layer.weight.data[:] = 1.0
         layer.bias.data[:] = 0.0
         x = Tensor(np.ones((1, 1, 3, 3)))
@@ -74,7 +74,7 @@ class TestConv2D:
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(7)
-        layer = Conv2D(3, 2, rng, dtype=np.float64)
+        layer = Conv2D(3, 2, rng).astype(np.float64)
         layer.bias.data[:] = rng.standard_normal(2)
         x = rng.standard_normal((2, 3, 4, 5))
         expected = conv_reference(x, layer.weight.data, layer.bias.data)
@@ -83,14 +83,14 @@ class TestConv2D:
 
 class TestConv3D:
     def test_pointwise_identity(self):
-        layer = Conv3D(1, 1, 1, RNG, dtype=np.float64)
+        layer = Conv3D(1, 1, 1, RNG).astype(np.float64)
         layer.weight.data[:] = 1.0
         layer.bias.data[:] = 0.0
         x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 3, 3, 4)))
         np.testing.assert_allclose(layer(x).data, x.data)
 
     def test_ones_kernel_center(self):
-        layer = Conv3D(1, 1, 3, RNG, dtype=np.float64)
+        layer = Conv3D(1, 1, 3, RNG).astype(np.float64)
         layer.weight.data[:] = 1.0
         layer.bias.data[:] = 0.0
         x = Tensor(np.ones((1, 1, 3, 3, 3)))
@@ -105,7 +105,7 @@ class TestConv3D:
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(8)
-        layer = Conv3D(2, 3, 3, rng, dtype=np.float64)
+        layer = Conv3D(2, 3, 3, rng).astype(np.float64)
         layer.bias.data[:] = rng.standard_normal(3)
         x = rng.standard_normal((2, 2, 3, 4, 3))
         expected = conv_reference(x, layer.weight.data, layer.bias.data)
@@ -118,7 +118,7 @@ class TestConv3D:
 
 def test_conv_numpy_fallback_matches_bruteforce():
     rng = np.random.default_rng(77)
-    layer = Conv3D(2, 3, 3, rng, dtype=np.float64)
+    layer = Conv3D(2, 3, 3, rng).astype(np.float64)
     layer.bias.data[:] = rng.standard_normal(3)
     x = rng.standard_normal((2, 2, 3, 4, 3))
     expected = conv_reference(x, layer.weight.data, layer.bias.data)
@@ -136,9 +136,9 @@ def test_conv_numpy_fallback_matches_bruteforce():
 # --- convolutions split into several batch chunks -------------------------
 
 MULTI_CHUNK_LAYERS = {
-    "conv2d": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (4, 2, 4, 3)),
-    "conv3d": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (3, 2, 3, 3, 4)),
-    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r, dtype=np.float64), (3, 3, 2, 2, 3)),
+    "conv2d": (lambda r: Conv2D(2, 3, r).astype(np.float64), (4, 2, 4, 3)),
+    "conv3d": (lambda r: Conv3D(2, 2, 3, r).astype(np.float64), (3, 2, 3, 3, 4)),
+    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r).astype(np.float64), (3, 3, 2, 2, 3)),
 }
 
 
@@ -183,13 +183,13 @@ def test_conv_backward_skips_unneeded_input_gradient():
 # --- edge shapes: short last axis, unequal and unit leading extents --------
 
 EDGE_LAYERS = {
-    "conv3d_last_1": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 2, 3, 1)),
-    "conv3d_last_2": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 3, 1, 2)),
-    "conv3d_lead_1": (lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 1, 4, 2)),
-    "conv3d_last_3": (lambda r: Conv3D(2, 3, 3, r, dtype=np.float64), (2, 2, 2, 1, 3)),
-    "conv2d_last_1": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (2, 2, 5, 1)),
-    "conv2d_lead_1": (lambda r: Conv2D(2, 3, r, dtype=np.float64), (2, 2, 1, 3)),
-    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r, dtype=np.float64), (2, 3, 2, 1, 3)),
+    "conv3d_last_1": (lambda r: Conv3D(2, 2, 3, r).astype(np.float64), (2, 2, 2, 3, 1)),
+    "conv3d_last_2": (lambda r: Conv3D(2, 2, 3, r).astype(np.float64), (2, 2, 3, 1, 2)),
+    "conv3d_lead_1": (lambda r: Conv3D(2, 2, 3, r).astype(np.float64), (2, 2, 1, 4, 2)),
+    "conv3d_last_3": (lambda r: Conv3D(2, 3, 3, r).astype(np.float64), (2, 2, 2, 1, 3)),
+    "conv2d_last_1": (lambda r: Conv2D(2, 3, r).astype(np.float64), (2, 2, 5, 1)),
+    "conv2d_lead_1": (lambda r: Conv2D(2, 3, r).astype(np.float64), (2, 2, 1, 3)),
+    "conv3d_pointwise": (lambda r: Conv3D(3, 2, 1, r).astype(np.float64), (2, 3, 2, 1, 3)),
 }
 
 
@@ -282,13 +282,13 @@ def test_recorded_conv_retains_only_its_output():
 
 class TestBatchNorm:
     def test_hand_normalization(self):
-        bn = BatchNorm(1, eps=1e-12, dtype=np.float64)
+        bn = BatchNorm(1).astype(np.float64)
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1))
         out = bn(x, training=True)
         np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
 
     def test_fixed_point_on_standardized_input(self):
-        bn = BatchNorm(2, dtype=np.float64)
+        bn = BatchNorm(2).astype(np.float64)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 2, 7))
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
@@ -296,20 +296,20 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, x, atol=1e-4)
 
     def test_constant_channel_gives_beta(self):
-        bn = BatchNorm(1, dtype=np.float64)
+        bn = BatchNorm(1).astype(np.float64)
         bn.beta.data[:] = 0.7
         x = Tensor(np.full((4, 1, 3), 2.5))
         out = bn(x, training=True)
         np.testing.assert_allclose(out.data, 0.7, atol=1e-6)
 
     def test_eval_before_training_uses_initial_stats(self):
-        bn = BatchNorm(2, dtype=np.float64)
+        bn = BatchNorm(2).astype(np.float64)
         x = np.random.default_rng(0).standard_normal((3, 2, 4))
         out = bn(Tensor(x), training=False)
-        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + bn.eps), atol=1e-12)
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + nn.NORM_EPS), atol=1e-12)
 
     def test_running_stats_update_rule(self):
-        bn = BatchNorm(1, momentum=0.1, dtype=np.float64)
+        bn = BatchNorm(1).astype(np.float64)
         x = np.array([1.0, 3.0]).reshape(2, 1)
         bn(Tensor(x), training=True)
         np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
@@ -323,18 +323,18 @@ class TestBatchNorm:
 
 class TestLayerNorm:
     def test_hand_computation(self):
-        ln = LayerNorm(3, dtype=np.float64)
+        ln = LayerNorm(3).astype(np.float64)
         out = ln(Tensor(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_token_gives_beta(self):
-        ln = LayerNorm(4, dtype=np.float64)
+        ln = LayerNorm(4).astype(np.float64)
         ln.beta.data[:] = -0.3
         out = ln(Tensor(np.full((2, 4), 9.0)))
         np.testing.assert_allclose(out.data, -0.3, atol=1e-2)
 
     def test_shift_invariance(self):
-        ln = LayerNorm(5, dtype=np.float64)
+        ln = LayerNorm(5).astype(np.float64)
         x = np.random.default_rng(3).standard_normal((4, 5))
         a = ln(Tensor(x)).data
         b = ln(Tensor(x + 13.5)).data
@@ -376,14 +376,14 @@ class TestSoftmax:
 
 class TestLinear:
     def test_identity(self):
-        layer = Linear(3, 3, RNG, dtype=np.float64)
+        layer = Linear(3, 3, RNG).astype(np.float64)
         layer.weight.data[:] = np.eye(3)
         layer.bias.data[:] = 0.0
         x = np.random.default_rng(0).standard_normal((2, 3))
         np.testing.assert_allclose(layer(Tensor(x)).data, x)
 
     def test_hand_arithmetic(self):
-        layer = Linear(2, 1, RNG, dtype=np.float64)
+        layer = Linear(2, 1, RNG).astype(np.float64)
         layer.weight.data[:] = [[1.0, 1.0]]
         layer.bias.data[:] = [1.0]
         out = layer(Tensor(np.array([2.0, 3.0])))
@@ -475,32 +475,32 @@ def _gradcheck_layer(build, make_input, n_extra=0):
 
 
 def test_gradcheck_conv2d():
-    _gradcheck_layer(lambda r: Conv2D(2, 3, r, dtype=np.float64), (2, 2, 4, 3))
+    _gradcheck_layer(lambda r: Conv2D(2, 3, r).astype(np.float64), (2, 2, 4, 3))
 
 
 def test_gradcheck_conv3d():
-    _gradcheck_layer(lambda r: Conv3D(2, 2, 3, r, dtype=np.float64), (2, 2, 3, 3, 4))
+    _gradcheck_layer(lambda r: Conv3D(2, 2, 3, r).astype(np.float64), (2, 2, 3, 3, 4))
 
 
 def test_gradcheck_conv3d_pointwise():
-    _gradcheck_layer(lambda r: Conv3D(3, 2, 1, r, dtype=np.float64), (2, 3, 2, 2, 3))
+    _gradcheck_layer(lambda r: Conv3D(3, 2, 1, r).astype(np.float64), (2, 3, 2, 2, 3))
 
 
 def test_gradcheck_linear():
-    _gradcheck_layer(lambda r: Linear(4, 3, r, dtype=np.float64), (2, 5, 4))
+    _gradcheck_layer(lambda r: Linear(4, 3, r).astype(np.float64), (2, 5, 4))
 
 
 def test_gradcheck_layernorm():
-    _gradcheck_layer(lambda r: LayerNorm(5, dtype=np.float64), (3, 4, 5))
+    _gradcheck_layer(lambda r: LayerNorm(5).astype(np.float64), (3, 4, 5))
 
 
 def test_gradcheck_batchnorm_training():
-    _gradcheck_layer(lambda r: BatchNorm(3, dtype=np.float64), (4, 3, 5), n_extra=1)
+    _gradcheck_layer(lambda r: BatchNorm(3).astype(np.float64), (4, 3, 5), n_extra=1)
 
 
 def test_gradcheck_batchnorm_eval():
     rng = np.random.default_rng(43)
-    bn = BatchNorm(3, dtype=np.float64)
+    bn = BatchNorm(3).astype(np.float64)
     bn.running_mean[:] = rng.standard_normal(3)
     bn.running_var[:] = 0.5 + rng.random(3)
     x = Parameter(rng.standard_normal((4, 3, 5)), name="x")
@@ -591,7 +591,7 @@ def test_softmax_rows_sum_to_one(rows, cols):
 
 
 def test_layernorm_output_statistics():
-    ln = LayerNorm(32, dtype=np.float64)
+    ln = LayerNorm(32).astype(np.float64)
     x = np.random.default_rng(9).standard_normal((50, 32)) * 2 + 1
     out = ln(Tensor(x)).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-5
@@ -599,7 +599,7 @@ def test_layernorm_output_statistics():
 
 
 def test_batchnorm_output_statistics():
-    bn = BatchNorm(4, dtype=np.float64)
+    bn = BatchNorm(4).astype(np.float64)
     x = np.random.default_rng(10).standard_normal((100, 4, 6)) * 1.7 - 0.4
     out = bn(Tensor(x), training=True).data
     assert np.abs(out.mean(axis=(0, 2))).max() < 1e-5
