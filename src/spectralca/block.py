@@ -78,9 +78,9 @@ class SpectralCABlock(Module):
         self.config = config
         c, d = config.channels, config.dim
         self.spatial_conv = Conv2D(c, d, rng)
-        self.spatial_bn = BatchNorm(d)
+        self.spatial_bn = BatchNorm(d, "silu")
         self.spectral_conv = Conv3D(c, d, 3, rng)
-        self.spectral_bn = BatchNorm(d)
+        self.spectral_bn = BatchNorm(d, "silu")
         self.cross = CrossAttention(d, config.heads, rng)
         self.spatial_token_norm = LayerNorm(d)
         self.spectral_token_norm = LayerNorm(d)
@@ -95,14 +95,14 @@ class SpectralCABlock(Module):
         _check_input(x, self.config.channels)
         b, _, hh, ww, _ = x.shape
         flat = T.mean_axis(x, 4)  # [B,C,H,W]
-        feat = silu(self.spatial_bn(self.spatial_conv(flat), training))
+        feat = self.spatial_bn(self.spatial_conv(flat), training)
         tokens = T.transpose(T.reshape(feat, (b, self.config.dim, hh * ww)), (0, 2, 1))
         return self.spatial_token_norm(tokens)  # [B, H*W, d]
 
     def spectral_path(self, x: Tensor, training: bool) -> Tensor:
         """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm."""
         _check_input(x, self.config.channels)
-        feat = silu(self.spectral_bn(self.spectral_conv(x), training))
+        feat = self.spectral_bn(self.spectral_conv(x), training)
         pooled = T.mean_axis(feat, (2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .block import CFG32, CFG64, SpectralCABlock, SpectralCAConfig
-from .nn import BatchNorm, Conv3D, Linear, Module, relu, softmax
+from .nn import BatchNorm, Conv3D, Linear, Module, softmax
 from .tensor import Tensor
 
 
@@ -95,15 +95,19 @@ class PatchClassifier(Module):
         super().__init__()
         self.config = config
         self.stem = Conv3D(1, config.stem_channels, 3, rng)
-        self.stem_bn = BatchNorm(config.stem_channels)
+        self.stem_bn = BatchNorm(config.stem_channels, "relu")
         self.block1 = SpectralCABlock(config.block1, rng)
         if config.depth == 2:
             self.mid = Conv3D(config.block1.channels, config.mid_channels, 3, rng)
-            self.mid_bn = BatchNorm(config.mid_channels)
+            self.mid_bn = BatchNorm(config.mid_channels, "relu")
             self.block2 = SpectralCABlock(config.block2, rng)
         self.head = Linear(config.feature_channels, config.num_classes, rng)
         # zero head: a fresh model emits uniform class probabilities
         self.head.weight.data[:] = 0.0
+        # the walk stamps each Parameter's dotted name, which NonFiniteError
+        # reports, before any forward
+        for _ in self.named_parameters():
+            pass
 
     def __call__(self, patches: Tensor, training: bool = False, rng=None) -> Tensor:
         cfg = self.config
@@ -113,10 +117,10 @@ class PatchClassifier(Module):
                 f"expected patches [B,1,{cfg.patch_size},{cfg.patch_size},{cfg.bands}], "
                 f"got {patches.shape}"
             )
-        x = relu(self.stem_bn(self.stem(patches), training))
+        x = self.stem_bn(self.stem(patches), training)
         x = self.block1(x, training, rng)
         if cfg.depth == 2:
-            x = relu(self.mid_bn(self.mid(x), training))
+            x = self.mid_bn(self.mid(x), training)
             x = self.block2(x, training, rng)
         pooled = T.mean_axis(x, (2, 3, 4))  # [B, C]
         return self.head(pooled)

@@ -87,6 +87,9 @@ def _checkpoint_and_split(args, default_recipe: dict | None = None):
     if labels.num_classes != model.config.num_classes:
         raise CheckpointError(f"scene has {labels.num_classes} classes, checkpoint "
                               f"{model.config.num_classes}")
+    if cube.bands != model.config.bands:
+        raise CheckpointError(f"scene has {cube.bands} bands, checkpoint "
+                              f"{model.config.bands}")
     patches = extract_patches(cube, labels, recipe["patch_size"])
     return model, recipe, split(patches, recipe["train_fraction"], recipe["split_seed"],
                                 test_fraction=recipe.get("test_fraction"))

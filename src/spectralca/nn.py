@@ -3,13 +3,15 @@
 Layers are Modules owning Parameters; functional ops (silu, relu, softmax,
 dropout, cross_entropy) live alongside. Every layer is built in float32;
 ``Module.astype(np.float64)`` converts a built model for gradient checks.
-Convolutions are same-padded cross-correlations (no kernel flip), stride 1,
-lowered by partial im2col: the batch is split into chunks whose buffers
-fit in cache; each chunk gathers the kernel taps over all spatial axes but
-the last, and the k taps along the last axis are k BLAS matmuls on shifted
-views of those columns. Backward keeps nothing of the forward but its
-input: the weight gradient gathers the columns again, chunk by chunk, and
-the input gradient is the same lowering applied with the flipped kernel.
+BatchNorm and the activation after it (ReLU or SiLU) are one op that
+retains only its input; backward recomputes the rest. Convolutions are
+same-padded cross-correlations (no kernel flip), stride 1, lowered by
+partial im2col: the batch is split into chunks whose buffers fit in cache;
+each chunk gathers the kernel taps over all spatial axes but the last, and
+the k taps along the last axis are k BLAS matmuls on shifted views of those
+columns. Backward keeps nothing of the forward but its input: the weight
+gradient gathers the columns again, chunk by chunk, and the input gradient
+is the same lowering applied with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -193,7 +195,8 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b, c = xd.shape[:2]
     o = wd.shape[0]
-    gw_t = np.zeros((k, c * k ** (len(spatial) - 1), o), dtype=wd.dtype)
+    rows = c * k ** (len(spatial) - 1)
+    gw_t = np.zeros((k, rows, o), dtype=wd.dtype)
     padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
     for start in range(0, b, chunk):
         n = min(chunk, b - start)
@@ -203,10 +206,14 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
         gp = np.zeros((o, n) + padded, dtype=g.dtype)
         gp[..., :spatial[-1]] = np.swapaxes(g[start:start + n], 0, 1)
         gp = gp.reshape(o, -1)[:, :m]
-        # transposed per-tap gradients: [rows, O] outputs ran faster than
-        # [O, rows] ones for the spectral conv's weight gradient
+        # per-tap gradients, the GEMM's output [rows, O] or [O, rows],
+        # whichever has more rows: [rows, O] ran faster for the spectral
+        # conv (576 rows, O = 96), [O, rows] for the stem (9 rows, O = 64)
         for e in range(k):
-            gw_t[e] += cols[:, e:e + m] @ gp.T
+            if rows >= o:
+                gw_t[e] += cols[:, e:e + m] @ gp.T
+            else:
+                gw_t[e] += (gp @ cols[:, e:e + m].T).T
     gw = gw_t.reshape(k, -1, c, o).transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None
@@ -279,18 +286,37 @@ class Conv3D(_Conv):
 NORM_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
+# Input bytes per batch chunk of BatchNorm's backward, whose temporaries are
+# chunk-sized and reused rather than input-sized and freshly mapped. One
+# sample of the spectral BN (1 MB) or the stem's (0.66 MB) per chunk ran
+# the spectral backward in 81-114 ms of a batch-32 training step, two
+# samples in 108-118 ms and the whole batch in 139-198 ms; the spatial BN
+# (31 KB per sample) runs whole (2-core Xeon, one BLAS thread).
+_BN_CHUNK_BYTES = 1e6
+
 
 class BatchNorm(Module):
-    """Per-channel normalization over all non-channel axes (channel axis 1).
+    """Per-channel normalization over all non-channel axes (channel axis 1)
+    and the activation after it, ReLU or SiLU, as one tape op.
 
     Training mode normalizes with the batch's population statistics and
     updates the running estimates; eval mode uses the running estimates.
-    gamma/beta are the only trainable entries.
+    gamma/beta are the only trainable entries. The op retains only its
+    pre-normalization input x and per-channel vectors. Backward recomputes
+    z = x*scale + shift and the activation's derivative gz = g * act'(z),
+    then applies the normalization's gradient in per-channel coefficient
+    form, gx = scale*gz + b*(x - mu) + c. It overwrites the upstream
+    gradient g with gz and then gx, a batch chunk at a time, so its
+    temporaries are chunk-sized. The sum of gz*(x - mu) is taken over
+    centred x, so a large channel mean does not cancel.
     """
 
-    def __init__(self, channels: int):
+    def __init__(self, channels: int, activation: str):
         super().__init__()
+        if activation not in ("relu", "silu"):
+            raise ValueError(f"activation {activation!r} unsupported (use relu or silu)")
         self.channels = channels
+        self.activation = activation
         self.gamma = Parameter(np.ones(channels, dtype=np.float32))
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
@@ -301,9 +327,9 @@ class BatchNorm(Module):
             raise ShapeError(f"batchnorm expects channel extent {self.channels}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
         bshape = (1, self.channels) + (1,) * (x.ndim - 2)
+        n = x.size // self.channels
         if training:
-            count = x.size // self.channels
-            if count <= 1:
+            if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
             mu = x.data.mean(axis=axes)
             var = x.data.var(axis=axes)
@@ -316,29 +342,52 @@ class BatchNorm(Module):
             mu = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + NORM_EPS)
-        # fused per-channel affine: out = x*scale + shift
+        # fused per-channel affine: z = x*scale + shift
         scale = (self.gamma.data * inv).astype(x.dtype)
         shift = (self.beta.data - mu * scale).astype(x.dtype)
-        out = x.data * scale.reshape(bshape)
-        out += shift.reshape(bshape)
-        gamma, beta = self.gamma, self.beta
-        xd = x.data
-        n = x.size // self.channels
+        scale.shape = shift.shape = bshape
+        xd, activation = x.data, self.activation
+        out = xd * scale
+        out += shift
+        if activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            out *= _sigmoid(out)
 
         def backward(g):
-            xhat = (xd - mu.reshape(bshape)) * inv.reshape(bshape)
-            gg = (g * xhat).sum(axis=axes)
-            gb = g.sum(axis=axes)
-            gxh = g * gamma.data.reshape(bshape)
-            if training:  # the batch statistics depend on x too
-                gxh = (
-                    gxh
-                    - gxh.mean(axis=axes, keepdims=True)
-                    - xhat * (gxh * xhat).sum(axis=axes, keepdims=True) / n
-                )
-            return gxh * inv.reshape(bshape), gg, gb
+            # g becomes the input gradient in place, a batch chunk at a time
+            chunk = max(1, int(_BN_CHUNK_BYTES // max(xd[:1].nbytes, 1)))
+            chunks = [slice(i, i + chunk) for i in range(0, len(g), chunk)]
+            mu_x = mu.astype(xd.dtype).reshape(bshape)
+            g_beta = np.zeros(len(inv))
+            g_dot = np.zeros(len(inv))  # sum of gz * (x - mu)
+            for part in chunks:
+                z = xd[part] * scale
+                z += shift
+                gz = g[part]
+                if activation == "relu":
+                    gz *= z > 0.0
+                else:
+                    gz *= _silu_slope(z)
+                np.subtract(xd[part], mu_x, out=z)
+                g_beta += _channel_sums(gz)
+                g_dot += _channel_sums(gz, z)
+            g_gamma = g_dot * inv  # sum of gz * xhat
+            if not training:
+                g *= scale
+            else:  # the batch statistics depend on x too
+                b = (-scale.ravel() * inv * g_gamma / n).astype(xd.dtype).reshape(bshape)
+                c = (-scale.ravel() * g_beta / n).astype(xd.dtype).reshape(bshape)
+                for part in chunks:
+                    gz = g[part]
+                    gz *= scale
+                    term = xd[part] - mu_x
+                    term *= b
+                    gz += term
+                    gz += c
+            return g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
 
-        return record_op("batchnorm", (x, gamma, beta), out, backward)
+        return record_op("batchnorm", (x, self.gamma, self.beta), out, backward)
 
 
 class LayerNorm(Module):
@@ -406,12 +455,40 @@ class Linear(Module):
 # functional ops
 
 
-def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x), elementwise."""
-    # sigmoid via tanh: stable for any magnitude, single vectorized pass
-    sig = np.tanh(x.data * 0.5)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as (1 + tanh(x/2)) / 2: stable for any magnitude,
+    in one new buffer."""
+    sig = x * 0.5
+    np.tanh(sig, out=sig)
     sig += 1.0
     sig *= 0.5
+    return sig
+
+
+def _silu_slope(z: np.ndarray) -> np.ndarray:
+    """Overwrite z with silu'(z) = sig * (1 + z*(1 - sig)), computed as
+    1 + (z*sig - 1) * (1 - sig), and return it."""
+    sig = _sigmoid(z)
+    z *= sig
+    z -= 1.0
+    np.subtract(1.0, sig, out=sig)
+    z *= sig
+    z += 1.0
+    return z
+
+
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel float64 sums of a, or of a*b, over every axis but axis 1:
+    one BLAS dot per sample and channel, the samples added in float64."""
+    n, c = a.shape[:2]
+    rows = a.reshape(n, c, 1, -1)
+    cols = np.ones((rows.shape[-1], 1), a.dtype) if b is None else b.reshape(n, c, -1, 1)
+    return np.matmul(rows, cols).reshape(n, c).sum(axis=0, dtype=np.float64)
+
+
+def silu(x: Tensor) -> Tensor:
+    """x * sigmoid(x), elementwise."""
+    sig = _sigmoid(x.data)
     out = x.data * sig
 
     def backward(g):

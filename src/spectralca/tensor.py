@@ -6,7 +6,11 @@ module-level functions that compute the forward result eagerly and, when a
 Tape is active and an input requires a gradient, record a node whose
 backward rule routes the upstream gradient to the inputs. Replaying the
 nodes in reverse recording order is a valid topological order because
-nodes are appended in execution order.
+nodes are appended in execution order. Backward consumes the tape: each
+node is popped before it is replayed and its output's gradient dropped
+once read, so a node's closure, output and gradient are freed as soon as
+every consumer has replayed; only leaf tensors and Parameters keep their
+``.grad``.
 
 Every op validates that its output is finite (its min and max are finite);
 NaN/Inf raises NonFiniteError instead of propagating silently, naming the
@@ -115,11 +119,15 @@ class Tape:
 
     Use as a context manager around a forward computation; ``backward``
     seeds the loss gradient and replays nodes newest-first, visiting each
-    exactly once and accumulating gradients additively.
+    exactly once and accumulating gradients additively. It consumes the
+    tape: ``nodes`` is empty afterwards, intermediate ``.grad``s are None,
+    and a second ``backward`` raises. Each node's output gradient is handed
+    to its backward rule and never read again, so the rule may overwrite it.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self._replayed = False
 
     def record(self, node: TapeNode) -> None:
         self.nodes.append(node)
@@ -135,16 +143,24 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if self._replayed:
+            raise RuntimeError("backward on a tape that was already replayed")
+        self._replayed = True
         loss.accumulate_grad(np.ones_like(loss.data))
-        for node in reversed(self.nodes):
-            out_grad = node.output.grad
-            if out_grad is None:
-                continue
-            grads = node.backward(out_grad)
-            for inp, g in zip(node.inputs, grads):
-                if g is None or not inp.requires_grad:
-                    continue
-                inp.accumulate_grad(g)
+        while self.nodes:
+            _replay(self.nodes.pop())
+
+
+def _replay(node: TapeNode) -> None:
+    """Route a popped node's output gradient to its inputs and clear it.
+    The gradients it reads and returns are released when this returns,
+    before the next node replays."""
+    out_grad, node.output.grad = node.output.grad, None
+    if out_grad is None:
+        return
+    for inp, g in zip(node.inputs, node.backward(out_grad)):
+        if g is not None and inp.requires_grad:
+            inp.accumulate_grad(g)
 
 
 _TAPE_STACK: list[Tape] = []

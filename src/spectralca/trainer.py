@@ -24,7 +24,7 @@ from .metrics import (
     per_class_accuracy,
 )
 from .nn import Module, cross_entropy
-from .tensor import Parameter, Tape, Tensor
+from .tensor import NonFiniteError, Parameter, Tape, Tensor
 
 # patches per eval forward in predict_set, evaluate and pseudo-labelling
 EVAL_BATCH = 64
@@ -96,13 +96,17 @@ def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
     for epoch in range(1, cfg.epochs + 1):
         loss_sum = 0.0
         correct = 0
-        for idx, patches in train_set.batches(shuffle_rng.permutation(n), cfg.batch_size):
+        batches = train_set.batches(shuffle_rng.permutation(n), cfg.batch_size)
+        for step, (idx, patches) in enumerate(batches, start=1):
             x = Tensor(patches)
             y = labels[idx] - 1
             model.zero_grad()
-            with Tape() as tape:
-                logits = model(x, training=True, rng=dropout_rng)
-                loss = cross_entropy(logits, y)
+            try:
+                with Tape() as tape:
+                    logits = model(x, training=True, rng=dropout_rng)
+                    loss = cross_entropy(logits, y)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{exc} at epoch {epoch}, step {step}") from exc
             tape.backward(loss)
             opt.step()
             loss_sum += float(loss.data) * len(idx)

@@ -10,7 +10,7 @@ from . import tensor as T
 from .attention import CrossAttention
 from .block import CFG32, SpectralCABlock, SpectralCAConfig
 from .classifier import ModelConfig, PatchClassifier
-from .nn import BatchNorm, Conv2D, Conv3D, LayerNorm, Linear, cross_entropy, dropout, relu, silu, softmax
+from .nn import BatchNorm, Conv2D, Conv3D, LayerNorm, Linear, cross_entropy, dropout, relu, softmax
 from .tensor import GradCheckReport, Parameter, Tensor, grad_check
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -51,7 +51,7 @@ def _tensor_ops_report(seed: int, samples: int) -> GradCheckReport:
 def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     conv2 = Conv2D(2, 3, rng).astype(np.float64)
-    bn2 = BatchNorm(3).astype(np.float64)
+    bn2 = BatchNorm(3, "silu").astype(np.float64)
     conv3 = Conv3D(2, 2, 3, rng).astype(np.float64)
     ln = LayerNorm(3).astype(np.float64)
     lin = Linear(3, 4, rng).astype(np.float64)
@@ -62,7 +62,7 @@ def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
     layers = [conv2, bn2, conv3, ln, lin, head]
 
     def f():
-        a = silu(bn2(conv2(x2), training=True))
+        a = bn2(conv2(x2), training=True)
         tokens = ln(T.transpose(T.reshape(a, (2, 3, 20)), (0, 2, 1)))
         tokens = dropout(lin(tokens), 0.2, training=True, rng=np.random.default_rng(5))
         sm = softmax(tokens, axis=-1)

@@ -198,8 +198,8 @@ class TestOutputStage:
         with Tape() as tape:
             out = block_module._project_streams(x, s, p, block.projector)
             loss = T.sum_all(T.mul(out, Tensor(g)))
-        tape.backward(loss)
         assert len(tape.nodes) == 3
+        tape.backward(loss)
         linear = np.vdot(out.data - x.data - bias.data.reshape(1, -1, 1, 1, 1), g)
         np.testing.assert_allclose(np.vdot(s.data, s.grad) + np.vdot(p.data, p.grad),
                                    linear, rtol=1e-12)

@@ -86,9 +86,9 @@ class TestModelForward:
 
 
 def test_non_finite_error_names_the_layer():
+    # a fresh model, its parameters never walked before the forward
     model = tiny_model()
-    params = dict(model.named_parameters())
-    params["block1.spectral_conv.weight"].data[0, 0, 1, 1, 1] = np.nan
+    model.block1.spectral_conv.weight.data[0, 0, 1, 1, 1] = np.nan
     with pytest.raises(NonFiniteError) as exc:
         model(Tensor(rand_patches(2)))
     assert str(exc.value) == "non-finite values produced by conv3d in block1.spectral_conv"
@@ -103,11 +103,11 @@ class TestPrecision:
             logits = model(Tensor(rand_patches(4).astype(dtype)), training=True,
                            rng=np.random.default_rng(2))
             loss = cross_entropy(logits, np.array([0, 1, 2, 0]))
+        wrong = sorted({n.op for n in tape.nodes if n.output.dtype != dtype})
+        assert not wrong, f"ops leaving {np.dtype(dtype).name}: {wrong}"
         tape.backward(loss)
         opt.step()
         assert logits.dtype == dtype
-        wrong = sorted({n.op for n in tape.nodes if n.output.dtype != dtype})
-        assert not wrong, f"ops leaving {np.dtype(dtype).name}: {wrong}"
         assert all(p.data.dtype == dtype and p.grad.dtype == dtype
                    for p in model.parameters())
 

@@ -110,6 +110,11 @@ MALFORMED = {
                       "--out", "{tmp}/r.json"], "checkpoint"),
     "ssl-classes": (["ssl", "--model", "{three_classes_bin}", "--data", "{scene}",
                      "--out", "{tmp}/s"], "checkpoint"),
+    # a 4-band checkpoint on a 6-band scene
+    "eval-bands": (["eval", "--model", "{four_bands_bin}", "--data", "{six_band_scene}",
+                    "--out", "{tmp}/r.json"], "checkpoint"),
+    "ssl-bands": (["ssl", "--model", "{four_bands_bin}", "--data", "{six_band_scene}",
+                   "--out", "{tmp}/s"], "checkpoint"),
     "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
     "gradcheck": (["gradcheck", "--samples", "0", "--no-full-size-spot"], "invalid-argument"),
     "bench": (["bench", "--height", "0", "--runs", "1"], "invalid-argument"),
@@ -133,12 +138,20 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     # fits the scene's bands and the recipe's patch size in all but its class count
     three_classes = PatchClassifier(replace(TINY_MODEL, patch_size=3, bands=4),
                                     np.random.default_rng(0))
-    save_checkpoint(three_classes, tmp_path / "three_classes.bin",
-                    data_recipe={"patch_size": 3, "train_fraction": 0.5,
-                                 "test_fraction": None, "split_seed": 0})
+    recipe = {"patch_size": 3, "train_fraction": 0.5, "test_fraction": None,
+              "split_seed": 0}
+    save_checkpoint(three_classes, tmp_path / "three_classes.bin", data_recipe=recipe)
+    # fits the 6-band scene in all but its band count
+    four_bands = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
+                                 np.random.default_rng(0))
+    save_checkpoint(four_bands, tmp_path / "four_bands.bin", data_recipe=recipe)
+    assert main(["gen", "--seed", "3", "--height", "8", "--width", "8", "--bands", "6",
+                 "--classes", "2", "--out", str(tmp_path / "scene6")]) == 0
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
              "bad_bin": tmp_path / "bad.bin", "bad_heads_bin": tmp_path / "bad_heads.bin",
-             "three_classes_bin": tmp_path / "three_classes.bin"}
+             "three_classes_bin": tmp_path / "three_classes.bin",
+             "four_bands_bin": tmp_path / "four_bands.bin",
+             "six_band_scene": tmp_path / "scene6"}
     argv, code = MALFORMED[command]
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) != 0

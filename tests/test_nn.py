@@ -195,8 +195,11 @@ EDGE_LAYERS = {
 
 @pytest.fixture(params=["whole_batch", "one_sample_per_chunk"])
 def chunking(request, monkeypatch):
+    # budgets below one sample's bytes give convs and BatchNorm's backward
+    # one chunk per sample
     if request.param == "one_sample_per_chunk":
         monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", 1)
+        monkeypatch.setattr(nn, "_BN_CHUNK_BYTES", 1)
 
 
 @pytest.mark.parametrize("name", list(EDGE_LAYERS))
@@ -280,45 +283,86 @@ def test_recorded_conv_retains_only_its_output():
     assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
 
 
+def silu_reference(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def test_recorded_batchnorm_retains_only_its_output():
+    # the block's spectral BN->SiLU under a tape: backward recomputes the
+    # normalization and the sigmoid from the input, so after the forward
+    # only the output stays allocated (each kept intermediate, such as the
+    # normalized values or the sigmoid, would add 1 MB per sample)
+    rng = np.random.default_rng(84)
+    bn = BatchNorm(96, "silu")
+    x = Tensor(rng.standard_normal((2, 96, 9, 9, 32)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        out, _, retained = _traced_bytes(lambda: bn(x, training=True))
+    assert len(tape.nodes) == 1
+    assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
+
+
+def test_batchnorm_backward_transient_memory_does_not_grow_with_batch():
+    # the spectral BN's backward overwrites its upstream gradient, a batch
+    # chunk at a time: two more samples may not add input-sized temporaries
+    rng = np.random.default_rng(85)
+    bn = BatchNorm(96, "silu")
+    sample_bytes = 96 * 9 * 9 * 32 * 4
+    peak = {}
+    for batch in (2, 4):
+        x = Tensor(rng.standard_normal((batch, 96, 9, 9, 32)).astype(np.float32),
+                   requires_grad=True)
+        with Tape() as tape:
+            bn(x, training=True)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        _, peak[batch], _ = _traced_bytes(lambda: tape.nodes[0].backward(g))
+    assert peak[4] - peak[2] < sample_bytes, peak
+
+
 class TestBatchNorm:
     def test_hand_normalization(self):
-        bn = BatchNorm(1).astype(np.float64)
+        bn = BatchNorm(1, "relu").astype(np.float64)
         x = Tensor(np.array([1.0, 3.0]).reshape(2, 1))
         out = bn(x, training=True)
-        np.testing.assert_allclose(out.data.ravel(), [-1.0, 1.0], atol=1e-5)
+        np.testing.assert_allclose(out.data.ravel(), [0.0, 1.0], atol=1e-5)
 
     def test_fixed_point_on_standardized_input(self):
-        bn = BatchNorm(2).astype(np.float64)
+        bn = BatchNorm(2, "silu").astype(np.float64)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((64, 2, 7))
         x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
         out = bn(Tensor(x), training=True)
-        np.testing.assert_allclose(out.data, x, atol=1e-4)
+        np.testing.assert_allclose(out.data, silu_reference(x), atol=1e-4)
 
     def test_constant_channel_gives_beta(self):
-        bn = BatchNorm(1).astype(np.float64)
+        bn = BatchNorm(1, "silu").astype(np.float64)
         bn.beta.data[:] = 0.7
         x = Tensor(np.full((4, 1, 3), 2.5))
         out = bn(x, training=True)
-        np.testing.assert_allclose(out.data, 0.7, atol=1e-6)
+        np.testing.assert_allclose(out.data, silu_reference(0.7), atol=1e-6)
 
     def test_eval_before_training_uses_initial_stats(self):
-        bn = BatchNorm(2).astype(np.float64)
+        bn = BatchNorm(2, "silu").astype(np.float64)
         x = np.random.default_rng(0).standard_normal((3, 2, 4))
         out = bn(Tensor(x), training=False)
-        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + nn.NORM_EPS), atol=1e-12)
+        np.testing.assert_allclose(out.data, silu_reference(x / np.sqrt(1.0 + nn.NORM_EPS)),
+                                   atol=1e-12)
 
     def test_running_stats_update_rule(self):
-        bn = BatchNorm(1).astype(np.float64)
+        bn = BatchNorm(1, "relu").astype(np.float64)
         x = np.array([1.0, 3.0]).reshape(2, 1)
         bn(Tensor(x), training=True)
         np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
         np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
 
     def test_single_element_batch_rejected(self):
-        bn = BatchNorm(3)
+        bn = BatchNorm(3, "relu")
         with pytest.raises(ShapeError):
             bn(Tensor(np.zeros((1, 3), dtype=np.float32)), training=True)
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError):
+            BatchNorm(3, "tanh")
 
 
 class TestLayerNorm:
@@ -494,13 +538,16 @@ def test_gradcheck_layernorm():
     _gradcheck_layer(lambda r: LayerNorm(5).astype(np.float64), (3, 4, 5))
 
 
-def test_gradcheck_batchnorm_training():
-    _gradcheck_layer(lambda r: BatchNorm(3).astype(np.float64), (4, 3, 5), n_extra=1)
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_gradcheck_batchnorm_training(activation, chunking):
+    _gradcheck_layer(lambda r: BatchNorm(3, activation).astype(np.float64), (4, 3, 5),
+                     n_extra=1)
 
 
-def test_gradcheck_batchnorm_eval():
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_gradcheck_batchnorm_eval(activation, chunking):
     rng = np.random.default_rng(43)
-    bn = BatchNorm(3).astype(np.float64)
+    bn = BatchNorm(3, activation).astype(np.float64)
     bn.running_mean[:] = rng.standard_normal(3)
     bn.running_var[:] = 0.5 + rng.random(3)
     x = Parameter(rng.standard_normal((4, 3, 5)), name="x")
@@ -599,11 +646,15 @@ def test_layernorm_output_statistics():
 
 
 def test_batchnorm_output_statistics():
-    bn = BatchNorm(4).astype(np.float64)
+    # relu(z) - relu(-z) = silu(z) - silu(-z) = z: gamma = -1 gives act(-z)
     x = np.random.default_rng(10).standard_normal((100, 4, 6)) * 1.7 - 0.4
-    out = bn(Tensor(x), training=True).data
-    assert np.abs(out.mean(axis=(0, 2))).max() < 1e-5
-    assert np.abs(out.var(axis=(0, 2)) - 1.0).max() < 1e-3
+    for activation in ("relu", "silu"):
+        bn = BatchNorm(4, activation).astype(np.float64)
+        flipped = BatchNorm(4, activation).astype(np.float64)
+        flipped.gamma.data[:] = -1.0
+        out = bn(Tensor(x), training=True).data - flipped(Tensor(x), training=True).data
+        assert np.abs(out.mean(axis=(0, 2))).max() < 1e-5
+        assert np.abs(out.var(axis=(0, 2)) - 1.0).max() < 1e-3
 
 
 def test_module_named_parameters_unique_paths():

@@ -119,11 +119,24 @@ class TestTapeMechanics:
             y = T.mul(x, x)
             z = T.add(y, y)
             loss = T.sum_all(z)
-        n_nodes = len(tape.nodes)
         tape.backward(loss)
-        assert len(tape.nodes) == n_nodes
+        assert len(tape.nodes) == 0  # consumed
         # d/dx of 2x^2 at 2 is 8; double-counting any node would break this
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_backward_consumes_the_tape(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        w = Parameter(np.array([3.0, 4.0]), name="w")
+        with Tape() as tape:
+            y = T.mul(x, w)
+            loss = T.sum_all(T.add(y, y))
+        tape.backward(loss)
+        assert tape.nodes == []
+        assert y.grad is None and loss.grad is None
+        np.testing.assert_array_equal(x.grad, [6.0, 8.0])
+        np.testing.assert_array_equal(w.grad, [2.0, 4.0])
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
 
     def test_gradients_accumulate_additively(self):
         x = t64([1.0, 2.0], requires_grad=True)

@@ -109,6 +109,25 @@ class TestTrain:
         with pytest.raises(NonFiniteError, match="conv3d"):
             train(model, train_set, cfg)
 
+    def test_nonfinite_error_names_epoch_and_step(self, monkeypatch):
+        # 100 patches at batch 16 are 7 steps an epoch: a weight broken by
+        # the 9th update breaks the 10th forward, step 3 of epoch 2
+        ps = balanced_patchset()
+        model = PatchClassifier(tiny_config(num_classes=4, patch_size=3, bands=4),
+                                np.random.default_rng(0))
+        step = Adam.step
+
+        def breaking_step(opt):
+            step(opt)
+            if opt.t == 9:
+                model.stem.weight.data[0, 0, 1, 1, 1] = np.nan
+
+        monkeypatch.setattr(Adam, "step", breaking_step)
+        with pytest.raises(NonFiniteError) as exc:
+            train(model, ps, TrainConfig(epochs=3, batch_size=16, seed=0))
+        assert str(exc.value) == ("non-finite values produced by conv3d in stem "
+                                  "at epoch 2, step 3")
+
     def test_unlabeled_entries_rejected(self):
         ps = balanced_patchset()
         ps.labels[0] = 0
