@@ -9,8 +9,9 @@ spectral tokens), exchanges information through bi-directional
 cross-attention with residual/FFN branches, then projects both streams
 back to C channels under a global residual. The paper's projection is a
 1x1x1 convolution over both streams replicated to cube size and
-concatenated; each half is constant along its replicated axes, so it is
-computed exactly as two token matmuls and a broadcast add.
+concatenated; each half is constant along its replicated axes, so
+StreamProjector computes it exactly as two token matmuls and a broadcast
+add, one tape op that also adds the residual.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import CrossAttention, SelfAttention
-from .nn import BatchNorm, Conv2D, Conv3D, LayerNorm, Linear, Module, dropout, silu
-from .tensor import Tensor
+from .nn import BatchNorm, Conv2D, Conv3D, LayerNorm, Linear, Module, _kaiming_uniform, dropout, silu
+from .tensor import Parameter, Tensor
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,42 @@ def _check_input(x: Tensor, channels: int) -> None:
         raise T.ShapeError(f"expected [B,{channels},H,W,D], got {x.shape}")
 
 
+class StreamProjector(Module):
+    """x + projector(concat(spatial over D, spectral over H,W)), the paper's
+    1x1x1 projection of both streams under the block's global residual, as
+    one op: with the weight [c,2d,1,1,1] split into W_s and W_p [c,d], this
+    is x + W_s s broadcast over D + (W_p p + b) broadcast over H,W, for x
+    [B,c,H,W,D], spatial tokens s [B,H*W,d] and spectral tokens p [B,D,d]."""
+
+    def __init__(self, dim: int, channels: int, rng: np.random.Generator):
+        super().__init__()
+        self.weight = Parameter(_kaiming_uniform(rng, (channels, 2 * dim, 1, 1, 1), 2 * dim))
+        self.bias = Parameter(np.zeros(channels, dtype=np.float32))
+
+    def __call__(self, x: Tensor, spatial: Tensor, spectral: Tensor) -> Tensor:
+        b, c, hh, ww, dd = x.shape
+        d = spatial.shape[2]
+        weight, bias = self.weight, self.bias
+        wmat = weight.data.reshape(c, 2 * d)
+        w_s, w_p = wmat[:, :d], wmat[:, d:]
+        sd, pd = spatial.data, spectral.data
+        ys = (sd @ w_s.T).transpose(0, 2, 1).reshape(b, c, hh, ww, 1)
+        yp = (pd @ w_p.T + bias.data).transpose(0, 2, 1).reshape(b, c, 1, 1, dd)
+        out = x.data + ys
+        out += yp
+
+        def backward(g):
+            g_s = g.sum(axis=4).reshape(b, c, hh * ww)  # [B,c,H*W]
+            g_p = g.sum(axis=(2, 3))  # [B,c,D]
+            gw = np.concatenate((np.tensordot(g_s, sd, axes=([0, 2], [0, 1])),
+                                 np.tensordot(g_p, pd, axes=([0, 2], [0, 1]))), axis=1)
+            return (g, g_s.transpose(0, 2, 1) @ w_s, g_p.transpose(0, 2, 1) @ w_p,
+                    gw.reshape(weight.shape), g_p.sum(axis=(0, 2)))
+
+        return T.record_op("project_streams", (x, spatial, spectral, weight, bias),
+                           out, backward)
+
+
 class SpectralCABlock(Module):
     def __init__(self, config: SpectralCAConfig, rng: np.random.Generator):
         super().__init__()
@@ -88,7 +125,7 @@ class SpectralCABlock(Module):
         self.spectral_ffn_norm = LayerNorm(d)
         self.spatial_ffn = FeedForward(d, config.dropout_rate, rng)
         self.spectral_ffn = FeedForward(d, config.dropout_rate, rng)
-        self.projector = Conv3D(2 * d, c, 1, rng)
+        self.projector = StreamProjector(d, c, rng)  # drawn last: fixes fresh SCK1 bytes
 
     def spatial_path(self, x: Tensor, training: bool) -> Tensor:
         """Band-mean -> Conv2D -> BN -> SiLU -> H*W tokens -> LayerNorm."""
@@ -118,36 +155,7 @@ class SpectralCABlock(Module):
         spectral = T.add(spectral, dropout(att2, rate, training, rng))
         spectral = T.add(spectral, self.spectral_ffn(self.spectral_ffn_norm(spectral), training, rng))
 
-        return _project_streams(x, spatial, spectral, self.projector)
-
-
-def _project_streams(x: Tensor, spatial: Tensor, spectral: Tensor,
-                    projector: Conv3D) -> Tensor:
-    """x + projector(concat(spatial over D, spectral over H,W)) as one op:
-    with the 1x1x1 weight [c,2d,1,1,1] split into W_s and W_p [c,d], this is
-    x + W_s s broadcast over D + (W_p p + b) broadcast over H,W, for x
-    [B,c,H,W,D], spatial tokens s [B,H*W,d] and spectral tokens p [B,D,d]."""
-    b, c, hh, ww, dd = x.shape
-    d = spatial.shape[2]
-    weight, bias = projector.weight, projector.bias
-    wmat = weight.data.reshape(c, 2 * d)
-    w_s, w_p = wmat[:, :d], wmat[:, d:]
-    sd, pd = spatial.data, spectral.data
-    ys = (sd @ w_s.T).transpose(0, 2, 1).reshape(b, c, hh, ww, 1)
-    yp = (pd @ w_p.T + bias.data).transpose(0, 2, 1).reshape(b, c, 1, 1, dd)
-    out = x.data + ys
-    out += yp
-
-    def backward(g):
-        g_s = g.sum(axis=4).reshape(b, c, hh * ww)  # [B,c,H*W]
-        g_p = g.sum(axis=(2, 3))  # [B,c,D]
-        gw = np.concatenate((np.tensordot(g_s, sd, axes=([0, 2], [0, 1])),
-                             np.tensordot(g_p, pd, axes=([0, 2], [0, 1]))), axis=1)
-        return (g, g_s.transpose(0, 2, 1) @ w_s, g_p.transpose(0, 2, 1) @ w_p,
-                gw.reshape(weight.shape), g_p.sum(axis=(0, 2)))
-
-    return T.record_op("project_streams", (x, spatial, spectral, weight, bias),
-                       out, backward)
+        return self.projector(x, spatial, spectral)
 
 
 class BaselineViTBlock(Module):

@@ -77,12 +77,20 @@ def _load_scene(data_dir: Path):
 
 def _checkpoint_and_split(args, default_recipe: dict | None = None):
     """The model and data recipe of the checkpoint at --model, read once,
-    and the (train, test, pool) split of the scene at --data by that recipe
-    (default_recipe when the checkpoint carries none)."""
+    and the (train, test, pool) split of the scene at --data by that recipe,
+    which must set every recipe key and the model's patch size (default_recipe
+    at the model's patch size when the checkpoint carries none)."""
     model, manifest = read_checkpoint(args.model)
-    recipe = manifest.get("data_recipe") or default_recipe
+    recipe = manifest.get("data_recipe")
+    recipe = default_recipe if recipe is None else recipe
     if recipe is None:
         raise CheckpointError("checkpoint carries no data recipe for re-splitting")
+    _config_section(recipe, "data_recipe", _RECIPE_TYPES, CheckpointError)
+    patch_size = model.config.patch_size
+    if recipe.keys() != _RECIPE_TYPES.keys() or (
+            recipe is not default_recipe and recipe["patch_size"] != patch_size):
+        raise CheckpointError(f"data_recipe {recipe} needs the keys {list(_RECIPE_TYPES)} "
+                              f"and the model's patch_size {patch_size}")
     cube, labels = _load_scene(Path(args.data))
     if labels.num_classes != model.config.num_classes:
         raise CheckpointError(f"scene has {labels.num_classes} classes, checkpoint "
@@ -90,9 +98,9 @@ def _checkpoint_and_split(args, default_recipe: dict | None = None):
     if cube.bands != model.config.bands:
         raise CheckpointError(f"scene has {cube.bands} bands, checkpoint "
                               f"{model.config.bands}")
-    patches = extract_patches(cube, labels, recipe["patch_size"])
+    patches = extract_patches(cube, labels, patch_size)
     return model, recipe, split(patches, recipe["train_fraction"], recipe["split_seed"],
-                                test_fraction=recipe.get("test_fraction"))
+                                test_fraction=recipe["test_fraction"])
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +129,14 @@ _TRAIN_CONFIG_DEFAULTS = {
     "test_fraction": None,
     "split_seed": 0,
 }
-# what a train config may set at its top level
-_TRAIN_CONFIG_TYPES = {
+# what a data recipe holds, and a train config may set at its top level
+_RECIPE_TYPES = {
     "patch_size": int,
     "train_fraction": float,
     "test_fraction": float | None,
     "split_seed": int,
-    "train": dict,
-    "model": dict,
 }
+_TRAIN_CONFIG_TYPES = {**_RECIPE_TYPES, "train": dict, "model": dict}
 
 
 def _accepts(hint, value) -> bool:
@@ -141,14 +148,14 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _config_section(payload, name: str, hints: dict) -> dict:
+def _config_section(payload, name: str, hints: dict, error: type = ConfigError) -> dict:
     if not isinstance(payload, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(payload).__name__}")
+        raise error(f"{name} must be a JSON object, got {type(payload).__name__}")
     for key, value in payload.items():
         if key not in hints:
-            raise ConfigError(f"unknown key {key!r} in {name}")
+            raise error(f"unknown key {key!r} in {name}")
         if not _accepts(hints[key], value):
-            raise ConfigError(f"{name}.{key} has the wrong type: {value!r}")
+            raise error(f"{name}.{key} has the wrong type: {value!r}")
     return payload
 
 

@@ -28,7 +28,6 @@ class Hypercube:
     """H x W x D reflectance cube, band axis last, float32."""
 
     values: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
@@ -131,7 +130,7 @@ def generate_synthetic(seed: int, height: int, width: int, bands: int,
     if noise_sigma > 0:
         cube = cube + noise_sigma * rng.standard_normal(cube.shape)
     return (
-        Hypercube(cube.astype(np.float32), name=f"synthetic-{seed}"),
+        Hypercube(cube.astype(np.float32)),
         LabelRaster(labels, num_classes),
     )
 
@@ -189,7 +188,7 @@ def load_cube(header_path, data_path) -> Hypercube:
             f"length mismatch: expected {expected} bytes, got {len(raw)}"
         )
     bsq = np.frombuffer(raw, dtype="<f4").reshape(bands, height, width)
-    return Hypercube(bsq.transpose(1, 2, 0).copy(), name=str(data_path))
+    return Hypercube(bsq.transpose(1, 2, 0).copy())
 
 
 def save_labels(raster: LabelRaster, path) -> None:
@@ -359,7 +358,7 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
 
     train_sel = np.concatenate(train_idx)
     test_sel = np.concatenate(test_idx)
-    pool_sel = np.concatenate(pool_idx) if pool_idx else np.empty(0, dtype=np.int64)
+    pool_sel = np.concatenate(pool_idx)
 
     radius = patchset.patch_size // 2
     # raw (un-normalized) cube values live in the padded array's core

@@ -1,11 +1,12 @@
 """Neural primitives with forward and backward rules.
 
-Layers are Modules owning Parameters; functional ops (silu, relu, softmax,
+Layers are Modules owning Parameters; functional ops (silu, softmax,
 dropout, cross_entropy) live alongside. Every layer is built in float32;
 ``Module.astype(np.float64)`` converts a built model for gradient checks.
-BatchNorm and the activation after it (ReLU or SiLU) are one op that
-retains only its input; backward recomputes the rest. Convolutions are
-same-padded cross-correlations (no kernel flip), stride 1, lowered by
+BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
+place ReLU exists. That op and silu retain only their input; backward
+recomputes the rest, SiLU's derivative always by _silu_slope. Convolutions
+are same-padded cross-correlations (no kernel flip), stride 1, lowered by
 partial im2col: the batch is split into chunks whose buffers fit in cache;
 each chunk gathers the kernel taps over all spatial axes but the last, and
 the k taps along the last axis are k BLAS matmuls on shifted views of those
@@ -142,8 +143,6 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
     """[n,C,*S] -> [k^(d-1) * C, n * prod(S[:-1]) * (S[-1]+2p)] columns:
     every tap over the leading axes, the last axis whole and padded."""
     n, c = x_chunk.shape[:2]
-    if k == 1:
-        return np.ascontiguousarray(np.swapaxes(x_chunk, 0, 1)).reshape(c, -1)
     xpt = np.zeros((c, n) + tuple(e + 2 * pad for e in spatial), dtype=x_chunk.dtype)
     xpt[(slice(None), slice(None)) + tuple(slice(pad, pad + e) for e in spatial)] = \
         np.swapaxes(x_chunk, 0, 1)
@@ -487,24 +486,16 @@ def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x), elementwise."""
-    sig = _sigmoid(x.data)
-    out = x.data * sig
+    """x * sigmoid(x), elementwise; retains only x and overwrites g in backward."""
+    xd = x.data
+    out = _sigmoid(xd)
+    out *= xd
 
     def backward(g):
-        return (g * sig * (1.0 + x.data * (1.0 - sig)),)
+        g *= _silu_slope(xd.copy())
+        return (g,)
 
     return record_op("silu", (x,), out, backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-
-    def backward(g):
-        return (g * mask,)
-
-    return record_op("relu", (x,), out, backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -28,6 +28,7 @@ from .tensor import NonFiniteError, Parameter, Tape, Tensor
 
 # patches per eval forward in predict_set, evaluate and pseudo-labelling
 EVAL_BATCH = 64
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates, denominator offset
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,6 @@ class TrainConfig:
     epochs: int = 60
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     eval_cadence: int = 0          # epochs between test evaluations, 0 = never
     target_oa: float | None = None  # stop once a cadence eval reaches this
@@ -54,28 +52,24 @@ class TrainConfig:
 class Adam:
     """Adaptive moments with bias correction."""
 
-    def __init__(self, params: list[Parameter], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
@@ -90,7 +84,7 @@ def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
         raise ValueError("training set must be non-empty and fully labeled")
     ss = np.random.SeedSequence(cfg.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    opt = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    opt = Adam(model.parameters(), cfg.learning_rate)
     n = len(train_set)
     history: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectralca import block as block_module, tensor as T
+from spectralca import tensor as T
 from spectralca.block import (
     CFG32,
     CFG64,
@@ -11,6 +11,7 @@ from spectralca.block import (
     BaselineViTBlock,
     SpectralCABlock,
     SpectralCAConfig,
+    StreamProjector,
     closed_form_counts,
     param_audit,
 )
@@ -168,12 +169,12 @@ class TestOutputStage:
         block.projector.bias.data[:] = rng.standard_normal(config.channels)
         seen = []
 
-        def spy(*args):
-            seen.append([t.data for t in args[:3]])
-            return project(*args)
+        def spy(projector, *args):
+            seen.append([t.data for t in args])
+            return project(projector, *args)
 
-        project = block_module._project_streams
-        monkeypatch.setattr(block_module, "_project_streams", spy)
+        project = StreamProjector.__call__
+        monkeypatch.setattr(StreamProjector, "__call__", spy)
         x = Tensor(rng.standard_normal(shape))
         out = block(x, training=training, rng=np.random.default_rng(11))
         xd, spatial, spectral = seen[0]
@@ -196,9 +197,9 @@ class TestOutputStage:
         g = rng.standard_normal(x.shape)
         block.zero_grad()
         with Tape() as tape:
-            out = block_module._project_streams(x, s, p, block.projector)
+            out = block.projector(x, s, p)
+            assert [node.op for node in tape.nodes] == ["project_streams"]
             loss = T.sum_all(T.mul(out, Tensor(g)))
-        assert len(tape.nodes) == 3
         tape.backward(loss)
         linear = np.vdot(out.data - x.data - bias.data.reshape(1, -1, 1, 1, 1), g)
         np.testing.assert_allclose(np.vdot(s.data, s.grad) + np.vdot(p.data, p.grad),

@@ -76,6 +76,16 @@ def test_eval_on_bad_offsets_is_one_checkpoint_err_line(scene, tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("ERR:checkpoint: ")
 
 
+def test_eval_without_recipe_splits_at_the_model_patch_size(scene, tmp_path):
+    # the default recipe's patch size of 9 gives way to the model's 3
+    model = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
+                            np.random.default_rng(0))
+    save_checkpoint(model, tmp_path / "m.bin")
+    assert main(["eval", "--model", str(tmp_path / "m.bin"), "--data", str(scene),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert 0.0 <= json.loads((tmp_path / "r.json").read_text())["oa"] <= 1.0
+
+
 # train config files that are not UTF-8 JSON objects of known keys and
 # value types, or hold an invalid value, and the error code each maps to
 BAD_CONFIGS = {
@@ -87,6 +97,17 @@ BAD_CONFIGS = {
     "non-utf8": (b'{"patch_size": 9}\xff', "config-parse"),
     "zero-heads": (b'{"model": {"block1": {"channels": 64, "dim": 96, "heads": 0}}}',
                    "invalid-argument"),
+}
+
+# checkpoint data recipes that lack a key, hold a wrongly typed value, are
+# not an object (an empty one too) or differ from the model's patch size of 3
+GOOD_RECIPE = {"patch_size": 3, "train_fraction": 0.5, "test_fraction": None, "split_seed": 0}
+BAD_RECIPES = {
+    "missing-key": {k: v for k, v in GOOD_RECIPE.items() if k != "patch_size"},
+    "string-patch-size": {**GOOD_RECIPE, "patch_size": "3"},
+    "list": [3, 0.5, None, 0],
+    "empty-list": [],
+    "other-patch-size": {**GOOD_RECIPE, "patch_size": 5},
 }
 
 # malformed inputs, at least one per subcommand, and the error code each
@@ -115,6 +136,9 @@ MALFORMED = {
                     "--out", "{tmp}/r.json"], "checkpoint"),
     "ssl-bands": (["ssl", "--model", "{four_bands_bin}", "--data", "{six_band_scene}",
                    "--out", "{tmp}/s"], "checkpoint"),
+    **{f"{command}-recipe-{name}": ([command, "--model", f"{{tmp}}/recipe-{name}.bin",
+                                     "--data", "{scene}", "--out", "{tmp}/o"], "checkpoint")
+       for command in ("eval", "ssl") for name in BAD_RECIPES},
     "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
     "gradcheck": (["gradcheck", "--samples", "0", "--no-full-size-spot"], "invalid-argument"),
     "bench": (["bench", "--height", "0", "--runs", "1"], "invalid-argument"),
@@ -138,13 +162,13 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     # fits the scene's bands and the recipe's patch size in all but its class count
     three_classes = PatchClassifier(replace(TINY_MODEL, patch_size=3, bands=4),
                                     np.random.default_rng(0))
-    recipe = {"patch_size": 3, "train_fraction": 0.5, "test_fraction": None,
-              "split_seed": 0}
-    save_checkpoint(three_classes, tmp_path / "three_classes.bin", data_recipe=recipe)
-    # fits the 6-band scene in all but its band count
+    save_checkpoint(three_classes, tmp_path / "three_classes.bin", data_recipe=GOOD_RECIPE)
+    # fits the 6-band scene in all but its band count, and the 4-band scene
     four_bands = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
                                  np.random.default_rng(0))
-    save_checkpoint(four_bands, tmp_path / "four_bands.bin", data_recipe=recipe)
+    save_checkpoint(four_bands, tmp_path / "four_bands.bin", data_recipe=GOOD_RECIPE)
+    for name, recipe in BAD_RECIPES.items():
+        save_checkpoint(four_bands, tmp_path / f"recipe-{name}.bin", data_recipe=recipe)
     assert main(["gen", "--seed", "3", "--height", "8", "--width", "8", "--bands", "6",
                  "--classes", "2", "--out", str(tmp_path / "scene6")]) == 0
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",

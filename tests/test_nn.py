@@ -14,7 +14,6 @@ from spectralca.nn import (
     Linear,
     cross_entropy,
     dropout,
-    relu,
     silu,
     softmax,
 )
@@ -104,33 +103,17 @@ class TestConv3D:
         assert layer(x).shape == (2, 96, 9, 9, 32)
 
     def test_matches_bruteforce(self):
-        rng = np.random.default_rng(8)
-        layer = Conv3D(2, 3, 3, rng).astype(np.float64)
-        layer.bias.data[:] = rng.standard_normal(3)
-        x = rng.standard_normal((2, 2, 3, 4, 3))
-        expected = conv_reference(x, layer.weight.data, layer.bias.data)
-        np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
+        for seed in (8, 77):
+            rng = np.random.default_rng(seed)
+            layer = Conv3D(2, 3, 3, rng).astype(np.float64)
+            layer.bias.data[:] = rng.standard_normal(3)
+            x = rng.standard_normal((2, 2, 3, 4, 3))
+            expected = conv_reference(x, layer.weight.data, layer.bias.data)
+            np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
             Conv3D(1, 1, 2, RNG)
-
-
-def test_conv_numpy_fallback_matches_bruteforce():
-    rng = np.random.default_rng(77)
-    layer = Conv3D(2, 3, 3, rng).astype(np.float64)
-    layer.bias.data[:] = rng.standard_normal(3)
-    x = rng.standard_normal((2, 2, 3, 4, 3))
-    expected = conv_reference(x, layer.weight.data, layer.bias.data)
-    np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
-    x2 = Parameter(rng.standard_normal((1, 2, 3, 3, 3)), name="x")
-
-    def f():
-        out = layer(x2)
-        return T.scale(T.mean_all(T.mul(out, out)), 0.01)
-
-    report = grad_check(f, [x2] + layer.parameters(), rng=rng, samples_per_parameter=30)
-    assert report.ok, str(report)
 
 
 # --- convolutions split into several batch chunks -------------------------
@@ -298,6 +281,18 @@ def test_recorded_batchnorm_retains_only_its_output():
                requires_grad=True)
     with Tape() as tape:
         out, _, retained = _traced_bytes(lambda: bn(x, training=True))
+    assert len(tape.nodes) == 1
+    assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
+
+
+def test_recorded_silu_retains_only_its_input():
+    # the FFN's SiLU under a tape: backward recomputes the sigmoid from the
+    # input, so after the forward only the output stays allocated (a kept
+    # sigmoid would add an output-sized buffer)
+    rng = np.random.default_rng(86)
+    x = Tensor(rng.standard_normal((32, 81, 192)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        out, _, retained = _traced_bytes(lambda: silu(x))
     assert len(tape.nodes) == 1
     assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
 
@@ -562,8 +557,8 @@ def test_gradcheck_batchnorm_eval(activation, chunking):
 
 @pytest.mark.parametrize(
     "fn",
-    [silu, relu, lambda x: softmax(x, axis=-1)],
-    ids=["silu", "relu", "softmax"],
+    [silu, lambda x: softmax(x, axis=-1)],
+    ids=["silu", "softmax"],
 )
 def test_gradcheck_activations(fn):
     rng = np.random.default_rng(44)
