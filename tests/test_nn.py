@@ -103,17 +103,33 @@ class TestConv3D:
         assert layer(x).shape == (2, 96, 9, 9, 32)
 
     def test_matches_bruteforce(self):
-        for seed in (8, 77):
-            rng = np.random.default_rng(seed)
-            layer = Conv3D(2, 3, 3, rng).astype(np.float64)
-            layer.bias.data[:] = rng.standard_normal(3)
-            x = rng.standard_normal((2, 2, 3, 4, 3))
-            expected = conv_reference(x, layer.weight.data, layer.bias.data)
-            np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
+        rng = np.random.default_rng(8)
+        layer = Conv3D(2, 3, 3, rng).astype(np.float64)
+        layer.bias.data[:] = rng.standard_normal(3)
+        x = rng.standard_normal((2, 2, 3, 4, 3))
+        expected = conv_reference(x, layer.weight.data, layer.bias.data)
+        np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
             Conv3D(1, 1, 2, RNG)
+
+
+def test_conv_numpy_fallback_matches_bruteforce():
+    rng = np.random.default_rng(77)
+    layer = Conv3D(2, 3, 3, rng).astype(np.float64)
+    layer.bias.data[:] = rng.standard_normal(3)
+    x = rng.standard_normal((2, 2, 3, 4, 3))
+    expected = conv_reference(x, layer.weight.data, layer.bias.data)
+    np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
+    x2 = Parameter(rng.standard_normal((1, 2, 3, 3, 3)), name="x")
+
+    def f():
+        out = layer(x2)
+        return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+
+    report = grad_check(f, [x2] + layer.parameters(), rng=rng, samples_per_parameter=30)
+    assert report.ok, str(report)
 
 
 # --- convolutions split into several batch chunks -------------------------
