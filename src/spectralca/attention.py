@@ -27,15 +27,15 @@ def _merge_heads(t: Tensor) -> Tensor:
     return T.reshape(T.transpose(t, (0, 2, 1, 3)), (b, n, h * dh))
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int):
-    """Scaled dot-product attention per head; returns merged context and weights."""
+def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention per head; returns the merged context."""
     dh = q.shape[-1] // heads
     qh = T.scale(_split_heads(q, heads), 1.0 / np.sqrt(dh))
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
     scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))  # [B,h,Nq,Nk]
     weights = softmax(scores, axis=-1)
-    return _merge_heads(T.matmul(weights, vh)), weights
+    return _merge_heads(T.matmul(weights, vh))
 
 
 class CrossAttention(Module):
@@ -62,8 +62,7 @@ class CrossAttention(Module):
         self.out_spatial = Linear(dim, dim, rng)
         self.out_spectral = Linear(dim, dim, rng)
 
-    def __call__(self, spatial_tokens: Tensor, spectral_tokens: Tensor,
-                 return_weights: bool = False):
+    def __call__(self, spatial_tokens: Tensor, spectral_tokens: Tensor):
         """Returns (spatial-side attended, spectral-side attended) tokens.
 
         The spatial side keeps the spatial token count and aggregates
@@ -74,23 +73,19 @@ class CrossAttention(Module):
                 f"token dim mismatch: expected {self.dim}, got "
                 f"{spatial_tokens.shape[-1]} and {spectral_tokens.shape[-1]}"
             )
-        to_spatial, w1 = _attend(
+        to_spatial = _attend(
             self.q_spatial(spatial_tokens),
             self.k_spectral(spectral_tokens),
             self.v_spectral(spectral_tokens),
             self.heads,
         )
-        to_spectral, w2 = _attend(
+        to_spectral = _attend(
             self.q_spectral(spectral_tokens),
             self.k_spatial(spatial_tokens),
             self.v_spatial(spatial_tokens),
             self.heads,
         )
-        att1 = self.out_spatial(to_spatial)
-        att2 = self.out_spectral(to_spectral)
-        if return_weights:
-            return att1, att2, w1.data, w2.data
-        return att1, att2
+        return self.out_spatial(to_spatial), self.out_spectral(to_spectral)
 
 
 class SelfAttention(Module):
@@ -108,5 +103,5 @@ class SelfAttention(Module):
         self.out = Linear(dim, dim, rng)
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        ctx, _ = _attend(self.q(tokens), self.k(tokens), self.v(tokens), self.heads)
+        ctx = _attend(self.q(tokens), self.k(tokens), self.v(tokens), self.heads)
         return self.out(ctx)

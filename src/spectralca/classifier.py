@@ -1,23 +1,26 @@
 """Compact patch classifier around the cross-attention block: 3D stem,
 one or two blocks (with a widening mid convolution in between), global
-average pooling, and a linear head.
+average pooling, and a linear head; and `decode_config`, which builds a
+frozen config dataclass from JSON for the train config and the manifest.
 
 Checkpoint format (byte-exact):
   magic "SCK1" | u64 LE manifest byte length | manifest JSON (UTF-8,
   sorted keys) | blob of little-endian float32 values.
 Saving writes <path>.tmp in the same directory and renames it over <path>.
-The manifest carries format_version, the model config, an optional seed
-record and data recipe, and the ordered entry registry
-(name/shape/offset/kind) covering both trainable parameters and running
-statistics; the blob holds exactly sum(prod(shape)) * 4 bytes.
+The manifest carries format_version, the model config (`asdict` of the
+ModelConfig; loading decodes it and rejects an unknown, missing or wrongly
+typed key), an optional seed record and data recipe, and the ordered entry
+registry (name/shape/offset/kind) covering both trainable parameters and
+running statistics; the blob holds exactly sum(prod(shape)) * 4 bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -60,34 +63,37 @@ class ModelConfig:
     def feature_channels(self) -> int:
         return self.block1.channels if self.depth == 1 else self.block2.channels
 
-    def to_dict(self) -> dict:
-        def block(cfg: SpectralCAConfig) -> dict:
-            return {"channels": cfg.channels, "dim": cfg.dim, "heads": cfg.heads,
-                    "dropout_rate": cfg.dropout_rate}
 
-        return {
-            "num_classes": self.num_classes,
-            "patch_size": self.patch_size,
-            "bands": self.bands,
-            "depth": self.depth,
-            "stem_channels": self.stem_channels,
-            "block1": block(self.block1),
-            "mid_channels": self.mid_channels,
-            "block2": block(self.block2),
-        }
+def _accepts(hint, value) -> bool:
+    """isinstance against a field's type hint, where an int passes as a
+    float and a bool passes as neither."""
+    types = get_args(hint) or (hint,)
+    if float in types:
+        types += (int,)
+    return isinstance(value, types) and not isinstance(value, bool)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        return cls(
-            num_classes=payload["num_classes"],
-            patch_size=payload["patch_size"],
-            bands=payload["bands"],
-            depth=payload["depth"],
-            stem_channels=payload["stem_channels"],
-            block1=SpectralCAConfig(**payload["block1"]),
-            mid_channels=payload["mid_channels"],
-            block2=SpectralCAConfig(**payload["block2"]),
-        )
+
+def decode_config(cls, payload, name: str, error: type[Exception]):
+    """The frozen config dataclass `cls` built from the JSON object
+    `payload`, with fields that are config dataclasses decoded the same way.
+    A non-object, an unknown key, a wrongly typed value or a missing
+    required key raises `error`; the class's own checks raise ValueError."""
+    if not isinstance(payload, dict):
+        raise error(f"{name} must be a JSON object, got {type(payload).__name__}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in payload.items():
+        if key not in hints:
+            raise error(f"unknown key {key!r} in {name}")
+        if is_dataclass(hints[key]):
+            value = decode_config(hints[key], value, f"{name}.{key}", error)
+        elif not _accepts(hints[key], value):
+            raise error(f"{name}.{key} has the wrong type: {value!r}")
+        values[key] = value
+    missing = [f.name for f in fields(cls) if f.name not in values and f.default is MISSING]
+    if missing:
+        raise error(f"{name} lacks the keys {missing}")
+    return cls(**values)
 
 
 class PatchClassifier(Module):
@@ -183,7 +189,7 @@ def save_checkpoint(model: PatchClassifier, path, seed: int | None = None,
         offset += len(raw)
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "model": model.config.to_dict(),
+        "model": asdict(model.config),
         "seed": seed,
         "data_recipe": data_recipe,
         "entries": entries,
@@ -206,7 +212,8 @@ def save_checkpoint(model: PatchClassifier, path, seed: int | None = None,
         raise
 
 
-def read_manifest(path) -> dict:
+def _read_file(path) -> tuple[dict, bytes]:
+    """The manifest and the blob of the checkpoint at `path`."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, not a checkpoint")
@@ -221,8 +228,7 @@ def read_manifest(path) -> dict:
         raise CheckpointError(
             f"unsupported format_version {manifest.get('format_version')}"
         )
-    manifest["_blob"] = blob[12 + length:]
-    return manifest
+    return manifest, blob[12 + length:]
 
 
 def _well_formed(entry) -> bool:
@@ -240,9 +246,8 @@ def load_checkpoint(path) -> PatchClassifier:
 
 
 def read_checkpoint(path) -> tuple[PatchClassifier, dict]:
-    """The model and the manifest (blob removed) from one read of `path`."""
-    manifest = read_manifest(path)
-    blob = manifest.pop("_blob")
+    """The model and the manifest from one read of `path`."""
+    manifest, blob = _read_file(path)
     entries = manifest.get("entries")
     if not isinstance(entries, list) or not all(map(_well_formed, entries)):
         raise CheckpointError("manifest entries need a name, an integer offset "
@@ -261,11 +266,13 @@ def read_checkpoint(path) -> tuple[PatchClassifier, dict]:
             f"blob length mismatch: expected {expected} bytes, got {len(blob)}"
         )
     try:
-        config = ModelConfig.from_dict(manifest["model"])
+        config = decode_config(ModelConfig, manifest.get("model"), "model", CheckpointError)
+        if asdict(config) != manifest["model"]:
+            raise CheckpointError(f"{manifest['model']} leaves a key to its default")
         # every array is overwritten from the blob below, so the seed is moot
         model = PatchClassifier(config, rng=np.random.default_rng(0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"bad model config in manifest: {exc!r}") from exc
+    except ValueError as exc:
+        raise CheckpointError(f"bad model config in manifest: {exc}") from exc
     available = {name: (kind, arr) for name, kind, arr in _entry_arrays(model)}
     for entry in entries:
         name = entry["name"]

@@ -8,17 +8,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .block import (PRESETS, AuditMismatchError, BaselineViTBlock, SpectralCABlock,
-                    SpectralCAConfig, param_audit)
+from .block import PRESETS, AuditMismatchError, BaselineViTBlock, SpectralCABlock, param_audit
 from .classifier import (
     CheckpointError,
     ModelConfig,
     PatchClassifier,
+    decode_config,
     read_checkpoint,
     save_checkpoint,
 )
@@ -75,22 +75,37 @@ def _load_scene(data_dir: Path):
     return cube, labels
 
 
-def _checkpoint_and_split(args, default_recipe: dict | None = None):
+@dataclass(frozen=True)
+class DataRecipe:
+    """How a scene is cut into patches and split: the top level of a train
+    config, recorded in the checkpoint so that eval and ssl re-split alike."""
+
+    patch_size: int = 9
+    train_fraction: float = 0.1
+    test_fraction: float | None = None
+    split_seed: int = 0
+
+
+def _split(cube, labels, recipe: DataRecipe):
+    patches = extract_patches(cube, labels, recipe.patch_size)
+    return split(patches, recipe.train_fraction, recipe.split_seed,
+                 test_fraction=recipe.test_fraction)
+
+
+def _checkpoint_and_split(args):
     """The model and data recipe of the checkpoint at --model, read once,
     and the (train, test, pool) split of the scene at --data by that recipe,
-    which must set every recipe key and the model's patch size (default_recipe
-    at the model's patch size when the checkpoint carries none)."""
+    which must set every recipe key and the model's patch size (the default
+    recipe at the model's patch size when the checkpoint carries none)."""
     model, manifest = read_checkpoint(args.model)
-    recipe = manifest.get("data_recipe")
-    recipe = default_recipe if recipe is None else recipe
-    if recipe is None:
-        raise CheckpointError("checkpoint carries no data recipe for re-splitting")
-    _config_section(recipe, "data_recipe", _RECIPE_TYPES, CheckpointError)
     patch_size = model.config.patch_size
-    if recipe.keys() != _RECIPE_TYPES.keys() or (
-            recipe is not default_recipe and recipe["patch_size"] != patch_size):
-        raise CheckpointError(f"data_recipe {recipe} needs the keys {list(_RECIPE_TYPES)} "
-                              f"and the model's patch_size {patch_size}")
+    raw = manifest.get("data_recipe")
+    recipe = DataRecipe(patch_size=patch_size)
+    if raw is not None:
+        recipe = decode_config(DataRecipe, raw, "data_recipe", CheckpointError)
+        if asdict(recipe) != raw or recipe.patch_size != patch_size:
+            raise CheckpointError(f"data_recipe {raw} must set every DataRecipe key "
+                                  f"and the model's patch_size {patch_size}")
     cube, labels = _load_scene(Path(args.data))
     if labels.num_classes != model.config.num_classes:
         raise CheckpointError(f"scene has {labels.num_classes} classes, checkpoint "
@@ -98,9 +113,7 @@ def _checkpoint_and_split(args, default_recipe: dict | None = None):
     if cube.bands != model.config.bands:
         raise CheckpointError(f"scene has {cube.bands} bands, checkpoint "
                               f"{model.config.bands}")
-    patches = extract_patches(cube, labels, patch_size)
-    return model, recipe, split(patches, recipe["train_fraction"], recipe["split_seed"],
-                                test_fraction=recipe["test_fraction"])
+    return model, recipe, _split(cube, labels, recipe)
 
 
 # ---------------------------------------------------------------------------
@@ -123,74 +136,31 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_TRAIN_CONFIG_DEFAULTS = {
-    "patch_size": 9,
-    "train_fraction": 0.1,
-    "test_fraction": None,
-    "split_seed": 0,
-}
-# what a data recipe holds, and a train config may set at its top level
-_RECIPE_TYPES = {
-    "patch_size": int,
-    "train_fraction": float,
-    "test_fraction": float | None,
-    "split_seed": int,
-}
-_TRAIN_CONFIG_TYPES = {**_RECIPE_TYPES, "train": dict, "model": dict}
-
-
-def _accepts(hint, value) -> bool:
-    """isinstance against a field's type hint, where an int passes as a
-    float and a bool passes as neither."""
-    types = get_args(hint) or (hint,)
-    if float in types:
-        types += (int,)
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _config_section(payload, name: str, hints: dict, error: type = ConfigError) -> dict:
-    if not isinstance(payload, dict):
-        raise error(f"{name} must be a JSON object, got {type(payload).__name__}")
-    for key, value in payload.items():
-        if key not in hints:
-            raise error(f"unknown key {key!r} in {name}")
-        if not _accepts(hints[key], value):
-            raise error(f"{name}.{key} has the wrong type: {value!r}")
-    return payload
-
-
-def _read_train_config(path) -> dict:
+def _read_train_config(path) -> tuple[DataRecipe, TrainConfig, dict]:
+    """The recipe and train sections of the train config at `path`, and its
+    model section, which is decoded once the scene is known."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-    return _config_section(raw, "config", _TRAIN_CONFIG_TYPES)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    train_cfg = decode_config(TrainConfig, raw.pop("train", {}), "train", ConfigError)
+    model = raw.pop("model", {})
+    return decode_config(DataRecipe, raw, "config", ConfigError), train_cfg, model
 
 
 def _cmd_train(args) -> int:
-    raw = _read_train_config(args.config) if args.config else {}
-    recipe = {k: raw.get(k, v) for k, v in _TRAIN_CONFIG_DEFAULTS.items()}
-    train_cfg = TrainConfig(**_config_section(raw.get("train", {}), "train",
-                                              get_type_hints(TrainConfig)))
-    # the scene fixes the class count, band count and (via the recipe) patch size
-    model_hints = {k: dict if hint is SpectralCAConfig else hint
-                   for k, hint in get_type_hints(ModelConfig).items()
-                   if k not in ("num_classes", "patch_size", "bands")}
-    model_fields = dict(_config_section(raw.get("model", {}), "model", model_hints))
-    for key in ("block1", "block2"):
-        if key in model_fields:
-            model_fields[key] = SpectralCAConfig(**_config_section(
-                model_fields[key], key, get_type_hints(SpectralCAConfig)))
-
+    recipe, train_cfg, model_fields = _read_train_config(args.config)
     cube, labels = _load_scene(Path(args.data))
-    patches = extract_patches(cube, labels, recipe["patch_size"])
-    train_set, test_set, _ = split(patches, recipe["train_fraction"],
-                                   recipe["split_seed"],
-                                   test_fraction=recipe.get("test_fraction"))
-
-    config = ModelConfig(num_classes=labels.num_classes,
-                         patch_size=recipe["patch_size"], bands=cube.bands,
-                         **model_fields)
+    # the scene fixes the class count, band count and (via the recipe) patch size
+    scene = {"num_classes": labels.num_classes, "patch_size": recipe.patch_size,
+             "bands": cube.bands}
+    if not isinstance(model_fields, dict) or model_fields.keys() & scene.keys():
+        raise ConfigError(f"model must be a JSON object that leaves {sorted(scene)} "
+                          f"to the scene, got {model_fields!r}")
+    config = decode_config(ModelConfig, {**model_fields, **scene}, "model", ConfigError)
+    train_set, test_set, _ = _split(cube, labels, recipe)
     model = PatchClassifier(config, rng=np.random.default_rng(train_cfg.seed))
 
     history = train(model, train_set, train_cfg,
@@ -199,7 +169,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.bin", seed=train_cfg.seed,
-                    data_recipe=recipe)
+                    data_recipe=asdict(recipe))
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for record in history:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -212,7 +182,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _, (_, test_set, _) = _checkpoint_and_split(args, _TRAIN_CONFIG_DEFAULTS)
+    model, _, (_, test_set, _) = _checkpoint_and_split(args)
     weights = None
     if args.infer_time_s is not None:
         weights = ObjectiveWeights(1 / 3, 1 / 3, 1 / 3, args.time_ref,
@@ -240,7 +210,7 @@ def _cmd_ssl(args) -> int:
     _, _, rounds = run_self_training(model, train_set, pool, ssl_cfg, train_cfg,
                                      test_set=test_set, log_path=log_path)
     save_checkpoint(model, out / "checkpoint.bin", seed=args.train_seed,
-                    data_recipe=recipe)
+                    data_recipe=asdict(recipe))
     added = sum(r["selected"] for r in rounds)
     last_oa = rounds[-1].get("test_oa") if rounds else None
     print(f"{len(rounds)} rounds, {added} pseudo-labels added; "

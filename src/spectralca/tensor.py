@@ -347,8 +347,6 @@ class GradCheckReport:
 
     per_parameter: dict[str, float] = field(default_factory=dict)
     tolerance: float = 1e-4
-    step: float = 1e-4
-    samples_per_parameter: int = 200
 
     @property
     def max_rel_err(self) -> float:
@@ -396,7 +394,7 @@ def grad_check(
     tape.backward(y)
     ad_grads = {id(p): np.array(p.grad) for p in params}
 
-    report = GradCheckReport(tolerance=tol, step=h, samples_per_parameter=samples_per_parameter)
+    report = GradCheckReport(tolerance=tol)
     for k, p in enumerate(params):
         flat = p.data.reshape(-1)
         n = flat.size

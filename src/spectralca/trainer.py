@@ -193,10 +193,10 @@ def _device_note() -> str:
 
 def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
                        param_count: int = 0) -> BenchReport:
-    """Monotonic-clock wall times for fn(); warmup >= 3 runs are discarded."""
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    warmup = max(warmup, 3)
+    """Monotonic-clock wall times of `runs` calls of fn(), after `warmup`
+    discarded calls."""
+    if runs < 1 or warmup < 0:
+        raise ValueError(f"runs must be >= 1 and warmup >= 0, got {runs} and {warmup}")
     times = []
     for _ in range(warmup):
         fn()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from spectralca.classifier import (
     ModelConfig,
     PatchClassifier,
     load_checkpoint,
+    decode_config,
     model_audit,
-    read_manifest,
+    read_checkpoint,
     save_checkpoint,
 )
 from spectralca.nn import cross_entropy
@@ -43,11 +45,14 @@ def rewrite_manifest(path, mutate, whole=False):
                      + blob[12 + length:])
 
 
-def with_model(block1=(), **fields):
-    """A whole-manifest edit that updates the model config and its block1."""
+def with_model(block1=(), drop=(), **fields):
+    """A whole-manifest edit that updates the model config and its block1,
+    then removes the block1 keys in `drop`."""
     def edit(manifest):
         manifest["model"].update(fields)
         manifest["model"]["block1"].update(block1)
+        for key in drop:
+            del manifest["model"]["block1"][key]
         return manifest
     return edit
 
@@ -301,8 +306,16 @@ class TestCheckpoint:
         with_model(block1={"heads": 3}),
         with_model(block1={"heads": 0}),
         with_model(block1={"dim": 0}),
+        with_model(depth=True),
+        with_model(patch_size=3.0),
+        with_model(bands=4.0),
+        with_model(block1={"heads": True}),
+        with_model(bogus=1),
+        with_model(drop=["dropout_rate"]),
     ], ids=["no_model", "unknown_block_key", "string_num_classes", "list",
-            "heads_not_dividing_dim", "zero_heads", "zero_dim"])
+            "heads_not_dividing_dim", "zero_heads", "zero_dim", "bool_depth",
+            "float_patch_size", "float_bands", "bool_heads", "unknown_model_key",
+            "missing_dropout_rate"])
     def test_bad_manifest_rejected(self, tmp_path, edit):
         path = tmp_path / "m.bin"
         save_checkpoint(tiny_model(), path)
@@ -320,7 +333,7 @@ class TestCheckpoint:
         path = tmp_path / "m.bin"
         recipe = {"patch_size": 5, "train_fraction": 0.2, "split_seed": 4}
         save_checkpoint(model, path, seed=11, data_recipe=recipe)
-        manifest = read_manifest(path)
+        manifest = read_checkpoint(path)[1]
         assert manifest["seed"] == 11
         assert manifest["data_recipe"] == recipe
         assert manifest["model"]["num_classes"] == 3
@@ -363,4 +376,4 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         config = ModelConfig(num_classes=5, patch_size=7, bands=16, depth=2)
-        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert decode_config(ModelConfig, asdict(config), "model", ValueError) == config

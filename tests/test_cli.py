@@ -1,11 +1,14 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectralca.classifier import PatchClassifier, save_checkpoint
-from spectralca.cli import build_parser, main
+from spectralca.classifier import ModelConfig, PatchClassifier, read_checkpoint, save_checkpoint
+from spectralca.cli import DataRecipe, build_parser, main
+from spectralca.data import load_labels, save_labels
+from spectralca.trainer import TrainConfig
 from test_classifier import TINY_MODEL, rewrite_manifest, with_model
 
 TINY_RECIPE = {
@@ -86,6 +89,45 @@ def test_eval_without_recipe_splits_at_the_model_patch_size(scene, tmp_path):
     assert 0.0 <= json.loads((tmp_path / "r.json").read_text())["oa"] <= 1.0
 
 
+def test_ssl_without_recipe_saves_the_default_at_the_model_patch_size(scene, tmp_path):
+    # unlabel the first row, so the default recipe leaves a pool to self-train on
+    labels = load_labels(scene / "labels.raw", 8, 8)
+    labels.labels[0] = 0
+    save_labels(labels, scene / "labels.raw")
+    model = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
+                            np.random.default_rng(0))
+    save_checkpoint(model, tmp_path / "m.bin")
+    assert main(["ssl", "--model", str(tmp_path / "m.bin"), "--data", str(scene),
+                 "--rounds", "1", "--epochs-per-round", "1", "--out", str(tmp_path / "s")]) == 0
+    _, manifest = read_checkpoint(tmp_path / "s" / "checkpoint.bin")
+    assert manifest["data_recipe"] == {"patch_size": 3, "train_fraction": 0.1,
+                                       "test_fraction": None, "split_seed": 0}
+
+
+def readme_tables(heading):
+    """{key: default} of each table in README's `heading` section, with the
+    defaults parsed as JSON."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    tables = []
+    for block in section.split("\n\n"):
+        if block.startswith("| key | default |"):
+            cells = [row.strip("|").split("|") for row in block.splitlines()[2:]]
+            tables.append({key.strip(" `"): json.loads(default.strip(" `"))
+                           for key, default, _ in cells})
+    return tables
+
+
+def test_readme_lists_every_train_config_key_and_default():
+    def defaults(cls, scene_fixed=()):
+        return {f.name: asdict(f.default) if is_dataclass(f.default) else f.default
+                for f in fields(cls) if f.name not in scene_fixed}
+
+    assert readme_tables("Train config") == [
+        defaults(DataRecipe), defaults(TrainConfig),
+        defaults(ModelConfig, ("num_classes", "patch_size", "bands"))]
+
+
 # train config files that are not UTF-8 JSON objects of known keys and
 # value types, or hold an invalid value, and the error code each maps to
 BAD_CONFIGS = {
@@ -94,6 +136,8 @@ BAD_CONFIGS = {
     "train-unknown-key": (b'{"train": {"bogus": 1}}', "config-parse"),
     "string-patch-size": (b'{"patch_size": "9"}', "config-parse"),
     "string-channels": (b'{"model": {"block1": {"channels": "x", "dim": 8}}}', "config-parse"),
+    "missing-channels": (b'{"model": {"block1": {"dim": 8}}}', "config-parse"),
+    "model-num-classes": (b'{"model": {"num_classes": 3}}', "config-parse"),
     "non-utf8": (b'{"patch_size": 9}\xff', "config-parse"),
     "zero-heads": (b'{"model": {"block1": {"channels": 64, "dim": 96, "heads": 0}}}',
                    "invalid-argument"),
@@ -124,6 +168,9 @@ MALFORMED = {
     # a manifest whose block heads do not divide its dim
     "eval-manifest": (["eval", "--model", "{bad_heads_bin}", "--data", "{scene}",
                        "--out", "{tmp}/r.json"], "checkpoint"),
+    # a manifest whose patch size is a float
+    "eval-float-patch-size": (["eval", "--model", "{float_patch_bin}", "--data", "{scene}",
+                               "--out", "{tmp}/r.json"], "checkpoint"),
     "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
             "checkpoint"),
     # a 3-class checkpoint on the 2-class scene
@@ -142,6 +189,7 @@ MALFORMED = {
     "audit": (["audit", "--preset", "cfg99"], "invalid-argument"),
     "gradcheck": (["gradcheck", "--samples", "0", "--no-full-size-spot"], "invalid-argument"),
     "bench": (["bench", "--height", "0", "--runs", "1"], "invalid-argument"),
+    "bench-warmup": (["bench", "--warmup", "-1", "--runs", "1"], "invalid-argument"),
 }
 
 
@@ -169,12 +217,15 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     save_checkpoint(four_bands, tmp_path / "four_bands.bin", data_recipe=GOOD_RECIPE)
     for name, recipe in BAD_RECIPES.items():
         save_checkpoint(four_bands, tmp_path / f"recipe-{name}.bin", data_recipe=recipe)
+    save_checkpoint(four_bands, tmp_path / "float_patch.bin", data_recipe=GOOD_RECIPE)
+    rewrite_manifest(tmp_path / "float_patch.bin", with_model(patch_size=3.0), whole=True)
     assert main(["gen", "--seed", "3", "--height", "8", "--width", "8", "--bands", "6",
                  "--classes", "2", "--out", str(tmp_path / "scene6")]) == 0
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
              "bad_bin": tmp_path / "bad.bin", "bad_heads_bin": tmp_path / "bad_heads.bin",
              "three_classes_bin": tmp_path / "three_classes.bin",
              "four_bands_bin": tmp_path / "four_bands.bin",
+             "float_patch_bin": tmp_path / "float_patch.bin",
              "six_band_scene": tmp_path / "scene6"}
     argv, code = MALFORMED[command]
     capsys.readouterr()

@@ -236,6 +236,16 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             benchmark_callable(lambda: None, warmup=3, runs=0)
 
+    def test_runs_the_warmups_asked_for(self):
+        calls = {"n": 0}
+
+        def count():
+            calls["n"] += 1
+
+        report = benchmark_callable(count, warmup=1, runs=4)
+        assert calls["n"] == 1 + 4
+        assert report.warmup_runs == 1
+
     def test_median_robust_to_injected_outlier(self):
         calls = {"n": 0}
 
