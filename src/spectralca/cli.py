@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -85,6 +86,12 @@ class DataRecipe:
     test_fraction: float | None = None
     split_seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ValueError(f"train_fraction {self.train_fraction} outside (0, 1]")
+        if self.test_fraction is not None and not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction {self.test_fraction} outside (0, 1)")
+
 
 def _split(cube, labels, recipe: DataRecipe):
     patches = extract_patches(cube, labels, recipe.patch_size)
@@ -102,7 +109,12 @@ def _checkpoint_and_split(args):
     raw = manifest.get("data_recipe")
     recipe = DataRecipe(patch_size=patch_size)
     if raw is not None:
-        recipe = decode_config(DataRecipe, raw, "data_recipe", CheckpointError)
+        try:
+            recipe = decode_config(DataRecipe, raw, "data_recipe", CheckpointError)
+        except CheckpointError:
+            raise
+        except ValueError as exc:  # the recipe's own range checks
+            raise CheckpointError(f"data_recipe: {exc}") from exc
         if asdict(recipe) != raw or recipe.patch_size != patch_size:
             raise CheckpointError(f"data_recipe {raw} must set every DataRecipe key "
                                   f"and the model's patch_size {patch_size}")
@@ -337,7 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone: send what is still buffered to
+        # devnull so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("broken-pipe", "stdout was closed before the output was written")
     except Exception as exc:  # mapped to stable error codes
         for etype, code in _ERROR_CODES:
             if isinstance(exc, etype):

@@ -5,14 +5,17 @@ dropout, cross_entropy) live alongside. Every layer is built in float32;
 ``Module.astype(np.float64)`` converts a built model for gradient checks.
 BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
 place ReLU exists. That op and silu retain only their input; backward
-recomputes the rest, SiLU's derivative always by _silu_slope. Convolutions
-are same-padded cross-correlations (no kernel flip), stride 1, lowered by
-partial im2col: the batch is split into chunks whose buffers fit in cache;
-each chunk gathers the kernel taps over all spatial axes but the last, and
-the k taps along the last axis are k BLAS matmuls on shifted views of those
-columns. Backward keeps nothing of the forward but its input: the weight
-gradient gathers the columns again, chunk by chunk, and the input gradient
-is the same lowering applied with the flipped kernel.
+recomputes the rest, SiLU's derivative always by _silu_slope. BatchNorm's
+statistics and sigmoid, forward and backward, are taken a batch chunk at a
+time, so its temporaries are chunk-sized. Convolutions are same-padded
+cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
+the batch is split into chunks whose buffers fit in cache, and each chunk's
+buffers are freed before the next chunk is gathered; each chunk gathers
+the kernel taps over all spatial axes but the last, and the k taps along
+the last axis are k BLAS matmuls on shifted views of those columns.
+Backward keeps nothing of the forward but its input: the weight gradient
+gathers the columns again, chunk by chunk, and the input gradient is the
+same lowering applied with the flipped kernel.
 """
 
 from __future__ import annotations
@@ -180,6 +183,7 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
             acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
         acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
         out[start:start + n] = np.swapaxes(acc, 0, 1)
+        del cols, acc, tap  # freed before the next chunk is gathered
     out += bd.reshape((1, o) + (1,) * len(spatial))
     return out
 
@@ -213,6 +217,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                 gw_t[e] += cols[:, e:e + m] @ gp.T
             else:
                 gw_t[e] += (gp @ cols[:, e:e + m].T).T
+        del cols, gp  # freed before the next chunk is gathered
     gw = gw_t.reshape(k, -1, c, o).transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None
@@ -285,13 +290,21 @@ class Conv3D(_Conv):
 NORM_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-# Input bytes per batch chunk of BatchNorm's backward, whose temporaries are
-# chunk-sized and reused rather than input-sized and freshly mapped. One
-# sample of the spectral BN (1 MB) or the stem's (0.66 MB) per chunk ran
-# the spectral backward in 81-114 ms of a batch-32 training step, two
-# samples in 108-118 ms and the whole batch in 139-198 ms; the spatial BN
-# (31 KB per sample) runs whole (2-core Xeon, one BLAS thread).
+# Input bytes per batch chunk of BatchNorm's forward (training variance and
+# sigmoid) and backward, whose temporaries are chunk-sized and reused
+# rather than input-sized and freshly mapped. One sample of the spectral BN
+# (1 MB) or the stem's (0.66 MB) per chunk ran the spectral backward in
+# 81-114 ms of a batch-32 training step, two samples in 108-118 ms and the
+# whole batch in 139-198 ms; the spatial BN (31 KB per sample) runs whole
+# (2-core Xeon, one BLAS thread).
 _BN_CHUNK_BYTES = 1e6
+
+
+def _batch_chunks(xd: np.ndarray) -> list[slice]:
+    """Slices of the batch axis of about _BN_CHUNK_BYTES of xd each (at
+    least one sample)."""
+    chunk = max(1, int(_BN_CHUNK_BYTES // max(xd[:1].nbytes, 1)))
+    return [slice(i, i + chunk) for i in range(0, len(xd), chunk)]
 
 
 class BatchNorm(Module):
@@ -300,8 +313,11 @@ class BatchNorm(Module):
 
     Training mode normalizes with the batch's population statistics and
     updates the running estimates; eval mode uses the running estimates.
-    gamma/beta are the only trainable entries. The op retains only its
-    pre-normalization input x and per-channel vectors. Backward recomputes
+    gamma/beta are the only trainable entries. Besides its output, the
+    forward allocates only batch-chunk temporaries: the training variance
+    sums squares of the centred input in float64 and SiLU's sigmoid is
+    applied a chunk at a time. The op retains only its pre-normalization
+    input x and per-channel vectors. Backward recomputes
     z = x*scale + shift and the activation's derivative gz = g * act'(z),
     then applies the normalization's gradient in per-channel coefficient
     form, gx = scale*gz + b*(x - mu) + c. It overwrites the upstream
@@ -327,11 +343,17 @@ class BatchNorm(Module):
         axes = (0,) + tuple(range(2, x.ndim))
         bshape = (1, self.channels) + (1,) * (x.ndim - 2)
         n = x.size // self.channels
+        xd, activation = x.data, self.activation
+        chunks = _batch_chunks(xd)
         if training:
             if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
-            mu = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
+            mu = xd.mean(axis=axes)
+            var = np.zeros(self.channels)
+            for part in chunks:
+                z = xd[part] - mu.reshape(bshape)
+                var += _channel_sums(z, z)
+            var /= n
             m = BN_MOMENTUM
             self.running_mean *= 1.0 - m
             self.running_mean += m * mu.astype(self.running_mean.dtype)
@@ -345,18 +367,17 @@ class BatchNorm(Module):
         scale = (self.gamma.data * inv).astype(x.dtype)
         shift = (self.beta.data - mu * scale).astype(x.dtype)
         scale.shape = shift.shape = bshape
-        xd, activation = x.data, self.activation
         out = xd * scale
         out += shift
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         else:
-            out *= _sigmoid(out)
+            for part in chunks:
+                z = out[part]
+                z *= _sigmoid(z)
 
         def backward(g):
             # g becomes the input gradient in place, a batch chunk at a time
-            chunk = max(1, int(_BN_CHUNK_BYTES // max(xd[:1].nbytes, 1)))
-            chunks = [slice(i, i + chunk) for i in range(0, len(g), chunk)]
             mu_x = mu.astype(xd.dtype).reshape(bshape)
             g_beta = np.zeros(len(inv))
             g_dot = np.zeros(len(inv))  # sum of gz * (x - mu)
@@ -547,13 +568,14 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     picked = z[np.arange(b), labels]
-    out = np.asarray((lse - picked).mean(), dtype=logits.dtype)
+    dtype = logits.dtype
+    out = np.asarray((lse - picked).mean(), dtype=dtype)
     probs = np.exp(z - lse[:, None])
 
     def backward(g):
         gl = probs.copy()
         gl[np.arange(b), labels] -= 1.0
         gl *= g / b
-        return (gl.astype(logits.dtype),)
+        return (gl.astype(dtype),)
 
     return record_op("cross_entropy", (logits,), out, backward)

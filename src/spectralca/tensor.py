@@ -6,11 +6,16 @@ module-level functions that compute the forward result eagerly and, when a
 Tape is active and an input requires a gradient, record a node whose
 backward rule routes the upstream gradient to the inputs. Replaying the
 nodes in reverse recording order is a valid topological order because
-nodes are appended in execution order. Backward consumes the tape: each
-node is popped before it is replayed and its output's gradient dropped
-once read, so a node's closure, output and gradient are freed as soon as
-every consumer has replayed; only leaf tensors and Parameters keep their
-``.grad``.
+nodes are appended in execution order.
+
+A node holds only what its backward reads. Its output is a GradCell (the
+output's shape, dtype and gradient, not its value) and its inputs are the
+inputs' cells, or the Tensors themselves for leaves and Parameters, so a
+recorded output's data is freed once the caller drops it unless a backward
+rule captured it. Backward consumes the tape: each node is popped before
+it is replayed and its output's gradient dropped once read, so a node's
+closure and gradient are freed as soon as every consumer has replayed;
+only leaf tensors and Parameters keep their ``.grad``.
 
 Every op validates that its output is finite (its min and max are finite);
 NaN/Inf raises NonFiniteError instead of propagating silently, naming the
@@ -50,7 +55,7 @@ def _ensure_finite(data: np.ndarray, op: str, inputs: Sequence[Tensor]) -> None:
 class Tensor:
     """A dense N-dimensional value. Immutable by convention after creation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad", "name", "cell")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data)
@@ -60,6 +65,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.name = name
+        self.cell: GradCell | None = None  # set by record_op when recorded
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,12 +82,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
-        else:
-            np.add(self.grad, g, out=self.grad)
 
     def zero_grad(self) -> None:
         if self.grad is None:
@@ -106,11 +106,23 @@ class Parameter(Tensor):
         self.grad = np.zeros_like(self.data)
 
 
+class GradCell:
+    """Where a recorded op's output gathers its gradient during backward:
+    the output's shape and dtype, and the gradient, but not the value."""
+
+    __slots__ = ("shape", "dtype", "grad")
+
+    def __init__(self, shape: tuple[int, ...], dtype):
+        self.shape = shape
+        self.dtype = dtype
+        self.grad: np.ndarray | None = None
+
+
 @dataclass
 class TapeNode:
     op: str
-    inputs: tuple[Tensor, ...]
-    output: Tensor
+    inputs: tuple[GradCell | Tensor | None, ...]  # None: takes no gradient
+    output: GradCell
     backward: Callable[[np.ndarray], Sequence[np.ndarray | None]]
 
 
@@ -118,11 +130,19 @@ class Tape:
     """Ordered record of executed operations for one backward pass.
 
     Use as a context manager around a forward computation; ``backward``
-    seeds the loss gradient and replays nodes newest-first, visiting each
-    exactly once and accumulating gradients additively. It consumes the
-    tape: ``nodes`` is empty afterwards, intermediate ``.grad``s are None,
-    and a second ``backward`` raises. Each node's output gradient is handed
-    to its backward rule and never read again, so the rule may overwrite it.
+    seeds the loss's gradient cell and replays nodes newest-first, visiting
+    each exactly once and accumulating gradients additively. It consumes the
+    tape: ``nodes`` is empty afterwards, intermediate Tensors' ``.grad`` is
+    None, and a second ``backward`` raises.
+
+    Gradients change hands rather than being copied. Each node's output
+    gradient is handed to its backward rule and never read again, so the
+    rule may overwrite it; the arrays a rule returns are handed back, and
+    the rule keeps no reference to them. The first gradient to reach an
+    input is adopted as its ``.grad`` when it owns its memory, is
+    C-contiguous and writeable, has the input's shape and dtype and was
+    not already handed to another input of the same node; any other is
+    copied into a new C-contiguous array. Later arrivals add in place.
     """
 
     def __init__(self):
@@ -146,21 +166,41 @@ class Tape:
         if self._replayed:
             raise RuntimeError("backward on a tape that was already replayed")
         self._replayed = True
-        loss.accumulate_grad(np.ones_like(loss.data))
+        _accumulate(loss.cell or loss, np.ones(loss.shape, loss.dtype), adopt=True)
         while self.nodes:
             _replay(self.nodes.pop())
 
 
 def _replay(node: TapeNode) -> None:
     """Route a popped node's output gradient to its inputs and clear it.
-    The gradients it reads and returns are released when this returns,
-    before the next node replays."""
+    The gradients it reads and returns and does not hand on are released
+    when this returns, before the next node replays."""
     out_grad, node.output.grad = node.output.grad, None
     if out_grad is None:
         return
-    for inp, g in zip(node.inputs, node.backward(out_grad)):
-        if g is not None and inp.requires_grad:
-            inp.accumulate_grad(g)
+    handed: list[np.ndarray] = []
+    for target, g in zip(node.inputs, node.backward(out_grad)):
+        if g is None or target is None:
+            continue
+        if _accumulate(target, g, adopt=not any(g is h for h in handed)):
+            handed.append(g)
+
+
+def _accumulate(target: GradCell | Tensor, g: np.ndarray, adopt: bool) -> bool:
+    """Add g to target.grad; with adopt, a first gradient that owns its
+    C-contiguous, writeable memory in the target's shape and dtype becomes
+    target.grad itself. Returns whether g was adopted."""
+    if target.grad is not None:
+        np.add(target.grad, g, out=target.grad)
+        return False
+    if (adopt and g.base is None
+            and g.flags.c_contiguous and g.flags.writeable
+            and g.shape == target.shape and g.dtype == target.dtype):
+        target.grad = g
+        return True
+    target.grad = np.empty(target.shape, target.dtype)
+    target.grad[...] = g
+    return False
 
 
 _TAPE_STACK: list[Tape] = []
@@ -177,14 +217,26 @@ def record_op(
     backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     check_finite: bool = True,
 ) -> Tensor:
-    """Wrap an eagerly computed result and register its backward rule."""
+    """Wrap an eagerly computed result and register its backward rule.
+
+    The node gets a fresh GradCell as its output, also kept as the
+    result's ``cell``, and for each input its cell, the input itself if
+    it is a leaf or Parameter that requires a gradient, or None. So the
+    tape keeps alive only what `backward` captured: a rule should capture
+    the arrays and shapes it reads, never a Tensor that is not a
+    Parameter. `backward` takes the output gradient, which it may
+    overwrite, and returns one gradient or None per input, handing those
+    arrays over (see Tape).
+    """
     if check_finite:
         _ensure_finite(out_data, op, inputs)
     tape = active_tape()
     needs_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)
     if needs_grad:
-        tape.record(TapeNode(op, tuple(inputs), out, backward))
+        out.cell = GradCell(out.shape, out.dtype)
+        slots = tuple(t.cell or (t if t.requires_grad else None) for t in inputs)
+        tape.record(TapeNode(op, slots, out.cell, backward))
     return out
 
 
@@ -218,9 +270,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shape(a.shape, b.shape, "add")
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return record_op("add", (a, b), out, backward)
 
@@ -231,7 +284,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return record_op("mul", (a, b), out, backward)
 
@@ -295,9 +348,10 @@ def mean_axis(x: Tensor, axis: int | Sequence[int]) -> Tensor:
         raise ShapeError(f"mean_axis: axes {axis} invalid for rank {x.ndim}")
     n = int(np.prod([x.shape[a] for a in axes]))
     out = x.data.mean(axis=axes)
+    shape = x.shape
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axes), x.shape),)
+        return (np.broadcast_to(np.expand_dims(g / n, axes), shape),)
 
     return record_op("mean_axis", (x,), out, backward)
 

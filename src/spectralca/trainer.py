@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import platform
 import time
+import tracemalloc
 from dataclasses import dataclass
 from statistics import mean, median
 
@@ -160,6 +161,7 @@ class BenchReport:
     batch_size: int
     device: str
     param_count: int
+    peak_mem_mb: float  # tracemalloc peak of one untimed call after the timed ones
 
     @property
     def median_s(self) -> float:
@@ -184,6 +186,7 @@ class BenchReport:
             "device": self.device,
             "param_count": self.param_count,
             "params_millions": self.params_millions,
+            "peak_mem_mb": self.peak_mem_mb,
         }
 
 
@@ -194,7 +197,8 @@ def _device_note() -> str:
 def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
                        param_count: int = 0) -> BenchReport:
     """Monotonic-clock wall times of `runs` calls of fn(), after `warmup`
-    discarded calls."""
+    discarded calls, and the tracemalloc peak of one more, untimed call
+    (what it allocates; memory held before it is not counted)."""
     if runs < 1 or warmup < 0:
         raise ValueError(f"runs must be >= 1 and warmup >= 0, got {runs} and {warmup}")
     times = []
@@ -204,7 +208,14 @@ def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count)
+    tracemalloc.start()
+    try:
+        fn()
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count,
+                       peak_mb)
 
 
 def benchmark(module: Module, batch_shape: tuple[int, ...], warmup: int = 3,

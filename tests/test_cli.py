@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spectralca import cli
 from spectralca.classifier import ModelConfig, PatchClassifier, read_checkpoint, save_checkpoint
 from spectralca.cli import DataRecipe, build_parser, main
 from spectralca.data import load_labels, save_labels
@@ -141,10 +145,13 @@ BAD_CONFIGS = {
     "non-utf8": (b'{"patch_size": 9}\xff', "config-parse"),
     "zero-heads": (b'{"model": {"block1": {"channels": 64, "dim": 96, "heads": 0}}}',
                    "invalid-argument"),
+    "train-fraction-2": (b'{"train_fraction": 2.0}', "invalid-argument"),
+    "negative-test-fraction": (b'{"test_fraction": -0.5}', "invalid-argument"),
 }
 
 # checkpoint data recipes that lack a key, hold a wrongly typed value, are
-# not an object (an empty one too) or differ from the model's patch size of 3
+# not an object (an empty one too), differ from the model's patch size of 3
+# or hold a fraction out of range
 GOOD_RECIPE = {"patch_size": 3, "train_fraction": 0.5, "test_fraction": None, "split_seed": 0}
 BAD_RECIPES = {
     "missing-key": {k: v for k, v in GOOD_RECIPE.items() if k != "patch_size"},
@@ -152,6 +159,8 @@ BAD_RECIPES = {
     "list": [3, 0.5, None, 0],
     "empty-list": [],
     "other-patch-size": {**GOOD_RECIPE, "patch_size": 5},
+    "train-fraction-2": {**GOOD_RECIPE, "train_fraction": 2.0},
+    "negative-test-fraction": {**GOOD_RECIPE, "test_fraction": -0.5},
 }
 
 # malformed inputs, at least one per subcommand, and the error code each
@@ -234,6 +243,23 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"ERR:{code}: "), captured.err
+
+
+def test_closed_stdout_pipe_is_one_err_line():
+    # `spectralca audit ... | head -c 10` once head has exited: the pipe's
+    # read end is closed before the table is written, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spectralca.cli", "audit",
+                               "--preset", "cfg32"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("ERR:broken-pipe: "), lines
 
 
 def test_gradcheck_passes_every_module(capsys):

@@ -330,6 +330,45 @@ def test_batchnorm_backward_transient_memory_does_not_grow_with_batch():
     assert peak[4] - peak[2] < sample_bytes, peak
 
 
+def test_batchnorm_forward_transient_is_below_one_input():
+    # the spectral BN->SiLU at batch 4: the training variance and the
+    # sigmoid are taken a batch chunk (one 1 MB sample) at a time, so
+    # beside its output the forward allocates less than one input's bytes
+    rng = np.random.default_rng(87)
+    xd = (3.0 * rng.standard_normal((4, 96, 9, 9, 32)) + 1.0).astype(np.float32)
+    bn = BatchNorm(96, "silu")
+    for training in (True, False):
+        transient = _transient_bytes(lambda: bn(Tensor(xd), training=training).data)
+        assert transient < xd.nbytes, (training, transient)
+    # the training pass above set the running variance from the batch's
+    x64 = xd.astype(np.float64)
+    var = x64.var(axis=(0, 2, 3, 4))
+    np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * var, rtol=1e-6)
+    bn = BatchNorm(96, "silu")
+    out = bn(Tensor(xd), training=True).data
+    mu = x64.mean(axis=(0, 2, 3, 4)).reshape(1, -1, 1, 1, 1)
+    xhat = (x64 - mu) / np.sqrt(var.reshape(mu.shape) + nn.NORM_EPS)
+    np.testing.assert_allclose(out, silu_reference(xhat), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_conv_frees_each_chunk_before_gathering_the_next(direction, one_sample_chunks):
+    # a 3x3x3 conv at batch 2, one sample per chunk: the first chunk's
+    # columns (3.2 MB, as are the input gradient pass's) are freed before
+    # the second is gathered, so the transient stays under two chunks'
+    rng = np.random.default_rng(88)
+    x = rng.standard_normal((2, 32, 9, 9, 32)).astype(np.float32)
+    w = (0.01 * rng.standard_normal((32, 32, 3, 3, 3))).astype(np.float32)
+    b = np.zeros(32, dtype=np.float32)
+    chunk_cols = 32 * 9 * 9 * 9 * 34 * 4
+    if direction == "forward":
+        transient = _transient_bytes(lambda: nn._conv_forward(x, w, b))
+    else:
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        transient = _transient_bytes(lambda: nn._conv_backward(g, x, w))
+    assert transient < 2 * chunk_cols, transient
+
+
 class TestBatchNorm:
     def test_hand_normalization(self):
         bn = BatchNorm(1, "relu").astype(np.float64)

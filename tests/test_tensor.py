@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,6 +158,60 @@ class TestTapeMechanics:
             y = T.mul(x, x)
         with pytest.raises(ShapeError):
             tape.backward(y)
+
+    def test_recorded_output_data_is_freed_while_the_tape_holds_its_consumer(self):
+        # the consumer's node holds y's gradient cell, not y, so y's value
+        # goes once the forward's locals drop
+        x = t64([1.0, 2.0, 3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.scale(x, 2.0)
+            loss = T.mean_all(y)
+        value = weakref.ref(y.data)
+        del y
+        assert value() is None
+        assert [n.op for n in tape.nodes] == ["scale", "mean_all"]
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [0.5, 0.5, 0.5, 0.5])
+
+    def test_add_hands_its_gradient_to_one_input_only(self):
+        # add returns its upstream gradient for both inputs: the first
+        # adopts it, the second gets a copy, and the same input twice gets 2g
+        a = t64([1.0, 2.0], requires_grad=True)
+        b = t64([3.0, 4.0], requires_grad=True)
+        w = t64([5.0, 6.0])
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.add(a, b), w))
+        add_node = tape.nodes[0]
+        upstream = []
+        inner = add_node.backward
+        add_node.backward = lambda g: (upstream.append(g), inner(g))[1]
+        tape.backward(loss)
+        assert a.grad is upstream[0]
+        assert b.grad is not a.grad
+        np.testing.assert_array_equal(a.grad, [5.0, 6.0])
+        np.testing.assert_array_equal(b.grad, [5.0, 6.0])
+
+        c = t64([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(T.add(c, c), w))
+        tape.backward(loss)
+        np.testing.assert_array_equal(c.grad, [10.0, 12.0])
+
+    def test_mean_axis_input_gradient_is_c_contiguous(self):
+        # the spectral path's pooling over H and W: the gradient reaching
+        # the pooled value (a BatchNorm output in the block) is C-ordered,
+        # not laid out like the broadcast it comes from
+        x = t64(np.random.default_rng(5).standard_normal((2, 3, 4, 5, 6)), requires_grad=True)
+        with Tape() as tape:
+            y = T.scale(x, 1.0)
+            loss = T.sum_all(T.mean_axis(y, (2, 3)))
+        scale_node = tape.nodes[0]
+        received = []
+        inner = scale_node.backward
+        scale_node.backward = lambda g: (received.append(g), inner(g))[1]
+        tape.backward(loss)
+        assert received[0].shape == x.shape and received[0].flags.c_contiguous
+        np.testing.assert_allclose(x.grad, np.full(x.shape, 1.0 / 20.0))
 
 
 class TestNonFinite:

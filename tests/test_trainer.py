@@ -243,8 +243,21 @@ class TestBenchmark:
             calls["n"] += 1
 
         report = benchmark_callable(count, warmup=1, runs=4)
-        assert calls["n"] == 1 + 4
+        assert calls["n"] == 1 + 4 + 1  # and the untimed memory pass
         assert report.warmup_runs == 1
+
+    def test_reports_the_peak_memory_of_one_untimed_call(self):
+        calls = {"n": 0}
+
+        def allocate():
+            calls["n"] += 1
+            if calls["n"] == 3 + 2 + 1:  # only the call after the timed runs
+                np.ones(1_000_000)  # 8 MB
+
+        report = benchmark_callable(allocate, warmup=3, runs=2)
+        assert report.measured_runs == 2 and len(report.times_s) == 2
+        assert 8.0 <= report.peak_mem_mb < 8.1
+        assert report.as_dict()["peak_mem_mb"] == report.peak_mem_mb
 
     def test_median_robust_to_injected_outlier(self):
         calls = {"n": 0}
