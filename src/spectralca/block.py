@@ -132,15 +132,19 @@ class SpectralCABlock(Module):
         _check_input(x, self.config.channels)
         b, _, hh, ww, _ = x.shape
         flat = T.mean_axis(x, 4)  # [B,C,H,W]
-        feat = self.spatial_bn(self.spatial_conv(flat), training)
+        feat = self.spatial_conv(flat, self.spatial_bn, training)
         tokens = T.transpose(T.reshape(feat, (b, self.config.dim, hh * ww)), (0, 2, 1))
         return self.spatial_token_norm(tokens)  # [B, H*W, d]
 
     def spectral_path(self, x: Tensor, training: bool) -> Tensor:
-        """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm."""
+        """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm.
+
+        The conv module runs the first four steps. An eval forward with no
+        active tape streams them one conv chunk at a time, so the
+        [B,d,H,W,D] conv and BN outputs are never built; training, and eval
+        under a tape, record each step as its own op."""
         _check_input(x, self.config.channels)
-        feat = self.spectral_bn(self.spectral_conv(x), training)
-        pooled = T.mean_axis(feat, (2, 3))  # [B,d,D]
+        pooled = self.spectral_conv(x, self.spectral_bn, training, pool=(2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]
 
     def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:

@@ -123,10 +123,10 @@ class PatchClassifier(Module):
                 f"expected patches [B,1,{cfg.patch_size},{cfg.patch_size},{cfg.bands}], "
                 f"got {patches.shape}"
             )
-        x = self.stem_bn(self.stem(patches), training)
+        x = self.stem(patches, self.stem_bn, training)
         x = self.block1(x, training, rng)
         if cfg.depth == 2:
-            x = self.mid_bn(self.mid(x), training)
+            x = self.mid(x, self.mid_bn, training)
             x = self.block2(x, training, rng)
         pooled = T.mean_axis(x, (2, 3, 4))  # [B, C]
         return self.head(pooled)

@@ -16,6 +16,15 @@ the last axis are k BLAS matmuls on shifted views of those columns.
 Backward keeps nothing of the forward but its input: the weight gradient
 gathers the columns again, chunk by chunk, and the input gradient is the
 same lowering applied with the flipped kernel.
+
+A conv module called with the BatchNorm that follows it (and, for the
+spectral path, the axes to average over) runs both as one stream in an
+eval forward with no active tape: each conv chunk gets its bias,
+BatchNorm's running-statistics affine and the activation while it is in
+cache, and is pooled at once when asked, so neither full output is built.
+Training, and eval under a tape, record the conv, the BatchNorm and the
+mean as separate ops; the stream's arithmetic and finiteness checks are
+theirs, element for element.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
+    _ensure_finite,
+    active_tape,
+    mean_axis,
     record_op,
 )
 
@@ -162,13 +174,18 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
     return cols
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O]."""
+def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                 out: np.ndarray | None = None):
+    """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
+    bd [O], one batch chunk at a time: yields (batch slice, the chunk's
+    C-contiguous [n,O,*S] output), which is out[slice] when out is given
+    and a fresh array otherwise. Each chunk's columns are freed before its
+    output is yielded."""
     spatial, k, pad, chunk = _conv_geometry(xd, wd)
     b = xd.shape[0]
     o = wd.shape[0]
     wstack = _tap_weights(wd)
-    out = np.empty((b, o) + spatial, dtype=xd.dtype)
+    bias = bd.reshape((1, o) + (1,) * len(spatial))
     for start in range(0, b, chunk):
         piece = xd[start:start + chunk]
         n = piece.shape[0]
@@ -176,15 +193,25 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
         # column j + e holds last-axis tap e of output column j; the last
         # k-1 columns fall in the padding and are never computed
         m = cols.shape[1] - (k - 1)
-        acc = np.empty((o, cols.shape[1]), dtype=out.dtype)
+        acc = np.empty((o, cols.shape[1]), dtype=xd.dtype)
         np.matmul(wstack[0], cols[:, :m], out=acc[:, :m])
-        tap = np.empty((o, m), dtype=out.dtype)
+        tap = np.empty((o, m), dtype=xd.dtype)
         for e in range(1, k):
             acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
+        del cols, tap
         acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
-        out[start:start + n] = np.swapaxes(acc, 0, 1)
-        del cols, acc, tap  # freed before the next chunk is gathered
-    out += bd.reshape((1, o) + (1,) * len(spatial))
+        y = np.empty((n, o) + spatial, dtype=xd.dtype) if out is None else out[start:start + n]
+        y[...] = np.swapaxes(acc, 0, 1)
+        del acc
+        y += bias
+        yield slice(start, start + n), y
+
+
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O]."""
+    out = np.empty((xd.shape[0], wd.shape[0]) + xd.shape[2:], dtype=xd.dtype)
+    for _ in _conv_chunks(xd, wd, bd, out):
+        pass
     return out
 
 
@@ -259,11 +286,21 @@ class _Conv(Module):
         self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in))
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, bn: BatchNorm | None = None, training: bool = False,
+                 pool: tuple[int, ...] | None = None) -> Tensor:
+        """The convolution of x, then bn(., training) when bn is given,
+        then the mean over the `pool` axes when given. An eval forward with
+        a bn and no active tape streams (see _conv_bn_stream); otherwise each
+        step is a recorded op."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
-        return _conv_op(self.op, x, self.weight, self.bias)
+        if bn is not None and not training and active_tape() is None:
+            return _conv_bn_stream(self, x, bn, pool)
+        y = _conv_op(self.op, x, self.weight, self.bias)
+        if bn is not None:
+            y = bn(y, training)
+        return y if pool is None else mean_axis(y, pool)
 
 
 class Conv2D(_Conv):
@@ -312,14 +349,20 @@ class BatchNorm(Module):
     and the activation after it, ReLU or SiLU, as one tape op.
 
     Training mode normalizes with the batch's population statistics and
-    updates the running estimates; eval mode uses the running estimates.
-    gamma/beta are the only trainable entries. Besides its output, the
-    forward allocates only batch-chunk temporaries: the training variance
-    sums squares of the centred input in float64 and SiLU's sigmoid is
-    applied a chunk at a time. The op retains only its pre-normalization
-    input x and per-channel vectors. Backward recomputes
-    z = x*scale + shift and the activation's derivative gz = g * act'(z),
-    then applies the normalization's gradient in per-channel coefficient
+    updates the running estimates; eval mode uses the running estimates,
+    so it is the per-channel map act(x*scale + shift). `_affine` computes
+    (scale, shift) from the statistics and `_normalize` applies the map,
+    for the recorded op and for the eval stream of the conv before it
+    (_conv_bn_stream, taken in eval with no active tape) alike, so the two
+    are bit-identical. gamma/beta are the only trainable entries.
+
+    Besides its output, the forward allocates only batch-chunk
+    temporaries: the training variance sums squares of the centred input
+    in float64 and SiLU's sigmoid is applied a chunk at a time. The op
+    retains only its pre-normalization input x and per-channel vectors.
+    Backward recomputes z = x*scale + shift and the activation's
+    derivative gz = g * act'(z), then applies the normalization's gradient
+    in per-channel coefficient
     form, gx = scale*gz + b*(x - mu) + c. It overwrites the upstream
     gradient g with gz and then gx, a batch chunk at a time, so its
     temporaries are chunk-sized. The sum of gz*(x - mu) is taken over
@@ -336,6 +379,29 @@ class BatchNorm(Module):
         self.beta = Parameter(np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
+
+    def _affine(self, mu, var, dtype, ndim: int):
+        """(inv, scale, shift) for statistics mu and var: z = x*scale + shift
+        normalizes x [B,C,...] of rank ndim, scale and shift in dtype and
+        shaped to broadcast over it, and inv = 1/sqrt(var + eps)."""
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
+        scale = (self.gamma.data * inv).astype(dtype)
+        shift = (self.beta.data - mu * scale).astype(dtype)
+        scale.shape = shift.shape = (1, self.channels) + (1,) * (ndim - 2)
+        return inv, scale, shift
+
+    def _normalize(self, x: np.ndarray, scale, shift, out: np.ndarray) -> np.ndarray:
+        """out = act(x*scale + shift), where out may be x itself; SiLU's
+        sigmoid is taken a batch chunk at a time."""
+        np.multiply(x, scale, out=out)
+        out += shift
+        if self.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            for part in _batch_chunks(out):
+                z = out[part]
+                z *= _sigmoid(z)
+        return out
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
@@ -362,19 +428,8 @@ class BatchNorm(Module):
         else:
             mu = self.running_mean
             var = self.running_var
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        # fused per-channel affine: z = x*scale + shift
-        scale = (self.gamma.data * inv).astype(x.dtype)
-        shift = (self.beta.data - mu * scale).astype(x.dtype)
-        scale.shape = shift.shape = bshape
-        out = xd * scale
-        out += shift
-        if activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        else:
-            for part in chunks:
-                z = out[part]
-                z *= _sigmoid(z)
+        inv, scale, shift = self._affine(mu, var, x.dtype, x.ndim)
+        out = self._normalize(xd, scale, shift, np.empty_like(xd))
 
         def backward(g):
             # g becomes the input gradient in place, a batch chunk at a time
@@ -408,6 +463,35 @@ class BatchNorm(Module):
             return g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
 
         return record_op("batchnorm", (x, self.gamma, self.beta), out, backward)
+
+
+def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,
+                    pool: tuple[int, ...] | None) -> Tensor:
+    """Eval-mode bn(conv(x)), then its mean over the `pool` axes when given,
+    one conv chunk at a time and recording nothing: each chunk gets the
+    conv's bias, BatchNorm's running-statistics affine and the activation
+    while it is in cache, and with `pool` it is reduced at once, so neither
+    the conv's nor the BatchNorm's full output is built. The arithmetic is
+    the recorded ops', element for element, and so are the finiteness
+    checks and their messages: each conv chunk before BatchNorm changes it,
+    each activated chunk, and the pooled result."""
+    xd = x.data
+    _, scale, shift = bn._affine(bn.running_mean, bn.running_var, xd.dtype, xd.ndim)
+    shape = (xd.shape[0], conv.out_channels) + xd.shape[2:]
+    if pool is not None:
+        shape = tuple(e for i, e in enumerate(shape) if i not in pool)
+    out = np.empty(shape, dtype=xd.dtype)
+    chunks = _conv_chunks(xd, conv.weight.data, conv.bias.data,
+                          out if pool is None else None)
+    for part, y in chunks:
+        _ensure_finite(y, conv.op, (x, conv.weight, conv.bias))
+        bn._normalize(y, scale, shift, y)
+        _ensure_finite(y, "batchnorm", (x, bn.gamma, bn.beta))
+        if pool is not None:
+            out[part] = y.mean(axis=pool)
+    if pool is not None:
+        _ensure_finite(out, "mean_axis", ())
+    return Tensor(out)
 
 
 class LayerNorm(Module):

@@ -139,10 +139,12 @@ class Tape:
     gradient is handed to its backward rule and never read again, so the
     rule may overwrite it; the arrays a rule returns are handed back, and
     the rule keeps no reference to them. The first gradient to reach an
-    input is adopted as its ``.grad`` when it owns its memory, is
-    C-contiguous and writeable, has the input's shape and dtype and was
-    not already handed to another input of the same node; any other is
-    copied into a new C-contiguous array. Later arrivals add in place.
+    input is adopted as its ``.grad`` when it owns its memory or is a view
+    of the node's own output gradient (as a reshape's is), is C-contiguous
+    and writeable, has the input's shape and dtype and may share no memory
+    with an array the same node already handed on; any other, such as a
+    transpose's strided view, is copied into a new C-contiguous array.
+    Later arrivals add in place.
     """
 
     def __init__(self):
@@ -178,23 +180,26 @@ def _replay(node: TapeNode) -> None:
     out_grad, node.output.grad = node.output.grad, None
     if out_grad is None:
         return
+    # out_grad is this node's alone, and so is any view the rule made of it
+    owner = out_grad if out_grad.base is None else out_grad.base
     handed: list[np.ndarray] = []
     for target, g in zip(node.inputs, node.backward(out_grad)):
         if g is None or target is None:
             continue
-        if _accumulate(target, g, adopt=not any(g is h for h in handed)):
+        adopt = ((g.base is None or g.base is owner)
+                 and not any(np.may_share_memory(g, h) for h in handed))
+        if _accumulate(target, g, adopt):
             handed.append(g)
 
 
 def _accumulate(target: GradCell | Tensor, g: np.ndarray, adopt: bool) -> bool:
-    """Add g to target.grad; with adopt, a first gradient that owns its
-    C-contiguous, writeable memory in the target's shape and dtype becomes
-    target.grad itself. Returns whether g was adopted."""
+    """Add g to target.grad; with adopt, a first gradient with C-contiguous,
+    writeable memory in the target's shape and dtype becomes target.grad
+    itself. Returns whether g was adopted."""
     if target.grad is not None:
         np.add(target.grad, g, out=target.grad)
         return False
-    if (adopt and g.base is None
-            and g.flags.c_contiguous and g.flags.writeable
+    if (adopt and g.flags.c_contiguous and g.flags.writeable
             and g.shape == target.shape and g.dtype == target.dtype):
         target.grad = g
         return True

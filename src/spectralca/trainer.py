@@ -3,10 +3,12 @@ into EvalReports, and a warmup/median timing harness."""
 
 from __future__ import annotations
 
+import ctypes
 import platform
 import time
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import mean, median
 
 import numpy as np
@@ -162,6 +164,8 @@ class BenchReport:
     device: str
     param_count: int
     peak_mem_mb: float  # tracemalloc peak of one untimed call after the timed ones
+    blas_threads: int | None  # read back from the loaded OpenBLAS; None if unreadable
+    numpy_version: str
 
     @property
     def median_s(self) -> float:
@@ -187,11 +191,41 @@ class BenchReport:
             "param_count": self.param_count,
             "params_millions": self.params_millions,
             "peak_mem_mb": self.peak_mem_mb,
+            "blas_threads": self.blas_threads,
+            "numpy_version": self.numpy_version,
         }
 
 
 def _device_note() -> str:
     return f"cpu ({platform.machine()}, {platform.system()})"
+
+
+# Symbols OpenBLAS builds export for the thread count in force.
+_BLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+
+
+def blas_threads() -> int | None:
+    """Thread count the OpenBLAS that numpy ships reports, or None if it
+    cannot be read. Opening the library returns the copy already loaded, so
+    this is the count in force, not the one an environment variable asked
+    for."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_SYMBOLS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
 
 
 def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
@@ -215,7 +249,7 @@ def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
     finally:
         tracemalloc.stop()
     return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count,
-                       peak_mb)
+                       peak_mb, blas_threads(), np.__version__)
 
 
 def benchmark(module: Module, batch_shape: tuple[int, ...], warmup: int = 3,

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import tracemalloc
+from contextlib import nullcontext
 from dataclasses import asdict
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -90,13 +93,84 @@ class TestModelForward:
             model(Tensor(np.zeros((2, 1, 7, 7, 8), dtype=np.float32)))
 
 
+# (parameter, entry, value set there, what the error names)
+NON_FINITE_CASES = [
+    ("block1.spectral_conv.weight", (0, 0, 1, 1, 1), np.nan, "conv3d in block1.spectral_conv"),
+    ("stem.weight", (0, 0, 1, 1, 1), np.nan, "conv3d in stem"),
+    ("stem_bn.gamma", (0,), np.nan, "batchnorm in stem_bn"),
+    ("block1.spatial_conv.weight", (0, 0, 1, 1), np.nan, "conv2d in block1.spatial_conv"),
+    ("block1.spectral_bn.gamma", (0,), np.nan, "batchnorm in block1.spectral_bn"),
+    # finite activations whose sum over H and W overflows float32
+    ("block1.spectral_bn.beta", (0,), 3e38, "mean_axis"),
+]
+
+
 def test_non_finite_error_names_the_layer():
-    # a fresh model, its parameters never walked before the forward
-    model = tiny_model()
-    model.block1.spectral_conv.weight.data[0, 0, 1, 1, 1] = np.nan
-    with pytest.raises(NonFiniteError) as exc:
-        model(Tensor(rand_patches(2)))
-    assert str(exc.value) == "non-finite values produced by conv3d in block1.spectral_conv"
+    # a fresh model, its parameters never walked before the forward; the
+    # eval forward streams each conv into its BatchNorm, and its checks
+    # name the layer as the recorded ops under a tape do
+    for path, index, value, produced in NON_FINITE_CASES:
+        model = tiny_model()
+        reduce(getattr, path.split("."), model).data[index] = value
+        for tape in (nullcontext(), Tape()):
+            with tape, pytest.raises(NonFiniteError) as exc:
+                model(Tensor(rand_patches(2)))
+            assert str(exc.value) == f"non-finite values produced by {produced}", path
+
+
+def _with_running_statistics(model, seed=3):
+    """Random BatchNorm statistics and affine, and a random head, so that
+    every eval-mode term is non-trivial."""
+    rng = np.random.default_rng(seed)
+    for _, m in model.named_modules():
+        if isinstance(m, nn.BatchNorm):
+            m.running_mean[:] = 0.5 * rng.standard_normal(m.channels)
+            m.running_var[:] = 0.5 + rng.random(m.channels)
+            m.gamma.data[:] = 1.0 + 0.3 * rng.standard_normal(m.channels)
+            m.beta.data[:] = 0.2 * rng.standard_normal(m.channels)
+    model.head.weight.data[:] = rng.normal(0.0, 0.5, model.head.weight.shape)
+    return model
+
+
+TINY_DEPTH2 = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=2, stem_channels=4,
+                          block1=TINY_BLOCK, mid_channels=6,
+                          block2=SpectralCAConfig(channels=6, dim=8, heads=2, dropout_rate=0.0))
+
+
+class TestEvalStream:
+    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["budget", "one_sample_per_chunk"])
+    @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
+    def test_bit_identical_to_the_recorded_ops(self, config, chunk_bytes, monkeypatch):
+        # the recorded eval path, taken under a tape, is the oracle
+        if chunk_bytes is not None:
+            monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", chunk_bytes)
+            monkeypatch.setattr(nn, "_BN_CHUNK_BYTES", chunk_bytes)
+        model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+        patches = rand_patches(5, config)
+        streamed = (model(Tensor(patches)).data, model.predict_proba(patches),
+                    model.predict(patches))
+        with Tape() as tape:
+            recorded = (model(Tensor(patches), training=False).data,
+                        model.predict_proba(patches), model.predict(patches))
+        assert {"conv3d", "batchnorm", "mean_axis"} <= {n.op for n in tape.nodes}
+        for a, b in zip(streamed, recorded):
+            assert np.array_equal(a, b)
+
+    def test_eval_forward_never_builds_the_full_spectral_output(self):
+        # CFG32 at batch 16: the recorded ops hold the stem's output beside
+        # the spectral conv's and then its BatchNorm's (10.6 + 2 x 15.9 MB);
+        # the stream holds at most the stem's output and the block's
+        model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
+        patches = rand_patches(16, model.config)
+        stem_bytes = 16 * 64 * 9 * 9 * 32 * 4
+        spectral_bytes = 16 * 96 * 9 * 9 * 32 * 4
+        tracemalloc.start()
+        try:
+            model(Tensor(patches))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stem_bytes + spectral_bytes, peak / 1e6
 
 
 class TestPrecision:

@@ -197,6 +197,49 @@ class TestTapeMechanics:
         tape.backward(loss)
         np.testing.assert_array_equal(c.grad, [10.0, 12.0])
 
+    @pytest.mark.parametrize("op, adopted", [
+        (lambda x: T.reshape(x, (3, 2)), True),
+        (lambda x: T.transpose(x, (1, 0)), False),
+    ], ids=["reshape", "transpose"])
+    def test_view_gradient_of_the_nodes_own_gradient(self, op, adopted):
+        # a reshape's input gradient is a C-ordered view of the reshape's
+        # own output gradient, which nothing else holds, so it is adopted;
+        # a transpose's is a strided view and is copied into C order
+        x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = t64(np.arange(6.0).reshape(3, 2) + 1.0)
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(op(x), w))
+        mul_node = tape.nodes[1]
+        handed = []
+        inner = mul_node.backward
+
+        def spy(g):
+            grads = inner(g)
+            handed.append(grads[0])  # the view op's output gradient
+            return grads
+
+        mul_node.backward = spy
+        tape.backward(loss)
+        assert np.shares_memory(x.grad, handed[0]) == adopted
+        assert x.grad.flags.c_contiguous and x.grad.shape == x.shape
+        expected = w.data.reshape(2, 3) if adopted else w.data.T
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_views_sharing_memory_are_adopted_once(self):
+        # a rule that hands two views of its gradient to two inputs: the
+        # first is adopted, the second copied, so the two .grad arrays are
+        # independent
+        a = t64(np.zeros((2, 3)), requires_grad=True)
+        b = t64(np.zeros(6), requires_grad=True)
+        with Tape() as tape:
+            y = T.record_op("pair", (a, b), np.zeros((3, 2)),
+                            lambda g: (g.reshape(2, 3), g.reshape(6)))
+            loss = T.sum_all(T.mul(y, t64(np.arange(6.0).reshape(3, 2))))
+        tape.backward(loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad.ravel(), b.grad)
+        np.testing.assert_array_equal(b.grad, np.arange(6.0))
+
     def test_mean_axis_input_gradient_is_c_contiguous(self):
         # the spectral path's pooling over H and W: the gradient reaching
         # the pooled value (a BatchNorm output in the block) is C-ordered,

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ from spectralca.classifier import ModelConfig, PatchClassifier
 from spectralca.data import PatchSet, extract_patches, generate_synthetic, split
 from spectralca.metrics import EvalReport
 from spectralca.selftrain import pseudo_label_select
+from spectralca import trainer
 from spectralca.tensor import NonFiniteError, Parameter
 from spectralca.trainer import (
     EVAL_BATCH,
@@ -258,6 +260,16 @@ class TestBenchmark:
         assert report.measured_runs == 2 and len(report.times_s) == 2
         assert 8.0 <= report.peak_mem_mb < 8.1
         assert report.as_dict()["peak_mem_mb"] == report.peak_mem_mb
+
+    def test_reports_blas_threads_and_numpy_version(self, monkeypatch):
+        payload = benchmark_callable(lambda: None, warmup=0, runs=1).as_dict()
+        threads = payload["blas_threads"]
+        assert threads is None or (type(threads) is int and threads >= 1), threads
+        assert payload["numpy_version"] == np.__version__
+        json.dumps(payload)
+        # a library that exports none of the known symbols reads as null
+        monkeypatch.setattr(trainer, "_BLAS_THREAD_SYMBOLS", ())
+        assert benchmark_callable(lambda: None, warmup=0, runs=1).as_dict()["blas_threads"] is None
 
     def test_median_robust_to_injected_outlier(self):
         calls = {"n": 0}
