@@ -5,37 +5,85 @@ Token tensors are [batch, tokens, dim]. The embedding dim d is split into
 h contiguous head slices of d/h features; scaled dot-product attention
 runs per head and the concatenated heads pass through a per-direction
 output projection.
+
+`attention` is one tape op. It computes softmax(q k^T / sqrt(d/h)) v one
+head and one block of queries at a time, so only one block's [B, rows, Nk]
+scores exist at once. A softmax row depends only on its own query, so the
+blocks are exact (Rabe & Staats, "Self-attention Does Not Need O(n^2)
+Memory", arXiv:2112.05682). The op retains only q, k and v; backward
+recomputes each block's softmax, as FlashAttention does (Dao et al.,
+arXiv:2205.14135).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import tensor as T
-from .nn import Linear, Module, softmax
+from .nn import Linear, Module
 from .tensor import Tensor
 
-
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    b, n, d = t.shape
-    t = T.reshape(t, (b, n, heads, d // heads))
-    return T.transpose(t, (0, 2, 1, 3))  # [B,h,N,dh]
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    b, h, n, dh = t.shape
-    return T.reshape(T.transpose(t, (0, 2, 1, 3)), (b, n, h * dh))
+# Bytes of one query block's scores [B, rows, Nk], a block having at least
+# one query row; backward holds two such buffers (the probabilities and
+# their gradient). Sized to cache, like nn._COLS_BUDGET_BYTES:
+# the baseline block's eval forward at CFG32 and batch 2 (self-attention
+# over 2592 positions, 120 rows per block here, where one head's whole
+# scores would take 54 MB) ran within noise of each other from 1e6 to 1e7
+# and slower at 5e5 and 4e7 (2-core Xeon, one BLAS thread).
+_SCORES_BUDGET_BYTES = 2.5e6
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention per head; returns the merged context."""
-    dh = q.shape[-1] // heads
-    qh = T.scale(_split_heads(q, heads), 1.0 / np.sqrt(dh))
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
-    scores = T.matmul(qh, T.transpose(kh, (0, 1, 3, 2)))  # [B,h,Nq,Nk]
-    weights = softmax(scores, axis=-1)
-    return _merge_heads(T.matmul(weights, vh))
+def _probabilities(qs: np.ndarray, kh: np.ndarray) -> np.ndarray:
+    """softmax(qs kh^T) over the keys for scaled queries qs [B,rows,dh] and
+    keys kh [B,Nk,dh], normalized in place in one new [B,rows,Nk] buffer."""
+    p = qs @ kh.transpose(0, 2, 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Scaled dot-product attention of q [B,Nq,d] over k, v [B,Nk,d] with
+    `heads` heads of d/heads features each; returns the merged context
+    [B,Nq,d]."""
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2])):
+        raise T.ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} incompatible")
+    b, nq, d = q.shape
+    nk = k.shape[1]
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)  # a Python float keeps float32 data float32
+    qd, kd, vd = q.data, k.data, v.data
+    rows = max(1, int(_SCORES_BUDGET_BYTES // (b * nk * qd.itemsize)))
+    blocks = [slice(i, i + rows) for i in range(0, nq, rows)]
+    hs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    out = np.empty(q.shape, dtype=qd.dtype)
+    for sl in hs:
+        for blk in blocks:
+            out[:, blk, sl] = _probabilities(qd[:, blk, sl] * c, kd[:, :, sl]) @ vd[:, :, sl]
+
+    def backward(g):
+        gq = np.empty(qd.shape, qd.dtype)
+        gk = np.zeros(kd.shape, kd.dtype)
+        gv = np.zeros(vd.shape, vd.dtype)
+        for sl in hs:
+            kh, vh = kd[:, :, sl], vd[:, :, sl]
+            for blk in blocks:
+                qs = qd[:, blk, sl] * c
+                p = _probabilities(qs, kh)
+                gb = g[:, blk, sl]
+                gv[:, :, sl] += p.transpose(0, 2, 1) @ gb
+                gs = gb @ vh.transpose(0, 2, 1)  # gradient of p
+                gs -= np.einsum("bqk,bqk->bq", gs, p)[..., None]
+                gs *= p  # now the gradient of the scaled scores
+                np.multiply(gs @ kh, c, out=gq[:, blk, sl])
+                gk[:, :, sl] += gs.transpose(0, 2, 1) @ qs
+        return gq, gk, gv
+
+    return T.record_op("attention", (q, k, v), out, backward)
 
 
 class CrossAttention(Module):
@@ -73,13 +121,13 @@ class CrossAttention(Module):
                 f"token dim mismatch: expected {self.dim}, got "
                 f"{spatial_tokens.shape[-1]} and {spectral_tokens.shape[-1]}"
             )
-        to_spatial = _attend(
+        to_spatial = attention(
             self.q_spatial(spatial_tokens),
             self.k_spectral(spectral_tokens),
             self.v_spectral(spectral_tokens),
             self.heads,
         )
-        to_spectral = _attend(
+        to_spectral = attention(
             self.q_spectral(spectral_tokens),
             self.k_spatial(spatial_tokens),
             self.v_spatial(spatial_tokens),
@@ -103,5 +151,5 @@ class SelfAttention(Module):
         self.out = Linear(dim, dim, rng)
 
     def __call__(self, tokens: Tensor) -> Tensor:
-        ctx = _attend(self.q(tokens), self.k(tokens), self.v(tokens), self.heads)
+        ctx = attention(self.q(tokens), self.k(tokens), self.v(tokens), self.heads)
         return self.out(ctx)

@@ -11,7 +11,10 @@ back to C channels under a global residual. The paper's projection is a
 1x1x1 convolution over both streams replicated to cube size and
 concatenated; each half is constant along its replicated axes, so
 StreamProjector computes it exactly as two token matmuls and a broadcast
-add, one tape op that also adds the residual.
+add, one tape op that also adds the residual. A classifier only averages
+the last block's output over H, W and D, and that mean is linear in every
+input, so the block's `pool=True` form returns the [B,C] mean directly from
+the pooled input and the pooled tokens, without building the cube.
 """
 
 from __future__ import annotations
@@ -75,22 +78,31 @@ def _check_input(x: Tensor, channels: int) -> None:
 
 class StreamProjector(Module):
     """x + projector(concat(spatial over D, spectral over H,W)), the paper's
-    1x1x1 projection of both streams under the block's global residual, as
-    one op: with the weight [c,2d,1,1,1] split into W_s and W_p [c,d], this
-    is x + W_s s broadcast over D + (W_p p + b) broadcast over H,W, for x
-    [B,c,H,W,D], spatial tokens s [B,H*W,d] and spectral tokens p [B,D,d]."""
+    1x1x1 projection of both streams under the block's global residual.
+    With the weight [c,2d,1,1,1] split into W_s and W_p [c,d], it is
+    x + W_s s broadcast over D + (W_p p + b) broadcast over H,W, for x
+    [B,c,H,W,D], spatial tokens s [B,H*W,d] and spectral tokens p [B,D,d].
+
+    Calling it records this as one `project_streams` op. `pooled` records
+    its mean over H, W and D as one `project_pooled` op, computed from the
+    means of x, s and p, so the [B,c,H,W,D] output is never built."""
 
     def __init__(self, dim: int, channels: int, rng: np.random.Generator):
         super().__init__()
         self.weight = Parameter(_kaiming_uniform(rng, (channels, 2 * dim, 1, 1, 1), 2 * dim))
         self.bias = Parameter(np.zeros(channels, dtype=np.float32))
 
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W_s, W_p): the weight's halves for the spatial and the spectral
+        tokens, [c,d] each."""
+        c, two_d = self.weight.shape[:2]
+        wmat = self.weight.data.reshape(c, two_d)
+        return wmat[:, :two_d // 2], wmat[:, two_d // 2:]
+
     def __call__(self, x: Tensor, spatial: Tensor, spectral: Tensor) -> Tensor:
         b, c, hh, ww, dd = x.shape
-        d = spatial.shape[2]
         weight, bias = self.weight, self.bias
-        wmat = weight.data.reshape(c, 2 * d)
-        w_s, w_p = wmat[:, :d], wmat[:, d:]
+        w_s, w_p = self._split()
         sd, pd = spatial.data, spectral.data
         ys = (sd @ w_s.T).transpose(0, 2, 1).reshape(b, c, hh, ww, 1)
         yp = (pd @ w_p.T + bias.data).transpose(0, 2, 1).reshape(b, c, 1, 1, dd)
@@ -106,6 +118,32 @@ class StreamProjector(Module):
                     gw.reshape(weight.shape), g_p.sum(axis=(0, 2)))
 
         return T.record_op("project_streams", (x, spatial, spectral, weight, bias),
+                           out, backward)
+
+    def pooled(self, x: Tensor, spatial: Tensor, spectral: Tensor) -> Tensor:
+        """The mean of self(x, spatial, spectral) over H, W and D, [B,c]:
+        mean_HWD(x) + mean_HW(s) W_s^T + mean_D(p) W_p^T + b. Backward
+        spreads g/(H*W*D) over x, g/(H*W) W_s over the spatial tokens and
+        g/D W_p over the spectral tokens, each into a new C-contiguous
+        array that the tape adopts rather than copies."""
+        b, c, hh, ww, dd = x_shape = x.shape
+        s_shape, p_shape = spatial.shape, spectral.shape
+        weight, bias = self.weight, self.bias
+        w_s, w_p = self._split()
+        s_mean, p_mean = spatial.data.mean(axis=1), spectral.data.mean(axis=1)  # [B,d]
+        out = x.data.mean(axis=(2, 3, 4)) + s_mean @ w_s.T + p_mean @ w_p.T + bias.data
+
+        def backward(g):
+            gx = np.empty(x_shape, g.dtype)
+            gx[...] = (g / (hh * ww * dd)).reshape(b, c, 1, 1, 1)
+            gs = np.empty(s_shape, g.dtype)
+            gs[...] = ((g / (hh * ww)) @ w_s)[:, None, :]
+            gp = np.empty(p_shape, g.dtype)
+            gp[...] = ((g / dd) @ w_p)[:, None, :]
+            gw = np.concatenate((g.T @ s_mean, g.T @ p_mean), axis=1)
+            return gx, gs, gp, gw.reshape(weight.shape), g.sum(axis=0)
+
+        return T.record_op("project_pooled", (x, spatial, spectral, weight, bias),
                            out, backward)
 
 
@@ -147,7 +185,11 @@ class SpectralCABlock(Module):
         pooled = self.spectral_conv(x, self.spectral_bn, training, pool=(2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]
 
-    def __call__(self, x: Tensor, training: bool = False, rng=None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool = False, rng=None,
+                 pool: bool = False) -> Tensor:
+        """The block's [B,C,H,W,D] output for x [B,C,H,W,D]; with `pool`,
+        its mean over H, W and D, [B,C], from StreamProjector.pooled, which
+        never builds the cube. The two forms differ only in the last op."""
         rate = self.config.dropout_rate
         # spatial_path checks the input shape before any work is done
         spatial = self.spatial_path(x, training)
@@ -159,6 +201,8 @@ class SpectralCABlock(Module):
         spectral = T.add(spectral, dropout(att2, rate, training, rng))
         spectral = T.add(spectral, self.spectral_ffn(self.spectral_ffn_norm(spectral), training, rng))
 
+        if pool:
+            return self.projector.pooled(x, spatial, spectral)
         return self.projector(x, spatial, spectral)
 
 

@@ -3,6 +3,12 @@ one or two blocks (with a widening mid convolution in between), global
 average pooling, and a linear head; and `decode_config`, which builds a
 frozen config dataclass from JSON for the train config and the manifest.
 
+The pooling is the last block's: it is asked for the mean of its output
+over H, W and D (`pool=True`), which its projector computes from pooled
+inputs without building the [B,C,H,W,D] output, in training and in eval
+alike. A first block that feeds the mid convolution returns its full
+output.
+
 Checkpoint format (byte-exact):
   magic "SCK1" | u64 LE manifest byte length | manifest JSON (UTF-8,
   sorted keys) | blob of little-endian float32 values.
@@ -124,12 +130,12 @@ class PatchClassifier(Module):
                 f"got {patches.shape}"
             )
         x = self.stem(patches, self.stem_bn, training)
-        x = self.block1(x, training, rng)
+        # the last block returns its output's mean over H, W and D, [B, C]
+        x = self.block1(x, training, rng, pool=cfg.depth == 1)
         if cfg.depth == 2:
             x = self.mid(x, self.mid_bn, training)
-            x = self.block2(x, training, rng)
-        pooled = T.mean_axis(x, (2, 3, 4))  # [B, C]
-        return self.head(pooled)
+            x = self.block2(x, training, rng, pool=True)
+        return self.head(x)
 
     def predict_proba(self, patches: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities, [N, num_classes], rows sum to 1,

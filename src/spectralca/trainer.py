@@ -176,6 +176,14 @@ class BenchReport:
         return mean(self.times_s)
 
     @property
+    def p25_s(self) -> float:
+        return float(np.percentile(self.times_s, 25))
+
+    @property
+    def p75_s(self) -> float:
+        return float(np.percentile(self.times_s, 75))
+
+    @property
     def params_millions(self) -> float:
         return self.param_count / 1e6
 
@@ -185,6 +193,8 @@ class BenchReport:
             "measured_runs": self.measured_runs,
             "times_s": self.times_s,
             "median_s": self.median_s,
+            "p25_s": self.p25_s,
+            "p75_s": self.p75_s,
             "mean_s": self.mean_s,
             "batch_size": self.batch_size,
             "device": self.device,
@@ -228,36 +238,53 @@ def blas_threads() -> int | None:
     return None
 
 
-def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
-                       param_count: int = 0) -> BenchReport:
-    """Monotonic-clock wall times of `runs` calls of fn(), after `warmup`
-    discarded calls, and the tracemalloc peak of one more, untimed call
-    (what it allocates; memory held before it is not counted)."""
+def benchmark_callables(fns, warmup: int, runs: int, batch_size: int,
+                        param_counts: list[int]) -> list[BenchReport]:
+    """One BenchReport per callable: monotonic-clock wall times of `runs`
+    calls, after `warmup` discarded calls, and the tracemalloc peak of one
+    more, untimed call (what it allocates; memory held before it is not
+    counted). The callables take turns call by call, in warm-up and timed
+    runs alike, so a drift of the machine's speed reaches each of them."""
     if runs < 1 or warmup < 0:
         raise ValueError(f"runs must be >= 1 and warmup >= 0, got {runs} and {warmup}")
-    times = []
     for _ in range(warmup):
-        fn()
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
     for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    tracemalloc.start()
-    try:
-        fn()
-        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-    return BenchReport(warmup, runs, times, batch_size, _device_note(), param_count,
-                       peak_mb, blas_threads(), np.__version__)
+        for fn, fn_times in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            fn_times.append(time.perf_counter() - t0)
+    reports = []
+    for fn, fn_times, count in zip(fns, times, param_counts):
+        tracemalloc.start()
+        try:
+            fn()
+            peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        reports.append(BenchReport(warmup, runs, fn_times, batch_size, _device_note(),
+                                   count, peak_mb, blas_threads(), np.__version__))
+    return reports
+
+
+def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
+                       param_count: int = 0) -> BenchReport:
+    """benchmark_callables for one callable."""
+    return benchmark_callables([fn], warmup, runs, batch_size, [param_count])[0]
+
+
+def _random_input(batch_shape: tuple[int, ...], seed: int) -> Tensor:
+    if min(batch_shape) < 1:
+        raise ValueError(f"batch shape {batch_shape} needs every extent >= 1")
+    return Tensor(np.random.default_rng(seed).standard_normal(batch_shape).astype(np.float32))
 
 
 def benchmark(module: Module, batch_shape: tuple[int, ...], warmup: int = 3,
               runs: int = 10, seed: int = 0) -> BenchReport:
     """Eval-mode forward timing on one reused random input."""
-    if min(batch_shape) < 1:
-        raise ValueError(f"batch shape {batch_shape} needs every extent >= 1")
-    x = Tensor(np.random.default_rng(seed).standard_normal(batch_shape).astype(np.float32))
+    x = _random_input(batch_shape, seed)
     return benchmark_callable(
         lambda: module(x, training=False),
         warmup, runs, batch_size=batch_shape[0], param_count=module.param_count(),
@@ -277,13 +304,19 @@ def comparative_benchmark(config: SpectralCAConfig = CFG32, batch: int = 2,
                           height: int = 9, width: int = 9, bands: int = 32,
                           warmup: int = 3, runs: int = 10, seed: int = 0) -> dict:
     """Matched-config block-vs-baseline report: parameter counts, median
-    inference times, and the observed speed ratio (reported, not asserted)."""
+    inference times with their quartiles, and the observed speed ratio
+    (reported, not asserted). The two blocks' eval forwards on one random
+    input alternate run by run."""
     shape = (batch, config.channels, height, width, bands)
     rng = np.random.default_rng(seed)
     block = SpectralCABlock(config, rng)
     baseline = BaselineViTBlock(config, rng)
-    ours = benchmark(block, shape, warmup, runs, seed)
-    other = benchmark(baseline, shape, warmup, runs, seed)
+    x = _random_input(shape, seed)
+    ours, other = benchmark_callables(
+        [lambda: block(x, training=False), lambda: baseline(x, training=False)],
+        warmup, runs, batch_size=batch,
+        param_counts=[block.param_count(), baseline.param_count()],
+    )
     return {
         "config": {"channels": config.channels, "dim": config.dim, "heads": config.heads},
         "input_shape": list(shape),

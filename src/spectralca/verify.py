@@ -100,11 +100,16 @@ def _block_report(config: SpectralCAConfig, input_shape, seed: int,
     return _check(f, [x] + block.parameters(), rng, samples)
 
 
-def _classifier_report(seed: int, samples: int) -> GradCheckReport:
+def _classifier_report(depth: int, seed: int, samples: int) -> GradCheckReport:
+    """A tiny classifier in training mode. At depth 2 block1's full
+    projector feeds `mid` and block2's pooled projector feeds the head; at
+    depth 1 block1's is pooled."""
     rng = np.random.default_rng(seed)
     config = ModelConfig(
-        num_classes=3, patch_size=5, bands=8, depth=1, stem_channels=2,
+        num_classes=3, patch_size=5, bands=8, depth=depth, stem_channels=2,
         block1=SpectralCAConfig(channels=2, dim=4, heads=2, dropout_rate=0.0),
+        mid_channels=3,
+        block2=SpectralCAConfig(channels=3, dim=4, heads=2, dropout_rate=0.0),
     )
     model = PatchClassifier(config, rng).astype(np.float64)
     x = Parameter(rng.standard_normal((2, 1, 5, 5, 8)), name="x")
@@ -131,7 +136,8 @@ def gradcheck_suite(seed: int = 0, samples_per_parameter: int = 200,
         "attention": _attention_report(seed + 2, samples_per_parameter),
         "block_tiny": _block_report(TINY_BLOCK_CONFIG, (1, 2, 3, 3, 3), seed + 3,
                                     samples_per_parameter),
-        "classifier_tiny": _classifier_report(seed + 4, samples_per_parameter),
+        "classifier_tiny": _classifier_report(1, seed + 4, samples_per_parameter),
+        "classifier_tiny_d2": _classifier_report(2, seed + 6, samples_per_parameter),
     }
     if include_full_size_spot:
         suite["block_full_size_spot"] = _block_report(

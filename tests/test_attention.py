@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from spectralca import attention as A
 from spectralca import tensor as T
-from spectralca.attention import CrossAttention, SelfAttention
+from spectralca.attention import CrossAttention, SelfAttention, attention
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
 
 
@@ -125,6 +126,72 @@ class TestCrossAttention:
             return T.scale(both, 0.01)
 
         report = grad_check(f, [s, p] + ca.parameters(), rng=rng, samples_per_parameter=30)
+        assert report.ok, str(report)
+
+
+def _rows_budget(rows, batch, keys):
+    """A scores budget that gives query blocks of `rows` rows in float32."""
+    return rows * batch * keys * 4
+
+
+class TestAttentionOp:
+    # CFG32's two directions: 81 spatial queries over 32 spectral keys and
+    # the converse, at width 96 with 4 heads
+    @pytest.mark.parametrize("nq,nk,rows", [
+        (81, 32, 27), (81, 32, 24), (81, 32, 6), (32, 81, 8), (32, 81, 12),
+    ])
+    def test_query_blocks_are_bit_identical_to_one_block(self, nq, nk, rows, monkeypatch):
+        # 27 and 8 divide Nq, 24, 6 and 12 do not. Every block has at least
+        # two rows: numpy hands a one-row product to gemv, whose sums may
+        # round differently from gemm's (see the next test)
+        rng = np.random.default_rng(20)
+        q, k, v = (Tensor(rng.standard_normal((3, n, 96)).astype(np.float32))
+                   for n in (nq, nk, nk))
+        whole = attention(q, k, v, 4).data
+        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", _rows_budget(rows, 3, nk))
+        assert np.array_equal(attention(q, k, v, 4).data, whole)
+
+    def test_one_row_blocks_agree_to_rounding(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        q, k, v = (Tensor(rng.standard_normal((2, n, 96)).astype(np.float32))
+                   for n in (7, 9, 9))
+        whole = attention(q, k, v, 4).data
+        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", 1)
+        np.testing.assert_allclose(attention(q, k, v, 4).data, whole, rtol=0, atol=1e-5)
+
+    def test_records_one_node_per_direction(self):
+        rng = np.random.default_rng(22)
+        ca = CrossAttention(8, 2, rng)
+        s = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32), requires_grad=True)
+        p = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            ca(s, p)
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("attention") == 2 and len(ops) == 2 + 8  # and eight linear maps
+
+    def test_shape_mismatch_rejected(self):
+        q = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
+        k = Tensor(np.zeros((2, 3, 8), dtype=np.float32))
+        for kk, vv in [(k, Tensor(np.zeros((2, 4, 8)))), (Tensor(np.zeros((1, 3, 8))),) * 2,
+                       (Tensor(np.zeros((2, 3, 6))),) * 2]:
+            with pytest.raises(T.ShapeError):
+                attention(q, kk, vv, 2)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_gradcheck_in_query_blocks(self, rows, monkeypatch):
+        # 5 queries in blocks of 1 or 2 (the last one short): backward
+        # recomputes each block's softmax and sums the key and value
+        # gradients over the blocks
+        rng = np.random.default_rng(23)
+        q, k, v = (Parameter(rng.standard_normal((2, n, 6)), name=name)
+                   for n, name in ((5, "q"), (3, "k"), (3, "v")))
+        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", rows * 2 * 3 * 8)
+
+        def f():
+            out = attention(q, k, v, 2)
+            return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+
+        report = grad_check(f, [q, k, v], rng=rng, samples_per_parameter=30)
         assert report.ok, str(report)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,48 @@ class TestOutputStage:
         np.testing.assert_allclose(bias.grad, g.sum(axis=(0, 2, 3, 4)), rtol=1e-12)
 
 
+class TestPooledProjector:
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 4, 5), (1, 2, 1, 1, 3)])
+    def test_matches_the_mean_of_the_full_projection(self, shape):
+        # float64: value and all five input gradients against mean_axis of
+        # the full projector's output, for the same upstream gradient
+        rng = np.random.default_rng(13)
+        block = tiny_block(dtype=np.float64)
+        projector = block.projector
+        projector.bias.data[:] = rng.standard_normal(projector.bias.shape)
+        b, c, hh, ww, dd = shape
+        arrays = (rng.standard_normal(shape), rng.standard_normal((b, hh * ww, TINY.dim)),
+                  rng.standard_normal((b, dd, TINY.dim)))
+        g = Tensor(rng.standard_normal((b, c)))
+        results = []
+        for pooled in (True, False):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            block.zero_grad()
+            with Tape() as tape:
+                if pooled:
+                    out = projector.pooled(*inputs)
+                    assert [node.op for node in tape.nodes] == ["project_pooled"]
+                else:
+                    out = T.mean_axis(projector(*inputs), (2, 3, 4))
+                loss = T.sum_all(T.mul(out, g))
+            tape.backward(loss)
+            results.append([out.data] + [t.grad for t in inputs]
+                           + [projector.weight.grad.copy(), projector.bias.grad.copy()])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_block_pool_is_the_mean_of_the_block_output(self, training):
+        rng = np.random.default_rng(14)
+        block = tiny_block(dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, 2, 3, 4, 5)))
+        pooled = block(x, training, pool=True)
+        full = block(x, training)
+        assert pooled.shape == (2, 2)
+        np.testing.assert_allclose(pooled.data, full.data.mean(axis=(2, 3, 4)),
+                                   rtol=1e-12, atol=1e-15)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.integers(1, 2), st.integers(1, 5), st.integers(1, 5), st.integers(1, 6),
@@ -308,6 +352,21 @@ class TestBaseline:
         for cfg in (CFG32, CFG64):
             baseline = BaselineViTBlock(cfg, np.random.default_rng(0))
             assert baseline.param_count() > param_audit(cfg).total
+
+    def test_eval_forward_peak_memory(self):
+        # CFG32 at batch 2: the attention over all 2592 positions never
+        # holds the whole [2,4,2592,2592] scores (107 MB each for the scores
+        # and their softmax, 873 MB peak when they were built)
+        block = BaselineViTBlock(CFG32, np.random.default_rng(0))
+        x = Tensor(np.random.default_rng(1).standard_normal((2, 64, 9, 9, 32))
+                   .astype(np.float32))
+        tracemalloc.start()
+        try:
+            block(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6, peak / 1e6
 
     def test_gradcheck_tiny(self):
         # h=1e-5 here: the embed bias feeds LayerNorm directly (no BatchNorm

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralca import classifier, nn
+from spectralca import tensor as T
 from spectralca.block import SpectralCAConfig
 from spectralca.classifier import (
     CheckpointError,
@@ -171,6 +172,45 @@ class TestEvalStream:
         finally:
             tracemalloc.stop()
         assert peak < stem_bytes + spectral_bytes, peak / 1e6
+
+
+    def test_eval_forward_never_builds_the_projector_output(self):
+        # CFG32 at batch 16: the full projector held its [16,64,9,9,32]
+        # output beside its input, the stem's output (10.6 MB each, 23.1 MB
+        # peak); the pooled one never builds it, and the peak is the
+        # spectral stream's, the stem's output plus one conv chunk (21.4 MB)
+        model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
+        patches = rand_patches(16, model.config)
+        stem_bytes = 16 * 64 * 9 * 9 * 32 * 4
+        tracemalloc.start()
+        try:
+            model(Tensor(patches))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stem_bytes + 1e6, peak / 1e6
+
+
+def full_projector_logits(model, patches, training):
+    """The classifier composed with every block's full projector and an
+    explicit mean over H, W and D before the head."""
+    x = model.stem(patches, model.stem_bn, training)
+    x = model.block1(x, training)
+    if model.config.depth == 2:
+        x = model.mid(x, model.mid_bn, training)
+        x = model.block2(x, training)
+    return model.head(T.mean_axis(x, (2, 3, 4)))
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "training"])
+@pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
+def test_logits_match_the_full_projector_composition(config, training):
+    model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+    model.astype(np.float64)
+    patches = Tensor(rand_patches(5, config).astype(np.float64))
+    np.testing.assert_allclose(model(patches, training).data,
+                               full_projector_logits(model, patches, training).data,
+                               rtol=1e-12, atol=1e-14)
 
 
 class TestPrecision:

@@ -266,5 +266,6 @@ def test_gradcheck_passes_every_module(capsys):
     assert main(["gradcheck", "--no-full-size-spot", "--samples", "20"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "tensor_ops", "nn_ops", "attention", "block_tiny", "classifier_tiny"]
+        "tensor_ops", "nn_ops", "attention", "block_tiny", "classifier_tiny",
+        "classifier_tiny_d2"]
     assert all(line.endswith(" ok") for line in lines)

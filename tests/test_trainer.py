@@ -14,9 +14,11 @@ from spectralca.tensor import NonFiniteError, Parameter
 from spectralca.trainer import (
     EVAL_BATCH,
     Adam,
+    BenchReport,
     TrainConfig,
     benchmark,
     benchmark_callable,
+    benchmark_callables,
     comparative_benchmark,
     evaluate,
     predict_set,
@@ -271,6 +273,20 @@ class TestBenchmark:
         monkeypatch.setattr(trainer, "_BLAS_THREAD_SYMBOLS", ())
         assert benchmark_callable(lambda: None, warmup=0, runs=1).as_dict()["blas_threads"] is None
 
+    def test_callables_take_turns_run_by_run(self):
+        log = []
+        reports = benchmark_callables([lambda: log.append("a"), lambda: log.append("b")],
+                                      warmup=2, runs=3, batch_size=1, param_counts=[5, 7])
+        # warm-ups and timed runs alternate; then one memory pass each
+        assert log == ["a", "b"] * (2 + 3) + ["a", "b"]
+        assert [len(r.times_s) for r in reports] == [3, 3]
+        assert [r.param_count for r in reports] == [5, 7]
+
+    def test_reports_quartiles(self):
+        report = BenchReport(0, 5, [0.5, 0.1, 0.3, 0.2, 0.4], 1, "cpu", 0, 0.0, None, "x")
+        payload = report.as_dict()
+        assert (payload["p25_s"], payload["median_s"], payload["p75_s"]) == (0.2, 0.3, 0.4)
+
     def test_median_robust_to_injected_outlier(self):
         calls = {"n": 0}
 
@@ -299,3 +315,6 @@ class TestBenchmark:
         assert payload["speed_ratio_baseline_over_spectralca"] > 0
         assert "reference_fullscale" in payload
         assert payload["spectralca"]["measured_runs"] == 2
+        for side in ("spectralca", "baseline"):
+            report = payload[side]
+            assert report["p25_s"] <= report["median_s"] <= report["p75_s"]
