@@ -8,11 +8,13 @@ output projection.
 
 `attention` is one tape op. It computes softmax(q k^T / sqrt(d/h)) v one
 head and one block of queries at a time, so only one block's [B, rows, Nk]
-scores exist at once. A softmax row depends only on its own query, so the
-blocks are exact (Rabe & Staats, "Self-attention Does Not Need O(n^2)
-Memory", arXiv:2112.05682). The op retains only q, k and v; backward
-recomputes each block's softmax, as FlashAttention does (Dao et al.,
-arXiv:2205.14135).
+scores exist at once; the blocks are nn._chunks of the queries, so a
+block's scores take about nn._CHUNK_BYTES (at least one row). Backward
+holds two such buffers, the probabilities and their gradient. A softmax
+row depends only on its own query, so the blocks are exact (Rabe &
+Staats, "Self-attention Does Not Need O(n^2) Memory", arXiv:2112.05682).
+The op retains only q, k and v; backward recomputes each block's softmax,
+as FlashAttention does (Dao et al., arXiv:2205.14135).
 """
 
 from __future__ import annotations
@@ -22,17 +24,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .nn import Linear, Module
+from .nn import Linear, Module, _chunks
 from .tensor import Tensor
-
-# Bytes of one query block's scores [B, rows, Nk], a block having at least
-# one query row; backward holds two such buffers (the probabilities and
-# their gradient). Sized to cache, like nn._COLS_BUDGET_BYTES:
-# the baseline block's eval forward at CFG32 and batch 2 (self-attention
-# over 2592 positions, 120 rows per block here, where one head's whole
-# scores would take 54 MB) ran within noise of each other from 1e6 to 1e7
-# and slower at 5e5 and 4e7 (2-core Xeon, one BLAS thread).
-_SCORES_BUDGET_BYTES = 2.5e6
 
 
 def _probabilities(qs: np.ndarray, kh: np.ndarray) -> np.ndarray:
@@ -52,13 +45,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
             or (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2])):
         raise T.ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} incompatible")
+    if heads < 1 or q.shape[2] % heads:
+        raise T.ShapeError(f"attention: {heads} heads do not divide dim {q.shape[2]}")
     b, nq, d = q.shape
     nk = k.shape[1]
     dh = d // heads
     c = 1.0 / math.sqrt(dh)  # a Python float keeps float32 data float32
     qd, kd, vd = q.data, k.data, v.data
-    rows = max(1, int(_SCORES_BUDGET_BYTES // (b * nk * qd.itemsize)))
-    blocks = [slice(i, i + rows) for i in range(0, nq, rows)]
+    blocks = _chunks(nq, b * nk * qd.itemsize)
     hs = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
     out = np.empty(q.shape, dtype=qd.dtype)
     for sl in hs:
@@ -97,8 +91,8 @@ class CrossAttention(Module):
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        if dim % heads != 0:
-            raise ValueError(f"heads {heads} must divide dim {dim}")
+        if heads < 1 or dim % heads:
+            raise ValueError(f"heads {heads} must be positive and divide dim {dim}")
         self.dim = dim
         self.heads = heads
         self.q_spatial = Linear(dim, dim, rng)
@@ -141,8 +135,8 @@ class SelfAttention(Module):
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        if dim % heads != 0:
-            raise ValueError(f"heads {heads} must divide dim {dim}")
+        if heads < 1 or dim % heads:
+            raise ValueError(f"heads {heads} must be positive and divide dim {dim}")
         self.dim = dim
         self.heads = heads
         self.q = Linear(dim, dim, rng)

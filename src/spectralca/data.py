@@ -211,15 +211,6 @@ def load_labels(path, height: int, width: int) -> LabelRaster:
 # patches and splits
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-band affine standardization from the training pixels, recorded
-    for reproducibility."""
-
-    band_mean: np.ndarray
-    band_std: np.ndarray
-
-
 class PatchSet:
     """Pixel-centered patches over a padded cube, standardized once split.
 
@@ -229,14 +220,12 @@ class PatchSet:
     """
 
     def __init__(self, padded: np.ndarray, coords: np.ndarray, labels: np.ndarray,
-                 patch_size: int, num_classes: int,
-                 stats: NormalizationStats | None = None):
+                 patch_size: int, num_classes: int):
         self.padded = padded
         self.coords = np.asarray(coords, dtype=np.int64)
         self.labels = np.asarray(labels, dtype=np.int64)
         self.patch_size = patch_size
         self.num_classes = num_classes
-        self.stats = stats
         if len(self.coords) != len(self.labels):
             raise ValueError("coords/labels length mismatch")
 
@@ -274,7 +263,7 @@ class PatchSet:
         indices = np.asarray(indices, dtype=np.int64)
         new_labels = self.labels[indices] if labels is None else np.asarray(labels, dtype=np.int64)
         return PatchSet(self.padded, self.coords[indices], new_labels,
-                        self.patch_size, self.num_classes, self.stats)
+                        self.patch_size, self.num_classes)
 
 
 def merge_patchsets(a: PatchSet, b: PatchSet) -> PatchSet:
@@ -283,7 +272,7 @@ def merge_patchsets(a: PatchSet, b: PatchSet) -> PatchSet:
         raise ValueError("patch sets come from different cubes")
     return PatchSet(a.padded, np.concatenate([a.coords, b.coords]),
                     np.concatenate([a.labels, b.labels]), a.patch_size,
-                    a.num_classes, a.stats)
+                    a.num_classes)
 
 
 def _mirror_pad(values: np.ndarray, radius: int) -> np.ndarray:
@@ -368,14 +357,13 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     train_pixels = core[patchset.coords[train_sel, 0], patchset.coords[train_sel, 1], :]
     mean = train_pixels.mean(axis=0)
     std = np.maximum(train_pixels.std(axis=0), 1e-8)
-    stats = NormalizationStats(band_mean=mean, band_std=std)
     padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
 
     def build(sel: np.ndarray, hide_labels: bool = False) -> PatchSet:
         order = sel[np.argsort(sel)]  # raster-scan order
         labels = np.zeros(len(order), dtype=np.int64) if hide_labels else patchset.labels[order]
         return PatchSet(padded_norm, patchset.coords[order], labels,
-                        patchset.patch_size, patchset.num_classes, stats)
+                        patchset.patch_size, patchset.num_classes)
 
     hide = test_fraction is not None
     return build(train_sel), build(test_sel), build(pool_sel, hide_labels=hide)

@@ -158,16 +158,3 @@ class EvalReport:
             "objective_j": self.objective_j,
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        return cls(
-            oa=payload["oa"],
-            aa=payload["aa"],
-            kappa=payload["kappa"],
-            per_class=payload.get("per_class", []),
-            infer_time_s=payload.get("infer_time_s"),
-            params_millions=payload.get("params_millions"),
-            objective_j=payload.get("objective_j"),
-        )

@@ -5,14 +5,17 @@ dropout, cross_entropy) live alongside. Every layer is built in float32;
 ``Module.astype(np.float64)`` converts a built model for gradient checks.
 BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
 place ReLU exists. That op and silu retain only their input; backward
-recomputes the rest, SiLU's derivative always by _silu_slope. BatchNorm's
+recomputes the rest, SiLU's derivative always by _silu_slope.
+
+Every chunked loop, here and in attention, slices its items with _chunks
+under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
 time, so its temporaries are chunk-sized. Convolutions are same-padded
 cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
-the batch is split into chunks whose buffers fit in cache, and each chunk's
-buffers are freed before the next chunk is gathered; each chunk gathers
-the kernel taps over all spatial axes but the last, and the k taps along
-the last axis are k BLAS matmuls on shifted views of those columns.
+the batch is split into chunks whose buffers fit the budget, and each
+chunk's buffers are freed before the next chunk is gathered; each chunk
+gathers the kernel taps over all spatial axes but the last, and the k taps
+along the last axis are k BLAS matmuls on shifted views of those columns.
 Backward keeps nothing of the forward but its input: the weight gradient
 gathers the columns again, chunk by chunk, and the input gradient is the
 same lowering applied with the flipped kernel.
@@ -111,6 +114,35 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# chunking
+#
+# Every chunked loop cuts its items into slices of about _CHUNK_BYTES: a
+# conv's batch by the bytes of one sample's columns plus GEMM accumulator,
+# BatchNorm's batch (training variance, SiLU, backward) by one sample's
+# input, attention's queries by one query row's [B, 1, Nk] scores. The
+# budget is sized to cache rather than to a memory ceiling: a chunk is
+# still cached when the next pass over it reads it, and the temporaries
+# stop growing with the batch. Each loop was swept on its own (2-core Xeon,
+# 2 MB L2 per core, one BLAS thread, CFG32 on 9x9x32 patches) and 1e6 is
+# at, or within noise of, the best value for each: conv, 1e6 to 5e6 within
+# noise of each other, eval forward at batch 64 17% and a batch-32 training
+# step 8% faster than 2e7; BatchNorm, one sample per chunk ran the spectral
+# backward in 81-114 ms of a training step, two samples in 108-118 ms and
+# the whole batch in 139-198 ms; attention, the baseline's batch-2 eval
+# forward within noise from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6
+# the stem, the spectral conv and the spectral BN run one sample per chunk,
+# the 2D conv 8 samples, and each CFG32 cross-attention one query block.
+_CHUNK_BYTES = 1e6
+
+
+def _chunks(n: int, item_bytes: float) -> list[slice]:
+    """Slices covering range(n), each of at least one item and otherwise of
+    at most _CHUNK_BYTES of items of item_bytes each."""
+    step = max(1, int(_CHUNK_BYTES // max(item_bytes, 1)))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+# ---------------------------------------------------------------------------
 # convolution kernels (shared by the 2D and 3D layers)
 #
 # Partial im2col (MEC, Cho & Brand 2017): the columns gather every tap over
@@ -122,27 +154,15 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # (202 MB for the spectral conv at batch 32; forward plus backward took
 # 1.31-1.40 s kept and 1.24-1.45 s re-gathered, 2-core Xeon, one thread).
 
-# Bytes of columns plus GEMM accumulator per batch chunk, sized to cache
-# rather than to a memory ceiling: a chunk's columns are still cached when
-# the shifted GEMMs read them, the accumulator when the taps add into it,
-# and the transient buffers stop growing with the batch. Swept from 5e5 to
-# 8e7 (2-core Xeon, 2 MB L2 per core, one BLAS thread, CFG32 on 9x9x32
-# patches, 8 interleaved reps): 1e6, 2.5e6 and 5e6 were within noise of
-# each other and ran eval forward at batch 64 17% and a batch-32 training
-# step 8% faster than 2e7. At 2.5e6 the block's spectral conv (6.3 MB of
-# float32 columns and 1.1 MB of accumulator per sample) runs one sample per
-# chunk, the stem three and the 2D conv 24.
-_COLS_BUDGET_BYTES = 2.5e6
-
-
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
+    """(spatial, k, pad, parts): the batch slices are sized by the bytes of
+    one sample's columns plus its GEMM accumulator."""
     spatial = xd.shape[2:]
     o, c, k = wd.shape[:3]
     pad = (k - 1) // 2
     ncols = int(np.prod(spatial[:-1])) * (spatial[-1] + 2 * pad)
     per_sample = (c * k ** (len(spatial) - 1) + o) * ncols * xd.itemsize
-    chunk = max(1, int(_COLS_BUDGET_BYTES // per_sample))
-    return spatial, k, pad, chunk
+    return spatial, k, pad, _chunks(xd.shape[0], per_sample)
 
 
 def _tap_weights(wd: np.ndarray) -> np.ndarray:
@@ -181,15 +201,13 @@ def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     C-contiguous [n,O,*S] output), which is out[slice] when out is given
     and a fresh array otherwise. Each chunk's columns are freed before its
     output is yielded."""
-    spatial, k, pad, chunk = _conv_geometry(xd, wd)
-    b = xd.shape[0]
+    spatial, k, pad, parts = _conv_geometry(xd, wd)
     o = wd.shape[0]
     wstack = _tap_weights(wd)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
-    for start in range(0, b, chunk):
-        piece = xd[start:start + chunk]
-        n = piece.shape[0]
-        cols = _gather_columns(piece, k, pad, spatial)
+    for part in parts:
+        n = part.stop - part.start
+        cols = _gather_columns(xd[part], k, pad, spatial)
         # column j + e holds last-axis tap e of output column j; the last
         # k-1 columns fall in the padding and are never computed
         m = cols.shape[1] - (k - 1)
@@ -200,11 +218,11 @@ def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
             acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
         del cols, tap
         acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
-        y = np.empty((n, o) + spatial, dtype=xd.dtype) if out is None else out[start:start + n]
+        y = np.empty((n, o) + spatial, dtype=xd.dtype) if out is None else out[part]
         y[...] = np.swapaxes(acc, 0, 1)
         del acc
         y += bias
-        yield slice(start, start + n), y
+        yield part, y
 
 
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
@@ -222,19 +240,18 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     the forward; the input gradient is the forward with the flipped,
     channel-swapped kernel.
     """
-    spatial, k, pad, chunk = _conv_geometry(xd, wd)
-    b, c = xd.shape[:2]
+    spatial, k, pad, parts = _conv_geometry(xd, wd)
+    c = xd.shape[1]
     o = wd.shape[0]
     rows = c * k ** (len(spatial) - 1)
     gw_t = np.zeros((k, rows, o), dtype=wd.dtype)
     padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
-    for start in range(0, b, chunk):
-        n = min(chunk, b - start)
-        cols = _gather_columns(xd[start:start + n], k, pad, spatial)
+    for part in parts:
+        cols = _gather_columns(xd[part], k, pad, spatial)
         m = cols.shape[1] - (k - 1)
         # g in the padded column order, zero where no output was computed
-        gp = np.zeros((o, n) + padded, dtype=g.dtype)
-        gp[..., :spatial[-1]] = np.swapaxes(g[start:start + n], 0, 1)
+        gp = np.zeros((o, part.stop - part.start) + padded, dtype=g.dtype)
+        gp[..., :spatial[-1]] = np.swapaxes(g[part], 0, 1)
         gp = gp.reshape(o, -1)[:, :m]
         # per-tap gradients, the GEMM's output [rows, O] or [O, rows],
         # whichever has more rows: [rows, O] ran faster for the spectral
@@ -327,22 +344,6 @@ class Conv3D(_Conv):
 NORM_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
-# Input bytes per batch chunk of BatchNorm's forward (training variance and
-# sigmoid) and backward, whose temporaries are chunk-sized and reused
-# rather than input-sized and freshly mapped. One sample of the spectral BN
-# (1 MB) or the stem's (0.66 MB) per chunk ran the spectral backward in
-# 81-114 ms of a batch-32 training step, two samples in 108-118 ms and the
-# whole batch in 139-198 ms; the spatial BN (31 KB per sample) runs whole
-# (2-core Xeon, one BLAS thread).
-_BN_CHUNK_BYTES = 1e6
-
-
-def _batch_chunks(xd: np.ndarray) -> list[slice]:
-    """Slices of the batch axis of about _BN_CHUNK_BYTES of xd each (at
-    least one sample)."""
-    chunk = max(1, int(_BN_CHUNK_BYTES // max(xd[:1].nbytes, 1)))
-    return [slice(i, i + chunk) for i in range(0, len(xd), chunk)]
-
 
 class BatchNorm(Module):
     """Per-channel normalization over all non-channel axes (channel axis 1)
@@ -357,16 +358,17 @@ class BatchNorm(Module):
     are bit-identical. gamma/beta are the only trainable entries.
 
     Besides its output, the forward allocates only batch-chunk
-    temporaries: the training variance sums squares of the centred input
-    in float64 and SiLU's sigmoid is applied a chunk at a time. The op
+    temporaries, each chunk about _CHUNK_BYTES of input (at least one
+    sample): the training variance sums squares of the centred input in
+    float64 and SiLU's sigmoid is applied a chunk at a time. The op
     retains only its pre-normalization input x and per-channel vectors.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
-    in per-channel coefficient
-    form, gx = scale*gz + b*(x - mu) + c. It overwrites the upstream
-    gradient g with gz and then gx, a batch chunk at a time, so its
-    temporaries are chunk-sized. The sum of gz*(x - mu) is taken over
-    centred x, so a large channel mean does not cancel.
+    in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c. It
+    overwrites the upstream gradient g with gz and then gx, over the same
+    batch chunks, so its temporaries are chunk-sized. The sum of
+    gz*(x - mu) is taken over centred x, so a large channel mean does not
+    cancel.
     """
 
     def __init__(self, channels: int, activation: str):
@@ -398,7 +400,7 @@ class BatchNorm(Module):
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         else:
-            for part in _batch_chunks(out):
+            for part in _chunks(len(out), out[:1].nbytes):
                 z = out[part]
                 z *= _sigmoid(z)
         return out
@@ -410,7 +412,7 @@ class BatchNorm(Module):
         bshape = (1, self.channels) + (1,) * (x.ndim - 2)
         n = x.size // self.channels
         xd, activation = x.data, self.activation
-        chunks = _batch_chunks(xd)
+        chunks = _chunks(len(xd), xd[:1].nbytes)
         if training:
             if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectralca import attention as A
+from spectralca import nn
 from spectralca import tensor as T
 from spectralca.attention import CrossAttention, SelfAttention, attention
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
@@ -101,8 +101,10 @@ class TestCrossAttention:
                Tensor(np.zeros((1, 2, 6), dtype=np.float32)))
 
     def test_heads_must_divide_dim(self):
-        with pytest.raises(ValueError):
-            CrossAttention(10, 3, np.random.default_rng(0))
+        for dim, heads in [(10, 3), (8, 0), (8, -2)]:  # -2 divides 8, 0 divides by zero
+            for layer in (CrossAttention, SelfAttention):
+                with pytest.raises(ValueError):
+                    layer(dim, heads, np.random.default_rng(0))
 
     def test_parameter_count_exact(self):
         for d, expected in [(96, 74_496), (120, 116_160)]:
@@ -129,9 +131,9 @@ class TestCrossAttention:
         assert report.ok, str(report)
 
 
-def _rows_budget(rows, batch, keys):
-    """A scores budget that gives query blocks of `rows` rows in float32."""
-    return rows * batch * keys * 4
+def _rows_budget(monkeypatch, rows, batch, keys, itemsize=4):
+    """Sets the chunk budget to give query blocks of `rows` rows."""
+    monkeypatch.setattr(nn, "_CHUNK_BYTES", rows * batch * keys * itemsize)
 
 
 class TestAttentionOp:
@@ -148,7 +150,7 @@ class TestAttentionOp:
         q, k, v = (Tensor(rng.standard_normal((3, n, 96)).astype(np.float32))
                    for n in (nq, nk, nk))
         whole = attention(q, k, v, 4).data
-        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", _rows_budget(rows, 3, nk))
+        _rows_budget(monkeypatch, rows, 3, nk)
         assert np.array_equal(attention(q, k, v, 4).data, whole)
 
     def test_one_row_blocks_agree_to_rounding(self, monkeypatch):
@@ -156,7 +158,7 @@ class TestAttentionOp:
         q, k, v = (Tensor(rng.standard_normal((2, n, 96)).astype(np.float32))
                    for n in (7, 9, 9))
         whole = attention(q, k, v, 4).data
-        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", 1)
+        _rows_budget(monkeypatch, 1, 2, 9)
         np.testing.assert_allclose(attention(q, k, v, 4).data, whole, rtol=0, atol=1e-5)
 
     def test_records_one_node_per_direction(self):
@@ -176,6 +178,10 @@ class TestAttentionOp:
                        (Tensor(np.zeros((2, 3, 6))),) * 2]:
             with pytest.raises(T.ShapeError):
                 attention(q, kk, vv, 2)
+        # the heads must divide d = 8: with 3, features 6-7 would be in no head
+        for heads in (3, 0, -2):
+            with pytest.raises(T.ShapeError):
+                attention(q, k, k, heads)
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_gradcheck_in_query_blocks(self, rows, monkeypatch):
@@ -185,7 +191,7 @@ class TestAttentionOp:
         rng = np.random.default_rng(23)
         q, k, v = (Parameter(rng.standard_normal((2, n, 6)), name=name)
                    for n, name in ((5, "q"), (3, "k"), (3, "v")))
-        monkeypatch.setattr(A, "_SCORES_BUDGET_BYTES", rows * 2 * 3 * 8)
+        _rows_budget(monkeypatch, rows, 2, 3, itemsize=8)
 
         def f():
             out = attention(q, k, v, 2)

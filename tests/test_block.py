@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectralca import attention as A
+from spectralca import nn
 from spectralca import tensor as T
+from spectralca.attention import CrossAttention
 from spectralca.block import (
     CFG32,
     CFG64,
@@ -17,6 +20,7 @@ from spectralca.block import (
     closed_form_counts,
     param_audit,
 )
+from spectralca.nn import BatchNorm
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
 from spectralca.verify import TINY_BLOCK_CONFIG
 from test_nn import conv_reference
@@ -402,3 +406,58 @@ class TestConfig:
     def test_presets_pinned(self):
         assert (CFG32.channels, CFG32.dim) == (64, 96)
         assert (CFG64.channels, CFG64.dim) == (128, 120)
+
+
+def _recorded_chunks(monkeypatch, module):
+    """The slices of every _chunks call made through `module` (nn or
+    attention), recorded in order."""
+    real, calls = nn._chunks, []
+
+    def spy(n, item_bytes):
+        calls.append(real(n, item_bytes))
+        return calls[-1]
+
+    monkeypatch.setattr(module, "_chunks", spy)
+    return calls
+
+
+def _zeros(*shape):
+    """A float32 array of the shape that allocates nothing."""
+    return np.broadcast_to(np.float32(0), shape)
+
+
+class TestChunkOperatingPoint:
+    """The chunking of CFG32 on 9x9x32 patches under nn._CHUNK_BYTES, so a
+    change of the budget shows here."""
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    def test_convs(self, batch):
+        block = SpectralCABlock(CFG32, np.random.default_rng(0))
+        spectral = nn._conv_geometry(_zeros(batch, 64, 9, 9, 32), block.spectral_conv.weight.data)
+        assert spectral[3] == [slice(i, i + 1) for i in range(batch)]
+        spatial = nn._conv_geometry(_zeros(batch, 64, 9, 9), block.spatial_conv.weight.data)
+        assert spatial[3] == [slice(i, i + 8) for i in range(0, batch, 8)]
+
+    def test_spectral_batchnorm_one_sample_per_chunk(self, monkeypatch):
+        calls = _recorded_chunks(monkeypatch, nn)
+        x = np.random.default_rng(1).standard_normal((2, 96, 9, 9, 32)).astype(np.float32)
+        BatchNorm(96, "silu")(Tensor(x), training=True)
+        assert calls == [[slice(0, 1), slice(1, 2)]] * 2  # statistics and SiLU
+
+    @pytest.mark.parametrize("batch", [32, 64])
+    def test_cross_attention_one_block_per_direction(self, batch, monkeypatch):
+        calls = _recorded_chunks(monkeypatch, A)
+        rng = np.random.default_rng(2)
+        spatial, spectral = (Tensor(rng.standard_normal((batch, n, 96)).astype(np.float32))
+                             for n in (81, 32))
+        CrossAttention(96, 4, rng)(spatial, spectral)
+        assert calls == [[slice(0, 81)], [slice(0, 32)]]
+
+    def test_baseline_self_attention_48_rows_per_block(self, monkeypatch):
+        # batch 2 over all 9*9*32 positions; the block count depends only
+        # on the batch and the query and key counts, so one head of width 4
+        # stands in for CFG32's four of 24
+        calls = _recorded_chunks(monkeypatch, A)
+        tokens = Tensor(np.random.default_rng(3).standard_normal((2, 2592, 4)).astype(np.float32))
+        A.attention(tokens, tokens, tokens, 1)
+        assert calls == [[slice(i, i + 48) for i in range(0, 2592, 48)]]

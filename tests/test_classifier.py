@@ -26,6 +26,7 @@ from spectralca.classifier import (
 from spectralca.nn import cross_entropy
 from spectralca.tensor import NonFiniteError, ShapeError, Tape, Tensor
 from spectralca.trainer import Adam
+from conftest import CHUNKINGS
 from test_data import mutated_bytes
 
 TINY_BLOCK = SpectralCAConfig(channels=4, dim=8, heads=2, dropout_rate=0.0)
@@ -139,13 +140,11 @@ TINY_DEPTH2 = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=2, stem_ch
 
 
 class TestEvalStream:
-    @pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["budget", "one_sample_per_chunk"])
+    @pytest.mark.parametrize("chunking", CHUNKINGS, ids=["budget", "one_sample_per_chunk"],
+                             indirect=True)
     @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
-    def test_bit_identical_to_the_recorded_ops(self, config, chunk_bytes, monkeypatch):
+    def test_bit_identical_to_the_recorded_ops(self, config, chunking):
         # the recorded eval path, taken under a tape, is the oracle
-        if chunk_bytes is not None:
-            monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", chunk_bytes)
-            monkeypatch.setattr(nn, "_BN_CHUNK_BYTES", chunk_bytes)
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         patches = rand_patches(5, config)
         streamed = (model(Tensor(patches)).data, model.predict_proba(patches),

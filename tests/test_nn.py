@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CHUNKINGS
 from spectralca import nn, tensor as T
 from spectralca.nn import (
     BatchNorm,
@@ -132,6 +133,24 @@ def test_conv_numpy_fallback_matches_bruteforce():
     assert report.ok, str(report)
 
 
+# --- the one chunking helper ----------------------------------------------
+
+
+class TestChunks:
+    def test_slices_cover_the_items_within_the_budget(self):
+        third = int(nn._CHUNK_BYTES) // 3
+        assert nn._chunks(10, third) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+
+    def test_no_items_give_no_slices(self):
+        assert nn._chunks(0, 4) == []
+
+    def test_an_item_bigger_than_the_budget_is_a_slice_of_its_own(self):
+        assert nn._chunks(3, 2 * nn._CHUNK_BYTES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_items_of_no_bytes_are_one_slice(self):
+        assert nn._chunks(5, 0) == [slice(0, 5)]
+
+
 # --- convolutions split into several batch chunks -------------------------
 
 MULTI_CHUNK_LAYERS = {
@@ -141,27 +160,21 @@ MULTI_CHUNK_LAYERS = {
 }
 
 
-@pytest.fixture
-def one_sample_chunks(monkeypatch):
-    # a budget below one sample's columns gives one chunk per sample
-    monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", 1)
-
-
 @pytest.mark.parametrize("name", list(MULTI_CHUNK_LAYERS))
-def test_multi_chunk_conv_matches_bruteforce(name, one_sample_chunks):
+def test_multi_chunk_conv_matches_bruteforce(name, chunking):
     build, shape = MULTI_CHUNK_LAYERS[name]
     rng = np.random.default_rng(79)
     layer = build(rng)
     layer.bias.data[:] = rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal(shape)
     w, b = layer.weight.data, layer.bias.data
-    assert nn._conv_geometry(x, w)[3] == 1 and shape[0] >= 3
+    assert len(nn._conv_geometry(x, w)[3]) == shape[0] >= 3
     np.testing.assert_allclose(nn._conv_forward(x, w, b), conv_reference(x, w, b),
                                atol=1e-12)
 
 
 @pytest.mark.parametrize("name", list(MULTI_CHUNK_LAYERS))
-def test_gradcheck_multi_chunk_conv(name, one_sample_chunks):
+def test_gradcheck_multi_chunk_conv(name, chunking):
     _gradcheck_layer(*MULTI_CHUNK_LAYERS[name])
 
 
@@ -192,16 +205,11 @@ EDGE_LAYERS = {
 }
 
 
-@pytest.fixture(params=["whole_batch", "one_sample_per_chunk"])
-def chunking(request, monkeypatch):
-    # budgets below one sample's bytes give convs and BatchNorm's backward
-    # one chunk per sample
-    if request.param == "one_sample_per_chunk":
-        monkeypatch.setattr(nn, "_COLS_BUDGET_BYTES", 1)
-        monkeypatch.setattr(nn, "_BN_CHUNK_BYTES", 1)
+BOTH_CHUNKINGS = pytest.mark.parametrize("chunking", CHUNKINGS, indirect=True)
 
 
 @pytest.mark.parametrize("name", list(EDGE_LAYERS))
+@BOTH_CHUNKINGS
 def test_edge_shape_conv_matches_bruteforce(name, chunking):
     build, shape = EDGE_LAYERS[name]
     rng = np.random.default_rng(82)
@@ -224,6 +232,7 @@ def test_edge_shape_conv_matches_bruteforce(name, chunking):
 
 
 @pytest.mark.parametrize("name", list(EDGE_LAYERS))
+@BOTH_CHUNKINGS
 def test_gradcheck_edge_shape_conv(name, chunking):
     _gradcheck_layer(*EDGE_LAYERS[name])
 
@@ -352,7 +361,7 @@ def test_batchnorm_forward_transient_is_below_one_input():
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_conv_frees_each_chunk_before_gathering_the_next(direction, one_sample_chunks):
+def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking):
     # a 3x3x3 conv at batch 2, one sample per chunk: the first chunk's
     # columns (3.2 MB, as are the input gradient pass's) are freed before
     # the second is gathered, so the transient stays under two chunks'
@@ -589,12 +598,14 @@ def test_gradcheck_layernorm():
 
 
 @pytest.mark.parametrize("activation", ["relu", "silu"])
+@BOTH_CHUNKINGS
 def test_gradcheck_batchnorm_training(activation, chunking):
     _gradcheck_layer(lambda r: BatchNorm(3, activation).astype(np.float64), (4, 3, 5),
                      n_extra=1)
 
 
 @pytest.mark.parametrize("activation", ["relu", "silu"])
+@BOTH_CHUNKINGS
 def test_gradcheck_batchnorm_eval(activation, chunking):
     rng = np.random.default_rng(43)
     bn = BatchNorm(3, activation).astype(np.float64)
