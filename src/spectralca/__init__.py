@@ -18,7 +18,6 @@ from .classifier import (
     ModelConfig,
     PatchClassifier,
     load_checkpoint,
-    model_audit,
     save_checkpoint,
 )
 from .data import (
@@ -37,7 +36,6 @@ from .data import (
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
-    ObjectiveWeights,
     average_accuracy,
     kappa,
     objective_j,
@@ -56,7 +54,6 @@ from .trainer import (
     Adam,
     BenchReport,
     TrainConfig,
-    benchmark,
     comparative_benchmark,
     evaluate,
     train,
@@ -70,14 +67,13 @@ __all__ = [
     "BenchReport", "CFG32", "CFG64", "CheckpointError", "ConfusionMatrix",
     "Conv2D", "Conv3D", "CrossAttention", "EvalReport", "Hypercube",
     "LabelRaster", "LayerNorm", "Linear", "ModelConfig", "Module",
-    "NonFiniteError", "ObjectiveWeights", "PRESETS", "Parameter",
-    "PatchClassifier", "PatchSet", "PseudoLabelSet", "SelfAttention",
-    "ShapeError", "SpectralCABlock", "SpectralCAConfig", "SslConfig", "Tape",
-    "Tensor", "TrainConfig", "average_accuracy", "benchmark",
-    "comparative_benchmark", "evaluate", "extract_patches", "generate_synthetic",
-    "grad_check", "gradcheck_suite", "kappa", "load_checkpoint", "load_cube",
-    "load_labels", "merge_patchsets", "model_audit", "objective_j",
-    "overall_accuracy", "param_audit", "pseudo_label_select",
+    "NonFiniteError", "PRESETS", "Parameter", "PatchClassifier", "PatchSet",
+    "PseudoLabelSet", "SelfAttention", "ShapeError", "SpectralCABlock",
+    "SpectralCAConfig", "SslConfig", "Tape", "Tensor", "TrainConfig",
+    "average_accuracy", "comparative_benchmark", "evaluate", "extract_patches",
+    "generate_synthetic", "grad_check", "gradcheck_suite", "kappa",
+    "load_checkpoint", "load_cube", "load_labels", "merge_patchsets",
+    "objective_j", "overall_accuracy", "param_audit", "pseudo_label_select",
     "run_self_training", "save_checkpoint", "save_cube", "save_labels",
     "self_training_round", "split", "train",
 ]

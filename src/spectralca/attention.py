@@ -24,18 +24,8 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .nn import Linear, Module, _chunks
+from .nn import Linear, Module, _chunks, softmax_inplace
 from .tensor import Tensor
-
-
-def _probabilities(qs: np.ndarray, kh: np.ndarray) -> np.ndarray:
-    """softmax(qs kh^T) over the keys for scaled queries qs [B,rows,dh] and
-    keys kh [B,Nk,dh], normalized in place in one new [B,rows,Nk] buffer."""
-    p = qs @ kh.transpose(0, 2, 1)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -57,7 +47,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out = np.empty(q.shape, dtype=qd.dtype)
     for sl in hs:
         for blk in blocks:
-            out[:, blk, sl] = _probabilities(qd[:, blk, sl] * c, kd[:, :, sl]) @ vd[:, :, sl]
+            p = softmax_inplace((qd[:, blk, sl] * c) @ kd[:, :, sl].transpose(0, 2, 1))
+            out[:, blk, sl] = p @ vd[:, :, sl]
 
     def backward(g):
         gq = np.empty(qd.shape, qd.dtype)
@@ -67,7 +58,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             kh, vh = kd[:, :, sl], vd[:, :, sl]
             for blk in blocks:
                 qs = qd[:, blk, sl] * c
-                p = _probabilities(qs, kh)
+                p = softmax_inplace(qs @ kh.transpose(0, 2, 1))
                 gb = g[:, blk, sl]
                 gv[:, :, sl] += p.transpose(0, 2, 1) @ gb
                 gs = gb @ vh.transpose(0, 2, 1)  # gradient of p

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .block import CFG32, CFG64, SpectralCABlock, SpectralCAConfig
-from .nn import BatchNorm, Conv3D, Linear, Module, softmax
+from .nn import BatchNorm, Conv3D, Linear, Module, softmax_inplace
 from .tensor import Tensor
 
 
@@ -141,31 +141,13 @@ class PatchClassifier(Module):
         """Eval-mode class probabilities, [N, num_classes], rows sum to 1,
         from one forward over the whole batch given; scene-sized input is
         cut into batches by the caller, as `pseudo_label_select` does."""
-        logits = self(Tensor(np.asarray(patches)), training=False)
-        return softmax(logits, axis=1).data
+        return softmax_inplace(self(Tensor(np.asarray(patches)), training=False).data)
 
     def predict(self, patches: np.ndarray) -> np.ndarray:
         """Eval-mode argmax class indices (0-based), from one forward over
         the whole batch given; send scene-sized input through
         `trainer.predict_set`, which batches it."""
         return self(Tensor(np.asarray(patches)), training=False).data.argmax(axis=1)
-
-
-def model_audit(model: PatchClassifier) -> list[tuple[str, int]]:
-    """Stage-by-stage trainable parameter counts from enumeration."""
-    rows = [
-        ("stem_conv", model.stem.param_count()),
-        ("stem_bn", model.stem_bn.param_count()),
-        ("block1", model.block1.param_count()),
-    ]
-    if model.config.depth == 2:
-        rows += [
-            ("mid_conv", model.mid.param_count()),
-            ("mid_bn", model.mid_bn.param_count()),
-            ("block2", model.block2.param_count()),
-        ]
-    rows.append(("head", model.head.param_count()))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line surface: scene generation, training, evaluation,
-self-training, the parameter audit, gradient verification, and block
-benchmarks. Every failure exits nonzero with a single machine-parsable
-"ERR:<code>: <text>" line on stderr."""
+self-training, the parameter audit, gradient verification, and the
+block-against-baseline benchmark. Every failure exits nonzero with a single
+machine-parsable "ERR:<code>: <text>" line on stderr."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .block import PRESETS, AuditMismatchError, BaselineViTBlock, SpectralCABlock, param_audit
+from .block import PRESETS, AuditMismatchError, param_audit
 from .classifier import (
     CheckpointError,
     ModelConfig,
@@ -34,10 +34,9 @@ from .data import (
     save_labels,
     split,
 )
-from .metrics import ObjectiveWeights
 from .selftrain import SslConfig, run_self_training
 from .tensor import NonFiniteError, ShapeError
-from .trainer import TrainConfig, benchmark, comparative_benchmark, evaluate, train
+from .trainer import TrainConfig, comparative_benchmark, evaluate, train
 from .verify import GRADCHECK_TOLERANCE, gradcheck_suite
 
 
@@ -195,12 +194,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _, (_, test_set, _) = _checkpoint_and_split(args)
-    weights = None
-    if args.infer_time_s is not None:
-        weights = ObjectiveWeights(1 / 3, 1 / 3, 1 / 3, args.time_ref,
-                                   args.params_ref)
-    report = evaluate(model, test_set, infer_time_s=args.infer_time_s,
-                      weights=weights)
+    report = evaluate(model, test_set, infer_time_s=args.infer_time_s)
     text = report.to_json()
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -257,19 +251,10 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    preset = PRESETS[args.preset]
-    if args.block == "both":
-        payload = comparative_benchmark(preset, batch=args.batch,
-                                        height=args.height, width=args.width,
-                                        bands=args.bands, warmup=args.warmup,
-                                        runs=args.runs, seed=args.seed)
-    else:
-        rng = np.random.default_rng(args.seed)
-        cls = SpectralCABlock if args.block == "spectralca" else BaselineViTBlock
-        module = cls(preset, rng)
-        shape = (args.batch, preset.channels, args.height, args.width, args.bands)
-        payload = benchmark(module, shape, args.warmup, args.runs, args.seed).as_dict()
-        payload["block"] = args.block
+    payload = comparative_benchmark(PRESETS[args.preset], batch=args.batch,
+                                    height=args.height, width=args.width,
+                                    bands=args.bands, warmup=args.warmup,
+                                    runs=args.runs, seed=args.seed)
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
@@ -305,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--infer-time-s", type=float, default=None)
-    p.add_argument("--time-ref", type=float, default=50.0)
-    p.add_argument("--params-ref", type=float, default=6.628)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ssl", help="confidence-thresholded self-training rounds")
@@ -331,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-full-size-spot", action="store_true")
     p.set_defaults(func=_cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="inference timing for the block or baseline")
-    p.add_argument("--block", choices=["spectralca", "baseline", "both"],
-                   default="both")
+    p = sub.add_parser("bench", help="inference timing of the block against the baseline")
     p.add_argument("--preset", choices=sorted(PRESETS), default="cfg32")
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--runs", type=int, default=10)

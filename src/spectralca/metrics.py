@@ -1,10 +1,11 @@
 """Evaluation metrics: confusion matrix, overall/average accuracy, Cohen's
-kappa, and the weighted multi-objective score trading error against
-inference time and model size."""
+kappa, and the objective J that trades error against inference time and
+model size."""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,34 +98,19 @@ def kappa(cm: ConfusionMatrix) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Convex weights over (error, time, size) plus the reference scales."""
-
-    error_weight: float
-    time_weight: float
-    size_weight: float
-    time_ref_s: float
-    params_ref_millions: float
-
-    def __post_init__(self):
-        w = (self.error_weight, self.time_weight, self.size_weight)
-        if any(x < 0 for x in w):
-            raise ValueError(f"weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {sum(w)}")
-        if self.time_ref_s <= 0 or self.params_ref_millions <= 0:
-            raise ValueError("reference time and size must be positive")
+# Reference scales of objective J: an inference time of TIME_REF_S seconds
+# and a model of PARAMS_REF_MILLIONS million parameters each score 1.
+TIME_REF_S = 50.0
+PARAMS_REF_MILLIONS = 6.628
 
 
-def objective_j(error: float, time_s: float, params_millions: float,
-                weights: ObjectiveWeights) -> float:
-    """error_weight*E + time_weight*T/T_ref + size_weight*P/P_ref."""
-    return (
-        weights.error_weight * error
-        + weights.time_weight * time_s / weights.time_ref_s
-        + weights.size_weight * params_millions / weights.params_ref_millions
-    )
+def objective_j(error: float, time_s: float, params_millions: float) -> float:
+    """(E + T/TIME_REF_S + P/PARAMS_REF_MILLIONS) / 3: error, inference time
+    and model size, equally weighted."""
+    if not (math.isfinite(time_s) and time_s >= 0):
+        raise ValueError(f"inference time must be finite and >= 0 s, got {time_s}")
+    w = 1 / 3  # each term weighted, not the sum divided, so J rounds as in reports on file
+    return w * error + w * time_s / TIME_REF_S + w * params_millions / PARAMS_REF_MILLIONS
 
 
 @dataclass

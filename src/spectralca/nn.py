@@ -1,8 +1,9 @@
 """Neural primitives with forward and backward rules.
 
-Layers are Modules owning Parameters; functional ops (silu, softmax,
-dropout, cross_entropy) live alongside. Every layer is built in float32;
-``Module.astype(np.float64)`` converts a built model for gradient checks.
+Layers are Modules owning Parameters; functional ops (silu, dropout,
+cross_entropy) live alongside, and softmax_inplace is a numpy helper that
+records nothing. Every layer is built in float32; ``Module.astype(np.float64)``
+converts a built model for gradient checks.
 BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
 place ReLU exists. That op and silu retain only their input; backward
 recomputes the rest, SiLU's derivative always by _silu_slope.
@@ -605,17 +606,13 @@ def silu(x: Tensor) -> Tensor:
     return record_op("silu", (x,), out, backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted exponentials normalized along `axis`."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return record_op("softmax", (x,), out, backward)
+def softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Max-subtracted exponentials of z normalized over its last axis,
+    computed in z itself, which is returned."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def dropout(x: Tensor, rate: float, training: bool,

@@ -7,9 +7,9 @@ import ctypes
 import platform
 import time
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from statistics import mean, median
+from statistics import median
 
 import numpy as np
 
@@ -19,14 +19,13 @@ from .data import PatchSet
 from .metrics import (
     ConfusionMatrix,
     EvalReport,
-    ObjectiveWeights,
     average_accuracy,
     kappa,
     objective_j,
     overall_accuracy,
     per_class_accuracy,
 )
-from .nn import Module, cross_entropy
+from .nn import cross_entropy
 from .tensor import NonFiniteError, Parameter, Tape, Tensor
 
 # patches per eval forward in predict_set, evaluate and pseudo-labelling
@@ -50,6 +49,13 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.eval_cadence < 0:
+            raise ValueError(f"eval cadence must be >= 0, got {self.eval_cadence}")
+        if self.target_oa is not None:
+            if not 0.0 < self.target_oa <= 1.0:
+                raise ValueError(f"target OA {self.target_oa} outside (0, 1]")
+            if self.eval_cadence == 0:
+                raise ValueError("target OA needs an eval cadence >= 1 to be checked")
 
 
 class Adam:
@@ -127,8 +133,9 @@ def predict_set(model: PatchClassifier, patchset: PatchSet, indices=None) -> np.
 
 
 def evaluate(model: PatchClassifier, test_set: PatchSet,
-             infer_time_s: float | None = None,
-             weights: ObjectiveWeights | None = None) -> EvalReport:
+             infer_time_s: float | None = None) -> EvalReport:
+    """OA, AA, kappa and per-class accuracy on the labeled test entries,
+    and objective J when an inference time is given."""
     labeled = test_set.labeled_indices
     if len(labeled) == 0:
         raise ValueError("test set has no labeled entries")
@@ -138,8 +145,8 @@ def evaluate(model: PatchClassifier, test_set: PatchSet,
     oa = overall_accuracy(cm)
     params_millions = model.param_count() / 1e6
     j = None
-    if weights is not None and infer_time_s is not None:
-        j = objective_j(1.0 - oa, infer_time_s, params_millions, weights)
+    if infer_time_s is not None:
+        j = objective_j(1.0 - oa, infer_time_s, params_millions)
     return EvalReport(
         oa=oa,
         aa=average_accuracy(cm),
@@ -172,10 +179,6 @@ class BenchReport:
         return median(self.times_s)
 
     @property
-    def mean_s(self) -> float:
-        return mean(self.times_s)
-
-    @property
     def p25_s(self) -> float:
         return float(np.percentile(self.times_s, 25))
 
@@ -183,27 +186,9 @@ class BenchReport:
     def p75_s(self) -> float:
         return float(np.percentile(self.times_s, 75))
 
-    @property
-    def params_millions(self) -> float:
-        return self.param_count / 1e6
-
     def as_dict(self) -> dict:
-        return {
-            "warmup_runs": self.warmup_runs,
-            "measured_runs": self.measured_runs,
-            "times_s": self.times_s,
-            "median_s": self.median_s,
-            "p25_s": self.p25_s,
-            "p75_s": self.p75_s,
-            "mean_s": self.mean_s,
-            "batch_size": self.batch_size,
-            "device": self.device,
-            "param_count": self.param_count,
-            "params_millions": self.params_millions,
-            "peak_mem_mb": self.peak_mem_mb,
-            "blas_threads": self.blas_threads,
-            "numpy_version": self.numpy_version,
-        }
+        return {**asdict(self), "median_s": self.median_s, "p25_s": self.p25_s,
+                "p75_s": self.p75_s}
 
 
 def _device_note() -> str:
@@ -269,28 +254,6 @@ def benchmark_callables(fns, warmup: int, runs: int, batch_size: int,
     return reports
 
 
-def benchmark_callable(fn, warmup: int, runs: int, batch_size: int = 1,
-                       param_count: int = 0) -> BenchReport:
-    """benchmark_callables for one callable."""
-    return benchmark_callables([fn], warmup, runs, batch_size, [param_count])[0]
-
-
-def _random_input(batch_shape: tuple[int, ...], seed: int) -> Tensor:
-    if min(batch_shape) < 1:
-        raise ValueError(f"batch shape {batch_shape} needs every extent >= 1")
-    return Tensor(np.random.default_rng(seed).standard_normal(batch_shape).astype(np.float32))
-
-
-def benchmark(module: Module, batch_shape: tuple[int, ...], warmup: int = 3,
-              runs: int = 10, seed: int = 0) -> BenchReport:
-    """Eval-mode forward timing on one reused random input."""
-    x = _random_input(batch_shape, seed)
-    return benchmark_callable(
-        lambda: module(x, training=False),
-        warmup, runs, batch_size=batch_shape[0], param_count=module.param_count(),
-    )
-
-
 # Published full-scale comparison figures, kept as context constants for
 # comparative reports; desk-scale ratios are expected to differ.
 REFERENCE_FULLSCALE = {
@@ -308,10 +271,12 @@ def comparative_benchmark(config: SpectralCAConfig = CFG32, batch: int = 2,
     (reported, not asserted). The two blocks' eval forwards on one random
     input alternate run by run."""
     shape = (batch, config.channels, height, width, bands)
+    if min(shape) < 1:
+        raise ValueError(f"input shape {shape} needs every extent >= 1")
     rng = np.random.default_rng(seed)
     block = SpectralCABlock(config, rng)
     baseline = BaselineViTBlock(config, rng)
-    x = _random_input(shape, seed)
+    x = Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
     ours, other = benchmark_callables(
         [lambda: block(x, training=False), lambda: baseline(x, training=False)],
         warmup, runs, batch_size=batch,
@@ -322,7 +287,6 @@ def comparative_benchmark(config: SpectralCAConfig = CFG32, batch: int = 2,
         "input_shape": list(shape),
         "spectralca": ours.as_dict(),
         "baseline": other.as_dict(),
-        "param_counts": {"spectralca": ours.param_count, "baseline": other.param_count},
         "speed_ratio_baseline_over_spectralca": other.median_s / ours.median_s,
         "reference_fullscale": REFERENCE_FULLSCALE,
     }

@@ -19,7 +19,6 @@ from spectralca.classifier import (
     PatchClassifier,
     load_checkpoint,
     decode_config,
-    model_audit,
     read_checkpoint,
     save_checkpoint,
 )
@@ -258,23 +257,22 @@ class TestParameterCounts:
     def test_stem_counts(self):
         config = ModelConfig(num_classes=4, patch_size=9, bands=32, depth=1)
         model = PatchClassifier(config, np.random.default_rng(0))
-        rows = dict(model_audit(model))
-        assert rows["stem_conv"] == 1_792
-        assert rows["stem_bn"] == 128
+        assert model.stem.param_count() == 1_792
+        assert model.stem_bn.param_count() == 128
 
     def test_mid_counts_depth_two(self):
         config = ModelConfig(num_classes=4, patch_size=9, bands=32, depth=2)
         model = PatchClassifier(config, np.random.default_rng(0))
-        rows = dict(model_audit(model))
-        assert rows["mid_conv"] == 221_312
-        assert rows["mid_bn"] == 256
+        assert model.mid.param_count() == 221_312
+        assert model.mid_bn.param_count() == 256
 
     def test_depth_one_documented_total(self):
         config = ModelConfig(num_classes=4, patch_size=9, bands=32, depth=1)
         model = PatchClassifier(config, np.random.default_rng(0))
         head = 64 * 4 + 4
         assert model.param_count() == 1_792 + 128 + 383_680 + head
-        assert sum(count for _, count in model_audit(model)) == model.param_count()
+        stages = (model.stem, model.stem_bn, model.block1, model.head)
+        assert sum(stage.param_count() for stage in stages) == model.param_count()
 
 
 class TestPredictProba:

@@ -147,6 +147,9 @@ BAD_CONFIGS = {
                    "invalid-argument"),
     "train-fraction-2": (b'{"train_fraction": 2.0}', "invalid-argument"),
     "negative-test-fraction": (b'{"test_fraction": -0.5}', "invalid-argument"),
+    "negative-eval-cadence": (b'{"train": {"eval_cadence": -1}}', "invalid-argument"),
+    "target-oa-7": (b'{"train": {"eval_cadence": 1, "target_oa": 7}}', "invalid-argument"),
+    "target-oa-no-cadence": (b'{"train": {"target_oa": 0.9}}', "invalid-argument"),
 }
 
 # checkpoint data recipes that lack a key, hold a wrongly typed value, are
@@ -180,6 +183,9 @@ MALFORMED = {
     # a manifest whose patch size is a float
     "eval-float-patch-size": (["eval", "--model", "{float_patch_bin}", "--data", "{scene}",
                                "--out", "{tmp}/r.json"], "checkpoint"),
+    "eval-negative-time": (["eval", "--model", "{four_bands_bin}", "--data", "{scene}",
+                            "--out", "{tmp}/r.json", "--infer-time-s", "-1"],
+                           "invalid-argument"),
     "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
             "checkpoint"),
     # a 3-class checkpoint on the 2-class scene
@@ -243,6 +249,36 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"ERR:{code}: "), captured.err
+
+
+def test_eval_reports_objective_j_at_the_fixed_references(scene, tmp_path, capsys):
+    model = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
+                            np.random.default_rng(0))
+    save_checkpoint(model, tmp_path / "m.bin", data_recipe=GOOD_RECIPE)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "m.bin"), "--data", str(scene),
+                 "--out", str(tmp_path / "r.json"), "--infer-time-s", "0.5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads((tmp_path / "r.json").read_text())
+    assert report["infer_time_s"] == 0.5
+    assert report["params_millions"] == model.param_count() / 1e6
+    expected = ((1 - report["oa"]) + 0.5 / 50 + report["params_millions"] / 6.628) / 3
+    assert report["objective_j"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_bench_always_compares_the_block_with_the_baseline(capsys):
+    capsys.readouterr()
+    assert main(["bench", "--batch", "1", "--runs", "1", "--warmup", "0",
+                 "--height", "3", "--width", "3", "--bands", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"config", "input_shape", "spectralca", "baseline",
+                            "speed_ratio_baseline_over_spectralca", "reference_fullscale"}
+    assert payload["input_shape"] == [1, 64, 3, 3, 4]
+    for side in ("spectralca", "baseline"):
+        report = payload[side]
+        assert not {"mean_s", "params_millions"} & set(report)
+        assert report["measured_runs"] == 1 and len(report["times_s"]) == 1
+    assert payload["spectralca"]["param_count"] == 383_680
 
 
 def test_closed_stdout_pipe_is_one_err_line():

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from spectralca.metrics import (
+    PARAMS_REF_MILLIONS,
+    TIME_REF_S,
     ConfusionMatrix,
     DegenerateMarginalsError,
     EvalReport,
-    ObjectiveWeights,
     average_accuracy,
     kappa,
     objective_j,
@@ -122,35 +123,32 @@ class TestBruteForceOracle:
 
 
 class TestObjective:
-    WEQ = ObjectiveWeights(1 / 3, 1 / 3, 1 / 3, time_ref_s=50.0, params_ref_millions=6.628)
-
     def test_pure_error_weighting(self):
-        w = ObjectiveWeights(1.0, 0.0, 0.0, 1.0, 1.0)
-        assert objective_j(0.31, 99.0, 88.0, w) == pytest.approx(0.31)
+        assert objective_j(0.31, 0.0, 0.0) == pytest.approx(0.31 / 3.0)
 
     def test_hand_value_at_reference_point(self):
-        j = objective_j(0.0666, 50.0, 6.628, self.WEQ)
+        assert (TIME_REF_S, PARAMS_REF_MILLIONS) == (50.0, 6.628)
+        j = objective_j(0.0666, 50.0, 6.628)
         assert j == pytest.approx((0.0666 + 2.0) / 3.0, abs=1e-12)
         assert j == pytest.approx(0.6889, abs=1e-4)
 
     def test_normalization_at_reference_point(self):
-        w = ObjectiveWeights(0.5, 0.3, 0.2, 7.0, 3.0)
+        # each reference scale scores 1, weighted 1/3 like the error
+        assert objective_j(0.0, TIME_REF_S, 0.0) == pytest.approx(1.0 / 3.0)
+        assert objective_j(0.0, 0.0, PARAMS_REF_MILLIONS) == pytest.approx(1.0 / 3.0)
         e = 0.25
-        assert objective_j(e, 7.0, 3.0, w) == pytest.approx(0.5 * e + 0.3 + 0.2)
+        assert objective_j(e, TIME_REF_S, PARAMS_REF_MILLIONS) == pytest.approx((e + 2.0) / 3.0)
 
     def test_monotone_in_each_argument(self):
-        base = objective_j(0.1, 10.0, 2.0, self.WEQ)
-        assert objective_j(0.2, 10.0, 2.0, self.WEQ) >= base
-        assert objective_j(0.1, 11.0, 2.0, self.WEQ) >= base
-        assert objective_j(0.1, 10.0, 2.5, self.WEQ) >= base
+        base = objective_j(0.1, 10.0, 2.0)
+        assert objective_j(0.2, 10.0, 2.0) >= base
+        assert objective_j(0.1, 11.0, 2.0) >= base
+        assert objective_j(0.1, 10.0, 2.5) >= base
 
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ObjectiveWeights(0.5, 0.5, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ObjectiveWeights(-0.1, 0.6, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ObjectiveWeights(1 / 3, 1 / 3, 1 / 3, 0.0, 1.0)
+    @pytest.mark.parametrize("time_s", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_negative_or_nonfinite_time_rejected(self, time_s):
+        with pytest.raises(ValueError, match="inference time"):
+            objective_j(0.1, time_s, 2.0)
 
 
 class TestEvalReport:

@@ -1,11 +1,12 @@
 import json
+import statistics
 import time
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from spectralca.block import SpectralCAConfig
+from spectralca.block import BaselineViTBlock, SpectralCABlock, SpectralCAConfig
 from spectralca.classifier import ModelConfig, PatchClassifier
 from spectralca.data import PatchSet, extract_patches, generate_synthetic, split
 from spectralca.selftrain import pseudo_label_select
@@ -16,8 +17,6 @@ from spectralca.trainer import (
     Adam,
     BenchReport,
     TrainConfig,
-    benchmark,
-    benchmark_callable,
     benchmark_callables,
     comparative_benchmark,
     evaluate,
@@ -146,6 +145,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"eval_cadence": -1}, "eval cadence"),
+        ({"eval_cadence": 1, "target_oa": 7}, "outside"),
+        ({"eval_cadence": 1, "target_oa": 0.0}, "outside"),
+        ({"eval_cadence": 1, "target_oa": float("nan")}, "outside"),
+        ({"target_oa": 0.9}, "eval cadence"),
+    ])
+    def test_config_rejects_settings_training_would_ignore(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**fields)
+
 
 class _ConstantModel:
     """Predicts class 0 for everything; quacks like PatchClassifier."""
@@ -231,13 +241,13 @@ def test_predict_set_on_no_indices_is_empty_int64():
 
 class TestBenchmark:
     def test_exact_run_count(self):
-        report = benchmark_callable(lambda: None, warmup=3, runs=5)
+        report = benchmark_callables([lambda: None], 3, 5, 1, [0])[0]
         assert report.measured_runs == 5
         assert len(report.times_s) == 5
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
-            benchmark_callable(lambda: None, warmup=3, runs=0)
+            benchmark_callables([lambda: None], 3, 0, 1, [0])
 
     def test_runs_the_warmups_asked_for(self):
         calls = {"n": 0}
@@ -245,7 +255,7 @@ class TestBenchmark:
         def count():
             calls["n"] += 1
 
-        report = benchmark_callable(count, warmup=1, runs=4)
+        report = benchmark_callables([count], 1, 4, 1, [0])[0]
         assert calls["n"] == 1 + 4 + 1  # and the untimed memory pass
         assert report.warmup_runs == 1
 
@@ -257,20 +267,21 @@ class TestBenchmark:
             if calls["n"] == 3 + 2 + 1:  # only the call after the timed runs
                 np.ones(1_000_000)  # 8 MB
 
-        report = benchmark_callable(allocate, warmup=3, runs=2)
+        report = benchmark_callables([allocate], 3, 2, 1, [0])[0]
         assert report.measured_runs == 2 and len(report.times_s) == 2
         assert 8.0 <= report.peak_mem_mb < 8.1
         assert report.as_dict()["peak_mem_mb"] == report.peak_mem_mb
 
     def test_reports_blas_threads_and_numpy_version(self, monkeypatch):
-        payload = benchmark_callable(lambda: None, warmup=0, runs=1).as_dict()
+        payload = benchmark_callables([lambda: None], 0, 1, 1, [0])[0].as_dict()
         threads = payload["blas_threads"]
         assert threads is None or (type(threads) is int and threads >= 1), threads
         assert payload["numpy_version"] == np.__version__
         json.dumps(payload)
         # a library that exports none of the known symbols reads as null
         monkeypatch.setattr(trainer, "_BLAS_THREAD_SYMBOLS", ())
-        assert benchmark_callable(lambda: None, warmup=0, runs=1).as_dict()["blas_threads"] is None
+        report = benchmark_callables([lambda: None], 0, 1, 1, [0])[0]
+        assert report.as_dict()["blas_threads"] is None
 
     def test_callables_take_turns_run_by_run(self):
         log = []
@@ -294,26 +305,20 @@ class TestBenchmark:
             if calls["n"] == 6:  # one measured run sleeps (after 3 warmups)
                 time.sleep(0.05)
 
-        report = benchmark_callable(sometimes_slow, warmup=3, runs=7)
+        report = benchmark_callables([sometimes_slow], 3, 7, 1, [0])[0]
         assert report.median_s < 0.01
-        assert report.median_s <= report.mean_s
-
-    def test_block_benchmark_smoke(self):
-        from spectralca.block import SpectralCABlock
-
-        block = SpectralCABlock(TINY_BLOCK, np.random.default_rng(0))
-        report = benchmark(block, (1, 4, 5, 5, 6), warmup=3, runs=2)
-        assert report.measured_runs == 2
-        assert report.param_count == block.param_count()
-        assert report.batch_size == 1
+        assert report.median_s <= statistics.mean(report.times_s)
 
     def test_comparative_report_shape(self):
         payload = comparative_benchmark(TINY_BLOCK, batch=1, height=4, width=4,
                                         bands=4, warmup=3, runs=2)
-        assert set(payload["param_counts"]) == {"spectralca", "baseline"}
         assert payload["speed_ratio_baseline_over_spectralca"] > 0
         assert "reference_fullscale" in payload
         assert payload["spectralca"]["measured_runs"] == 2
-        for side in ("spectralca", "baseline"):
+        blocks = {"spectralca": SpectralCABlock(TINY_BLOCK, np.random.default_rng(0)),
+                  "baseline": BaselineViTBlock(TINY_BLOCK, np.random.default_rng(0))}
+        for side, block in blocks.items():
             report = payload[side]
             assert report["p25_s"] <= report["median_s"] <= report["p75_s"]
+            assert report["param_count"] == block.param_count()
+            assert report["batch_size"] == 1
