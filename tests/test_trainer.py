@@ -309,16 +309,24 @@ class TestBenchmark:
         assert report.median_s < 0.01
         assert report.median_s <= statistics.mean(report.times_s)
 
+    def test_block_benchmark_smoke(self):
+        payload = comparative_benchmark(TINY_BLOCK, batch=1, height=5, width=5,
+                                        bands=6, warmup=3, runs=2)
+        assert payload["input_shape"] == [1, 4, 5, 5, 6]
+        blocks = {"spectralca": SpectralCABlock(TINY_BLOCK, np.random.default_rng(0)),
+                  "baseline": BaselineViTBlock(TINY_BLOCK, np.random.default_rng(0))}
+        for side, block in blocks.items():
+            report = payload[side]
+            assert report["measured_runs"] == 2
+            assert report["param_count"] == block.param_count()
+            assert report["batch_size"] == 1
+
     def test_comparative_report_shape(self):
         payload = comparative_benchmark(TINY_BLOCK, batch=1, height=4, width=4,
                                         bands=4, warmup=3, runs=2)
         assert payload["speed_ratio_baseline_over_spectralca"] > 0
         assert "reference_fullscale" in payload
         assert payload["spectralca"]["measured_runs"] == 2
-        blocks = {"spectralca": SpectralCABlock(TINY_BLOCK, np.random.default_rng(0)),
-                  "baseline": BaselineViTBlock(TINY_BLOCK, np.random.default_rng(0))}
-        for side, block in blocks.items():
+        for side in ("spectralca", "baseline"):
             report = payload[side]
             assert report["p25_s"] <= report["median_s"] <= report["p75_s"]
-            assert report["param_count"] == block.param_count()
-            assert report["batch_size"] == 1
