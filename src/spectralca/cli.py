@@ -194,7 +194,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model, _, (_, test_set, _) = _checkpoint_and_split(args)
-    report = evaluate(model, test_set, infer_time_s=args.infer_time_s)
+    report = evaluate(model, test_set)
     text = report.to_json()
     Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--infer-time-s", type=float, default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("ssl", help="confidence-thresholded self-training rounds")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,15 +115,17 @@ def objective_j(error: float, time_s: float, params_millions: float) -> float:
 
 @dataclass
 class EvalReport:
-    """OA/AA/kappa plus the efficiency numbers, serializable with stable keys."""
+    """OA/AA/kappa plus the efficiency numbers, serializable with stable keys.
+    infer_time_s is the wall time of predicting all test_samples entries."""
 
     oa: float
     aa: float
     kappa: float
-    per_class: list[float | None] = field(default_factory=list)
-    infer_time_s: float | None = None
-    params_millions: float | None = None
-    objective_j: float | None = None
+    per_class: list[float | None]
+    infer_time_s: float
+    test_samples: int
+    params_millions: float
+    objective_j: float
 
     def __post_init__(self):
         if not 0.0 <= self.oa <= 1.0:
@@ -134,13 +136,4 @@ class EvalReport:
             raise ValueError(f"kappa {self.kappa} outside [-1, 1]")
 
     def to_json(self) -> str:
-        payload = {
-            "oa": self.oa,
-            "aa": self.aa,
-            "kappa": self.kappa,
-            "per_class": self.per_class,
-            "infer_time_s": self.infer_time_s,
-            "params_millions": self.params_millions,
-            "objective_j": self.objective_j,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)

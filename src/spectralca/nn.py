@@ -423,16 +423,19 @@ class BatchNorm(Module):
                 z = xd[part] - mu.reshape(bshape)
                 var += _channel_sums(z, z)
             var /= n
-            m = BN_MOMENTUM
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mu.astype(self.running_mean.dtype)
-            self.running_var *= 1.0 - m
-            self.running_var += m * var.astype(self.running_var.dtype)
         else:
             mu = self.running_mean
             var = self.running_var
         inv, scale, shift = self._affine(mu, var, x.dtype, x.ndim)
         out = self._normalize(xd, scale, shift, np.empty_like(xd))
+        # checked before the running estimates move: a rejected batch leaves them
+        _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
+        if training:
+            m = BN_MOMENTUM
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mu.astype(self.running_mean.dtype)
+            self.running_var *= 1.0 - m
+            self.running_var += m * var.astype(self.running_var.dtype)
 
         def backward(g):
             # g becomes the input gradient in place, a batch chunk at a time
@@ -465,7 +468,8 @@ class BatchNorm(Module):
                     gz += c
             return g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
 
-        return record_op("batchnorm", (x, self.gamma, self.beta), out, backward)
+        return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
+                         check_finite=False)
 
 
 def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,

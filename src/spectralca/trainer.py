@@ -132,29 +132,29 @@ def predict_set(model: PatchClassifier, patchset: PatchSet, indices=None) -> np.
     return np.concatenate(preds) if preds else np.empty(0, dtype=np.int64)
 
 
-def evaluate(model: PatchClassifier, test_set: PatchSet,
-             infer_time_s: float | None = None) -> EvalReport:
+def evaluate(model: PatchClassifier, test_set: PatchSet) -> EvalReport:
     """OA, AA, kappa and per-class accuracy on the labeled test entries,
-    and objective J when an inference time is given."""
+    and objective J with T the measured wall time of predicting them
+    (patch gathering included)."""
     labeled = test_set.labeled_indices
     if len(labeled) == 0:
         raise ValueError("test set has no labeled entries")
+    start = time.perf_counter()
     preds = predict_set(model, test_set, labeled)
+    infer_time_s = time.perf_counter() - start
     y_true = test_set.labels[labeled] - 1
     cm = ConfusionMatrix.from_predictions(y_true, preds, test_set.num_classes)
     oa = overall_accuracy(cm)
     params_millions = model.param_count() / 1e6
-    j = None
-    if infer_time_s is not None:
-        j = objective_j(1.0 - oa, infer_time_s, params_millions)
     return EvalReport(
         oa=oa,
         aa=average_accuracy(cm),
         kappa=kappa(cm),
         per_class=per_class_accuracy(cm),
         infer_time_s=infer_time_s,
+        test_samples=len(labeled),
         params_millions=params_millions,
-        objective_j=j,
+        objective_j=objective_j(1.0 - oa, infer_time_s, params_millions),
     )
 
 

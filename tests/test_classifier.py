@@ -106,6 +106,7 @@ NON_FINITE_CASES = [
 ]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_error_names_the_layer():
     # a fresh model, its parameters never walked before the forward; the
     # eval forward streams each conv into its BatchNorm, and its checks

@@ -183,9 +183,10 @@ MALFORMED = {
     # a manifest whose patch size is a float
     "eval-float-patch-size": (["eval", "--model", "{float_patch_bin}", "--data", "{scene}",
                                "--out", "{tmp}/r.json"], "checkpoint"),
-    "eval-negative-time": (["eval", "--model", "{four_bands_bin}", "--data", "{scene}",
-                            "--out", "{tmp}/r.json", "--infer-time-s", "-1"],
-                           "invalid-argument"),
+    # eval measures T itself
+    "eval-infer-time-flag": (["eval", "--model", "{four_bands_bin}", "--data", "{scene}",
+                              "--out", "{tmp}/r.json", "--infer-time-s", "0.5"],
+                             "invalid-argument"),
     "ssl": (["ssl", "--model", "{bad_bin}", "--data", "{scene}", "--out", "{tmp}/s"],
             "checkpoint"),
     # a 3-class checkpoint on the 2-class scene
@@ -257,12 +258,15 @@ def test_eval_reports_objective_j_at_the_fixed_references(scene, tmp_path, capsy
     save_checkpoint(model, tmp_path / "m.bin", data_recipe=GOOD_RECIPE)
     capsys.readouterr()
     assert main(["eval", "--model", str(tmp_path / "m.bin"), "--data", str(scene),
-                 "--out", str(tmp_path / "r.json"), "--infer-time-s", "0.5"]) == 0
+                 "--out", str(tmp_path / "r.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report == json.loads((tmp_path / "r.json").read_text())
-    assert report["infer_time_s"] == 0.5
+    _, test_set, _ = cli._split(*cli._load_scene(scene), DataRecipe(**GOOD_RECIPE))
+    assert report["infer_time_s"] > 0
+    assert report["test_samples"] == len(test_set.labeled_indices) > 0
     assert report["params_millions"] == model.param_count() / 1e6
-    expected = ((1 - report["oa"]) + 0.5 / 50 + report["params_millions"] / 6.628) / 3
+    expected = ((1 - report["oa"]) + report["infer_time_s"] / 50
+                + report["params_millions"] / 6.628) / 3
     assert report["objective_j"] == pytest.approx(expected, rel=1e-12)
 
 

@@ -151,18 +151,21 @@ class TestObjective:
             objective_j(0.1, time_s, 2.0)
 
 
+EFFICIENCY = {"per_class": [1.0, None, 0.7], "infer_time_s": 1.25, "test_samples": 40,
+              "params_millions": 0.38, "objective_j": 0.4}
+
+
 class TestEvalReport:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            EvalReport(oa=1.2, aa=0.5, kappa=0.0)
+            EvalReport(oa=1.2, aa=0.5, kappa=0.0, **EFFICIENCY)
         with pytest.raises(ValueError):
-            EvalReport(oa=0.5, aa=0.5, kappa=-1.5)
+            EvalReport(oa=0.5, aa=0.5, kappa=-1.5, **EFFICIENCY)
 
     def test_json_round_trip(self):
-        report = EvalReport(oa=0.9, aa=0.85, kappa=0.8, per_class=[1.0, None, 0.7],
-                            infer_time_s=1.25, params_millions=0.38, objective_j=0.4)
+        report = EvalReport(oa=0.9, aa=0.85, kappa=0.8, **EFFICIENCY)
         text = report.to_json()
         keys = set(json.loads(text))
-        assert keys == {"oa", "aa", "kappa", "per_class", "infer_time_s",
+        assert keys == {"oa", "aa", "kappa", "per_class", "infer_time_s", "test_samples",
                         "params_millions", "objective_j"}
         assert json.loads(text) == asdict(report)

@@ -18,7 +18,7 @@ from spectralca.nn import (
     silu,
     softmax_inplace,
 )
-from spectralca.tensor import Parameter, ShapeError, Tape, Tensor, grad_check
+from spectralca.tensor import NonFiniteError, Parameter, ShapeError, Tape, Tensor, grad_check
 
 RNG = np.random.default_rng(1234)
 
@@ -413,6 +413,30 @@ class TestBatchNorm:
         bn(Tensor(x), training=True)
         np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
         np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("through_conv", [False, True], ids=["standalone", "conv"])
+    @pytest.mark.parametrize("case", ["input-3e38", "gamma-3e38"])
+    def test_rejected_batch_leaves_running_statistics(self, case, through_conv):
+        # 3e38 input: its statistics overflow; 3e38 gamma: finite statistics,
+        # non-finite output
+        bn = BatchNorm(2, "relu")
+        bn.running_mean[:] = [0.25, -0.5]
+        bn.running_var[:] = [1.5, 0.75]
+        if case == "input-3e38":
+            x = np.full((2, 2, 3, 3, 3), 3e38, np.float32)
+        else:
+            x = np.linspace(-4.0, 4.0, 108, dtype=np.float32).reshape(2, 2, 3, 3, 3)
+            bn.gamma.data[:] = 3e38
+        mean, var = bn.running_mean.copy(), bn.running_var.copy()
+        with pytest.raises(NonFiniteError, match="by batchnorm"):
+            if through_conv:
+                conv = Conv3D(2, 2, 1, RNG)
+                conv.weight.data[:] = np.eye(2).reshape(2, 2, 1, 1, 1)  # passes x through
+                conv(Tensor(x), bn, training=True)
+            else:
+                bn(Tensor(x), training=True)
+        assert np.array_equal(bn.running_mean, mean) and np.array_equal(bn.running_var, var)
 
     def test_single_element_batch_rejected(self):
         bn = BatchNorm(3, "relu")

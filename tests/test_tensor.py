@@ -258,11 +258,13 @@ class TestTapeMechanics:
 
 
 class TestNonFinite:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):
         big = Tensor(np.array([3.0e38], dtype=np.float32))
         with pytest.raises(NonFiniteError):
             T.add(big, big)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_input_detected_on_use(self):
         x = Tensor(np.array([np.inf], dtype=np.float32))
         with pytest.raises(NonFiniteError):

@@ -1,7 +1,9 @@
+import itertools
 import json
 import statistics
 import time
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from spectralca.block import BaselineViTBlock, SpectralCABlock, SpectralCAConfig
 from spectralca.classifier import ModelConfig, PatchClassifier
 from spectralca.data import PatchSet, extract_patches, generate_synthetic, split
+from spectralca.metrics import objective_j
 from spectralca.selftrain import pseudo_label_select
 from spectralca import trainer
 from spectralca.tensor import NonFiniteError, Parameter
@@ -104,6 +107,7 @@ class TestTrain:
         assert "test_oa" in history[-1]
         assert history[-1]["test_oa"] >= 0.6 or len(history) == 50
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_diagnostic(self):
         train_set, _, _ = tiny_scene()
         model = PatchClassifier(tiny_config(), np.random.default_rng(0))
@@ -204,6 +208,16 @@ class TestEvaluate:
         ps.labels[:] = 0
         with pytest.raises(ValueError):
             evaluate(_ConstantModel(4), ps)
+
+    def test_time_is_the_measured_predict_set_call(self, monkeypatch):
+        # trainer's own name for the module, not the global one pytest reads
+        clock = itertools.count(0.0, 2.5)
+        monkeypatch.setattr(trainer, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        ps = balanced_patchset()
+        report = evaluate(_ConstantModel(4), ps)
+        assert report.infer_time_s == 2.5
+        assert report.test_samples == len(ps.labeled_indices)
+        assert report.objective_j == objective_j(1 - report.oa, 2.5, 1000 / 1e6)
 
 
 class _CountingModel(_ConstantModel):
