@@ -178,9 +178,10 @@ class SpectralCABlock(Module):
         """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm.
 
         The conv module runs the first four steps. An eval forward with no
-        active tape streams them one conv chunk at a time, so the
-        [B,d,H,W,D] conv and BN outputs are never built; training, and eval
-        under a tape, record each step as its own op."""
+        active tape runs BN and the average on one conv chunk at a time, so
+        the [B,d,H,W,D] conv and BN outputs are never built; training, and
+        eval under a tape, record each step as its own op on the whole
+        batch."""
         _check_input(x, self.config.channels)
         pooled = self.spectral_conv(x, self.spectral_bn, training, pool=(2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]

@@ -274,6 +274,8 @@ def read_checkpoint(path) -> tuple[PatchClassifier, dict]:
             )
         start = entry["offset"]
         values = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=start)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"entry {name!r} holds non-finite values")
         arr[...] = values.reshape(shape)
     if available:
         raise CheckpointError(f"checkpoint missing entries: {sorted(available)}")

@@ -22,13 +22,12 @@ gathers the columns again, chunk by chunk, and the input gradient is the
 same lowering applied with the flipped kernel.
 
 A conv module called with the BatchNorm that follows it (and, for the
-spectral path, the axes to average over) runs both as one stream in an
-eval forward with no active tape: each conv chunk gets its bias,
-BatchNorm's running-statistics affine and the activation while it is in
-cache, and is pooled at once when asked, so neither full output is built.
-Training, and eval under a tape, record the conv, the BatchNorm and the
-mean as separate ops; the stream's arithmetic and finiteness checks are
-theirs, element for element.
+spectral path, the axes to average over) runs in an eval forward with no
+active tape as a stream over its batch chunks: each conv chunk, its bias
+added, goes through the BatchNorm op and then mean_axis while it is in
+cache, so neither full output is built. Training, and eval under a tape,
+apply the same ops once to the whole batch and record them. Either way
+BatchNorm, the activation and the mean have one implementation each.
 """
 
 from __future__ import annotations
@@ -308,8 +307,9 @@ class _Conv(Module):
                  pool: tuple[int, ...] | None = None) -> Tensor:
         """The convolution of x, then bn(., training) when bn is given,
         then the mean over the `pool` axes when given. An eval forward with
-        a bn and no active tape streams (see _conv_bn_stream); otherwise each
-        step is a recorded op."""
+        a bn and no active tape applies bn and the mean to one conv chunk
+        at a time (see _conv_bn_stream); otherwise each step is a recorded
+        op over the whole batch."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
@@ -351,12 +351,11 @@ class BatchNorm(Module):
     and the activation after it, ReLU or SiLU, as one tape op.
 
     Training mode normalizes with the batch's population statistics and
-    updates the running estimates; eval mode uses the running estimates,
-    so it is the per-channel map act(x*scale + shift). `_affine` computes
-    (scale, shift) from the statistics and `_normalize` applies the map,
-    for the recorded op and for the eval stream of the conv before it
-    (_conv_bn_stream, taken in eval with no active tape) alike, so the two
-    are bit-identical. gamma/beta are the only trainable entries.
+    updates the running estimates, once the output and the updated
+    estimates are both checked finite; eval mode uses the running
+    estimates, so it is the per-channel map act(x*scale + shift). The eval
+    stream of the conv before it (_conv_bn_stream) calls this op on each
+    conv chunk. gamma/beta are the only trainable entries.
 
     Besides its output, the forward allocates only batch-chunk
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
@@ -383,29 +382,6 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
-    def _affine(self, mu, var, dtype, ndim: int):
-        """(inv, scale, shift) for statistics mu and var: z = x*scale + shift
-        normalizes x [B,C,...] of rank ndim, scale and shift in dtype and
-        shaped to broadcast over it, and inv = 1/sqrt(var + eps)."""
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        scale = (self.gamma.data * inv).astype(dtype)
-        shift = (self.beta.data - mu * scale).astype(dtype)
-        scale.shape = shift.shape = (1, self.channels) + (1,) * (ndim - 2)
-        return inv, scale, shift
-
-    def _normalize(self, x: np.ndarray, scale, shift, out: np.ndarray) -> np.ndarray:
-        """out = act(x*scale + shift), where out may be x itself; SiLU's
-        sigmoid is taken a batch chunk at a time."""
-        np.multiply(x, scale, out=out)
-        out += shift
-        if self.activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        else:
-            for part in _chunks(len(out), out[:1].nbytes):
-                z = out[part]
-                z *= _sigmoid(z)
-        return out
-
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects channel extent {self.channels}, got {x.shape}")
@@ -426,16 +402,27 @@ class BatchNorm(Module):
         else:
             mu = self.running_mean
             var = self.running_var
-        inv, scale, shift = self._affine(mu, var, x.dtype, x.ndim)
-        out = self._normalize(xd, scale, shift, np.empty_like(xd))
-        # checked before the running estimates move: a rejected batch leaves them
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
+        scale = (self.gamma.data * inv).astype(x.dtype)
+        shift = (self.beta.data - mu * scale).astype(x.dtype)
+        scale.shape = shift.shape = bshape
+        out = xd * scale
+        out += shift
+        if activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            for part in _chunks(len(out), out[:1].nbytes):
+                z = out[part]
+                z *= _sigmoid(z)
+        # both checked before the running estimates move: a rejected batch
+        # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
         if training:
             m = BN_MOMENTUM
-            self.running_mean *= 1.0 - m
-            self.running_mean += m * mu.astype(self.running_mean.dtype)
-            self.running_var *= 1.0 - m
-            self.running_var += m * var.astype(self.running_var.dtype)
+            stats = np.stack([self.running_mean, self.running_var]) * (1.0 - m)
+            stats += m * np.stack([mu, var]).astype(stats.dtype)
+            _ensure_finite(stats, "batchnorm running statistics", (x, self.gamma, self.beta))
+            self.running_mean[...], self.running_var[...] = stats
 
         def backward(g):
             # g becomes the input gradient in place, a batch chunk at a time
@@ -475,29 +462,20 @@ class BatchNorm(Module):
 def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,
                     pool: tuple[int, ...] | None) -> Tensor:
     """Eval-mode bn(conv(x)), then its mean over the `pool` axes when given,
-    one conv chunk at a time and recording nothing: each chunk gets the
-    conv's bias, BatchNorm's running-statistics affine and the activation
-    while it is in cache, and with `pool` it is reduced at once, so neither
-    the conv's nor the BatchNorm's full output is built. The arithmetic is
-    the recorded ops', element for element, and so are the finiteness
-    checks and their messages: each conv chunk before BatchNorm changes it,
-    each activated chunk, and the pooled result."""
+    one conv chunk at a time and recording nothing: each chunk of the
+    conv's output, bias added and checked as the recorded conv checks its
+    output, goes through bn and mean_axis themselves and is dropped before
+    the next chunk is gathered, so neither full output is built."""
     xd = x.data
-    _, scale, shift = bn._affine(bn.running_mean, bn.running_var, xd.dtype, xd.ndim)
     shape = (xd.shape[0], conv.out_channels) + xd.shape[2:]
     if pool is not None:
         shape = tuple(e for i, e in enumerate(shape) if i not in pool)
     out = np.empty(shape, dtype=xd.dtype)
-    chunks = _conv_chunks(xd, conv.weight.data, conv.bias.data,
-                          out if pool is None else None)
-    for part, y in chunks:
+    for part, y in _conv_chunks(xd, conv.weight.data, conv.bias.data):
         _ensure_finite(y, conv.op, (x, conv.weight, conv.bias))
-        bn._normalize(y, scale, shift, y)
-        _ensure_finite(y, "batchnorm", (x, bn.gamma, bn.beta))
-        if pool is not None:
-            out[part] = y.mean(axis=pool)
-    if pool is not None:
-        _ensure_finite(out, "mean_axis", ())
+        y = bn(Tensor(y), False)
+        out[part] = (y if pool is None else mean_axis(y, pool)).data
+        del y
     return Tensor(out)
 
 

@@ -189,6 +189,25 @@ class TestEvalStream:
             tracemalloc.stop()
         assert peak < 2 * stem_bytes + 1e6, peak / 1e6
 
+    @pytest.mark.parametrize("config, pairs", [(TINY_MODEL, 3), (TINY_DEPTH2, 6)],
+                             ids=["depth1", "depth2"])
+    def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking,
+                                                    monkeypatch):
+        # one sample per chunk: every conv->BatchNorm pair runs BatchNorm's
+        # own eval op once per sample, and nothing is recorded
+        calls, nodes = [], []
+        bn_call = nn.BatchNorm.__call__
+
+        def spy(bn, x, training):
+            calls.append(training)
+            return bn_call(bn, x, training)
+
+        monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
+        monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
+        model = PatchClassifier(config, np.random.default_rng(0))
+        model(Tensor(rand_patches(5, config)))
+        assert calls == [False] * (pairs * 5) and not nodes
+
 
 def full_projector_logits(model, patches, training):
     """The classifier composed with every block's full projector and an
@@ -434,6 +453,19 @@ class TestCheckpoint:
         rewrite_manifest(path, edit, whole=True)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry, index, value", [
+        ("stem_bn.running_var", (0,), np.inf),  # loaded, it predicts uniform probabilities
+        ("stem.weight", (0, 0, 1, 1, 1), np.nan),  # loaded, it fails at the first forward
+    ], ids=["inf_running_var", "nan_weight"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry, index, value):
+        model = tiny_model()
+        arrays = {name: p.data for name, p in model.named_parameters()}
+        arrays.update(model.named_buffers())
+        arrays[entry][index] = value
+        save_checkpoint(model, tmp_path / "m.bin")
+        with pytest.raises(CheckpointError, match=f"entry '{entry}' holds non-finite values"):
+            load_checkpoint(tmp_path / "m.bin")
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "m.bin").write_bytes(b"NOPE" + b"\0" * 32)

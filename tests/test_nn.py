@@ -416,15 +416,18 @@ class TestBatchNorm:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("through_conv", [False, True], ids=["standalone", "conv"])
-    @pytest.mark.parametrize("case", ["input-3e38", "gamma-3e38"])
+    @pytest.mark.parametrize("case", ["input-3e38", "gamma-3e38", "input-pm1e30"])
     def test_rejected_batch_leaves_running_statistics(self, case, through_conv):
         # 3e38 input: its statistics overflow; 3e38 gamma: finite statistics,
-        # non-finite output
+        # non-finite output; +-1e30 input: a finite mean and output (the
+        # scale is gamma/inf = 0) but a variance that overflows float32
         bn = BatchNorm(2, "relu")
         bn.running_mean[:] = [0.25, -0.5]
         bn.running_var[:] = [1.5, 0.75]
         if case == "input-3e38":
             x = np.full((2, 2, 3, 3, 3), 3e38, np.float32)
+        elif case == "input-pm1e30":
+            x = (1e30 * (-1.0) ** np.arange(108)).astype(np.float32).reshape(2, 2, 3, 3, 3)
         else:
             x = np.linspace(-4.0, 4.0, 108, dtype=np.float32).reshape(2, 2, 3, 3, 3)
             bn.gamma.data[:] = 3e38
