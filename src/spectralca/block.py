@@ -14,7 +14,7 @@ StreamProjector computes it exactly as two token matmuls and a broadcast
 add, one tape op that also adds the residual. A classifier only averages
 the last block's output over H, W and D, and that mean is linear in every
 input, so the block's `pool=True` form returns the [B,C] mean directly from
-the pooled input and the pooled tokens, without building the cube.
+the input's mean and the pooled tokens, without building the cube.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ class StreamProjector(Module):
 
     Calling it records this as one `project_streams` op. `pooled` records
     its mean over H, W and D as one `project_pooled` op, computed from the
-    means of x, s and p, so the [B,c,H,W,D] output is never built."""
+    caller's mean of x and the means of s and p, so the [B,c,H,W,D] output
+    is never built."""
 
     def __init__(self, dim: int, channels: int, rng: np.random.Generator):
         super().__init__()
@@ -120,30 +121,28 @@ class StreamProjector(Module):
         return T.record_op("project_streams", (x, spatial, spectral, weight, bias),
                            out, backward)
 
-    def pooled(self, x: Tensor, spatial: Tensor, spectral: Tensor) -> Tensor:
-        """The mean of self(x, spatial, spectral) over H, W and D, [B,c]:
-        mean_HWD(x) + mean_HW(s) W_s^T + mean_D(p) W_p^T + b. Backward
-        spreads g/(H*W*D) over x, g/(H*W) W_s over the spatial tokens and
-        g/D W_p over the spectral tokens, each into a new C-contiguous
-        array that the tape adopts rather than copies."""
-        b, c, hh, ww, dd = x_shape = x.shape
+    def pooled(self, x_mean: Tensor, spatial: Tensor, spectral: Tensor) -> Tensor:
+        """The mean of self(x, spatial, spectral) over H, W and D, [B,c],
+        from x_mean = mean_HWD(x), [B,c]: x_mean + mean_HW(s) W_s^T +
+        mean_D(p) W_p^T + b. Backward hands g itself to x_mean and spreads
+        g/(H*W) W_s over the spatial tokens and g/D W_p over the spectral
+        tokens, each into a new C-contiguous array that the tape adopts
+        rather than copies."""
         s_shape, p_shape = spatial.shape, spectral.shape
         weight, bias = self.weight, self.bias
         w_s, w_p = self._split()
         s_mean, p_mean = spatial.data.mean(axis=1), spectral.data.mean(axis=1)  # [B,d]
-        out = x.data.mean(axis=(2, 3, 4)) + s_mean @ w_s.T + p_mean @ w_p.T + bias.data
+        out = x_mean.data + s_mean @ w_s.T + p_mean @ w_p.T + bias.data
 
         def backward(g):
-            gx = np.empty(x_shape, g.dtype)
-            gx[...] = (g / (hh * ww * dd)).reshape(b, c, 1, 1, 1)
             gs = np.empty(s_shape, g.dtype)
-            gs[...] = ((g / (hh * ww)) @ w_s)[:, None, :]
+            gs[...] = ((g / s_shape[1]) @ w_s)[:, None, :]
             gp = np.empty(p_shape, g.dtype)
-            gp[...] = ((g / dd) @ w_p)[:, None, :]
+            gp[...] = ((g / p_shape[1]) @ w_p)[:, None, :]
             gw = np.concatenate((g.T @ s_mean, g.T @ p_mean), axis=1)
-            return gx, gs, gp, gw.reshape(weight.shape), g.sum(axis=0)
+            return g, gs, gp, gw.reshape(weight.shape), g.sum(axis=0)
 
-        return T.record_op("project_pooled", (x, spatial, spectral, weight, bias),
+        return T.record_op("project_pooled", (x_mean, spatial, spectral, weight, bias),
                            out, backward)
 
 
@@ -177,10 +176,11 @@ class SpectralCABlock(Module):
     def spectral_path(self, x: Tensor, training: bool) -> Tensor:
         """Conv3D -> BN -> SiLU -> average over H,W -> D tokens -> LayerNorm.
 
-        The conv module runs the first four steps. An eval forward with no
-        active tape runs BN and the average on one conv chunk at a time, so
-        the [B,d,H,W,D] conv and BN outputs are never built; training, and
-        eval under a tape, record each step as its own op on the whole
+        The conv module runs the first four steps, and the BN op averages
+        its output a batch chunk at a time, so the [B,d,H,W,D] BN output is
+        never built. An eval forward with no active tape runs BN on one conv
+        chunk at a time, so the conv output is not built either; training,
+        and eval under a tape, record the conv and BN ops on the whole
         batch."""
         _check_input(x, self.config.channels)
         pooled = self.spectral_conv(x, self.spectral_bn, training, pool=(2, 3))  # [B,d,D]
@@ -190,10 +190,14 @@ class SpectralCABlock(Module):
                  pool: bool = False) -> Tensor:
         """The block's [B,C,H,W,D] output for x [B,C,H,W,D]; with `pool`,
         its mean over H, W and D, [B,C], from StreamProjector.pooled, which
-        never builds the cube. The two forms differ only in the last op."""
+        never builds the cube. The pool form also records the mean of x."""
         rate = self.config.dropout_rate
         # spatial_path checks the input shape before any work is done
         spatial = self.spatial_path(x, training)
+        # backward replays newest first, so the spectral conv's gradient is
+        # the first to reach x and is adopted; this mean's and the spatial
+        # path's band-mean's broadcast gradients then add into it in place
+        x_mean = T.mean_axis(x, (2, 3, 4)) if pool else None
         spectral = self.spectral_path(x, training)
         att1, att2 = self.cross(spatial, spectral)
 
@@ -203,7 +207,7 @@ class SpectralCABlock(Module):
         spectral = T.add(spectral, self.spectral_ffn(self.spectral_ffn_norm(spectral), training, rng))
 
         if pool:
-            return self.projector.pooled(x, spatial, spectral)
+            return self.projector.pooled(x_mean, spatial, spectral)
         return self.projector(x, spatial, spectral)
 
 

@@ -276,6 +276,8 @@ def read_checkpoint(path) -> tuple[PatchClassifier, dict]:
         values = np.frombuffer(blob, dtype="<f4", count=arr.size, offset=start)
         if not np.isfinite(values).all():
             raise CheckpointError(f"entry {name!r} holds non-finite values")
+        if name.endswith("running_var") and (values < 0).any():
+            raise CheckpointError(f"entry {name!r} holds a negative variance")
         arr[...] = values.reshape(shape)
     if available:
         raise CheckpointError(f"checkpoint missing entries: {sorted(available)}")

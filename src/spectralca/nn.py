@@ -24,15 +24,22 @@ same lowering applied with the flipped kernel.
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) runs in an eval forward with no
 active tape as a stream over its batch chunks: each conv chunk, its bias
-added, goes through the BatchNorm op and then mean_axis while it is in
-cache, so neither full output is built. Training, and eval under a tape,
-apply the same ops once to the whole batch and record them. Either way
-BatchNorm, the activation and the mean have one implementation each.
+added, goes through the BatchNorm op while it is in cache, so neither full
+output is built. Training, and eval under a tape, record the conv and the
+BatchNorm op once over the whole batch. Either way BatchNorm, the
+activation and the mean have one implementation each: the BatchNorm op
+pools its activation a chunk at a time when given the axes.
+
+Training holds one full-size gradient per activation where it can: the
+BatchNorm op's backward writes over its upstream gradient, or with pool
+over its input, the conv's output; a conv's input gradient overwrites the
+front of its output gradient when the conv has no more input channels.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -42,7 +49,6 @@ from .tensor import (
     Tensor,
     _ensure_finite,
     active_tape,
-    mean_axis,
     record_op,
 )
 
@@ -225,9 +231,12 @@ def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         yield part, y
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O]."""
-    out = np.empty((xd.shape[0], wd.shape[0]) + xd.shape[2:], dtype=xd.dtype)
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O];
+    written into `out` when given."""
+    if out is None:
+        out = np.empty((xd.shape[0], wd.shape[0]) + xd.shape[2:], dtype=xd.dtype)
     for _ in _conv_chunks(xd, wd, bd, out):
         pass
     return out
@@ -238,7 +247,9 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
     and bias. The weight gradient re-gathers the columns chunk by chunk like
     the forward; the input gradient is the forward with the flipped,
-    channel-swapped kernel.
+    channel-swapped kernel. With C <= O and a C-contiguous, writeable g, it
+    is written over the front of g's buffer once the others are taken: each
+    chunk's rows end before the next chunk's g starts.
     """
     spatial, k, pad, parts = _conv_geometry(xd, wd)
     c = xd.shape[1]
@@ -267,7 +278,9 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     gx = None
     if need_gx:
         flipped = np.flip(wd, axis=tuple(range(2, wd.ndim))).swapaxes(0, 1)
-        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype))
+        in_place = c <= o and g.flags.c_contiguous and g.flags.writeable
+        out = g.reshape(-1)[:xd.size].reshape(xd.shape) if in_place else None
+        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype), out)
     return gx, gw, gb
 
 
@@ -305,20 +318,20 @@ class _Conv(Module):
 
     def __call__(self, x: Tensor, bn: BatchNorm | None = None, training: bool = False,
                  pool: tuple[int, ...] | None = None) -> Tensor:
-        """The convolution of x, then bn(., training) when bn is given,
-        then the mean over the `pool` axes when given. An eval forward with
-        a bn and no active tape applies bn and the mean to one conv chunk
-        at a time (see _conv_bn_stream); otherwise each step is a recorded
-        op over the whole batch."""
+        """The convolution of x, then bn(., training, pool) when bn is
+        given: its output, or with `pool` that output's mean over the pool
+        axes. An eval forward with a bn and no active tape applies bn to one
+        conv chunk at a time (see _conv_bn_stream); otherwise the conv and
+        bn are recorded ops over the whole batch."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
+        if pool is not None and bn is None:
+            raise ValueError("pool needs the BatchNorm that computes the mean")
         if bn is not None and not training and active_tape() is None:
             return _conv_bn_stream(self, x, bn, pool)
         y = _conv_op(self.op, x, self.weight, self.bias)
-        if bn is not None:
-            y = bn(y, training)
-        return y if pool is None else mean_axis(y, pool)
+        return y if bn is None else bn(y, training, pool)
 
 
 class Conv2D(_Conv):
@@ -348,7 +361,8 @@ BN_MOMENTUM = 0.1
 
 class BatchNorm(Module):
     """Per-channel normalization over all non-channel axes (channel axis 1)
-    and the activation after it, ReLU or SiLU, as one tape op.
+    and the activation after it, ReLU or SiLU, as one tape op; with `pool`
+    axes it returns the activation's mean over them instead.
 
     Training mode normalizes with the batch's population statistics and
     updates the running estimates, once the output and the updated
@@ -360,13 +374,15 @@ class BatchNorm(Module):
     Besides its output, the forward allocates only batch-chunk
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
     sample): the training variance sums squares of the centred input in
-    float64 and SiLU's sigmoid is applied a chunk at a time. The op
+    float64, and the map, activation and pool run a chunk at a time. The op
     retains only its pre-normalization input x and per-channel vectors.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
-    in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c. It
-    overwrites the upstream gradient g with gz and then gx, over the same
-    batch chunks, so its temporaries are chunk-sized. The sum of
+    in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
+    passes over the batch chunks, so its temporaries are chunk-sized. It
+    overwrites g with gz and then gx; with `pool`, g is the pooled gradient,
+    the second pass recomputes gz, and gx overwrites the input x, which the
+    caller must hold nowhere else (the conv's output, in _Conv). The sum of
     gz*(x - mu) is taken over centred x, so a large channel mean does not
     cancel.
     """
@@ -382,7 +398,8 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool,
+                 pool: tuple[int, ...] | None = None) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects channel extent {self.channels}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
@@ -406,14 +423,18 @@ class BatchNorm(Module):
         scale = (self.gamma.data * inv).astype(x.dtype)
         shift = (self.beta.data - mu * scale).astype(x.dtype)
         scale.shape = shift.shape = bshape
-        out = xd * scale
-        out += shift
-        if activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        else:
-            for part in _chunks(len(out), out[:1].nbytes):
-                z = out[part]
+        pooled = pool is not None
+        out = np.empty(tuple(e for i, e in enumerate(xd.shape) if not pooled or i not in pool),
+                       xd.dtype)
+        for part in _chunks(len(xd), xd[:1].nbytes):
+            z = np.multiply(xd[part], scale, out=None if pooled else out[part])
+            z += shift
+            if activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
                 z *= _sigmoid(z)
+            if pooled:
+                out[part] = z.mean(axis=pool)
         # both checked before the running estimates move: a rejected batch
         # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
@@ -425,35 +446,38 @@ class BatchNorm(Module):
             self.running_mean[...], self.running_var[...] = stats
 
         def backward(g):
-            # g becomes the input gradient in place, a batch chunk at a time
             mu_x = mu.astype(xd.dtype).reshape(bshape)
+            if pooled:  # the mean's gradient, broadcast over the pool axes
+                g = np.expand_dims(g / prod(xd.shape[a] for a in pool), pool)
+
+            def grad_z(part):
+                # the chunk's gz: in g itself, or with pool in a new array
+                z = xd[part] * scale
+                z += shift
+                slope = z > 0.0 if activation == "relu" else _silu_slope(z)
+                return slope * g[part] if pooled else np.multiply(g[part], slope, out=g[part])
+
             g_beta = np.zeros(len(inv))
             g_dot = np.zeros(len(inv))  # sum of gz * (x - mu)
             for part in chunks:
-                z = xd[part] * scale
-                z += shift
-                gz = g[part]
-                if activation == "relu":
-                    gz *= z > 0.0
-                else:
-                    gz *= _silu_slope(z)
-                np.subtract(xd[part], mu_x, out=z)
+                gz = grad_z(part)
                 g_beta += _channel_sums(gz)
-                g_dot += _channel_sums(gz, z)
+                g_dot += _channel_sums(gz, xd[part] - mu_x)
             g_gamma = g_dot * inv  # sum of gz * xhat
-            if not training:
-                g *= scale
-            else:  # the batch statistics depend on x too
+            if training:  # the batch statistics depend on x too
                 b = (-scale.ravel() * inv * g_gamma / n).astype(xd.dtype).reshape(bshape)
                 c = (-scale.ravel() * g_beta / n).astype(xd.dtype).reshape(bshape)
-                for part in chunks:
-                    gz = g[part]
-                    gz *= scale
+            for part in chunks:
+                gz = grad_z(part) if pooled else g[part]
+                gz *= scale
+                if training:
                     term = xd[part] - mu_x
                     term *= b
                     gz += term
                     gz += c
-            return g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
+                if pooled:
+                    xd[part] = gz
+            return xd if pooled else g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
 
         return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
                          check_finite=False)
@@ -461,11 +485,10 @@ class BatchNorm(Module):
 
 def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,
                     pool: tuple[int, ...] | None) -> Tensor:
-    """Eval-mode bn(conv(x)), then its mean over the `pool` axes when given,
-    one conv chunk at a time and recording nothing: each chunk of the
-    conv's output, bias added and checked as the recorded conv checks its
-    output, goes through bn and mean_axis themselves and is dropped before
-    the next chunk is gathered, so neither full output is built."""
+    """Eval-mode bn(conv(x), pool), one conv chunk at a time and recording
+    nothing: each chunk of the conv's output, bias added and checked as the
+    recorded conv checks its output, goes through bn itself and is dropped
+    before the next chunk is gathered, so neither full output is built."""
     xd = x.data
     shape = (xd.shape[0], conv.out_channels) + xd.shape[2:]
     if pool is not None:
@@ -473,9 +496,7 @@ def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,
     out = np.empty(shape, dtype=xd.dtype)
     for part, y in _conv_chunks(xd, conv.weight.data, conv.bias.data):
         _ensure_finite(y, conv.op, (x, conv.weight, conv.bias))
-        y = bn(Tensor(y), False)
-        out[part] = (y if pool is None else mean_axis(y, pool)).data
-        del y
+        out[part] = bn(Tensor(y), False, pool).data
     return Tensor(out)
 
 

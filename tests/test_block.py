@@ -218,8 +218,9 @@ class TestOutputStage:
 class TestPooledProjector:
     @pytest.mark.parametrize("shape", [(2, 2, 3, 4, 5), (1, 2, 1, 1, 3)])
     def test_matches_the_mean_of_the_full_projection(self, shape):
-        # float64: value and all five input gradients against mean_axis of
-        # the full projector's output, for the same upstream gradient
+        # float64: value and the gradients of x, the tokens and the weights
+        # against mean_axis of the full projector's output, for the same
+        # upstream gradient; the pooled form takes x's mean, [B,c]
         rng = np.random.default_rng(13)
         block = tiny_block(dtype=np.float64)
         projector = block.projector
@@ -234,8 +235,9 @@ class TestPooledProjector:
             block.zero_grad()
             with Tape() as tape:
                 if pooled:
-                    out = projector.pooled(*inputs)
-                    assert [node.op for node in tape.nodes] == ["project_pooled"]
+                    x, spatial, spectral = inputs
+                    out = projector.pooled(T.mean_axis(x, (2, 3, 4)), spatial, spectral)
+                    assert [node.op for node in tape.nodes] == ["mean_axis", "project_pooled"]
                 else:
                     out = T.mean_axis(projector(*inputs), (2, 3, 4))
                 loss = T.sum_all(T.mul(out, g))

@@ -102,7 +102,7 @@ NON_FINITE_CASES = [
     ("block1.spatial_conv.weight", (0, 0, 1, 1), np.nan, "conv2d in block1.spatial_conv"),
     ("block1.spectral_bn.gamma", (0,), np.nan, "batchnorm in block1.spectral_bn"),
     # finite activations whose sum over H and W overflows float32
-    ("block1.spectral_bn.beta", (0,), 3e38, "mean_axis"),
+    ("block1.spectral_bn.beta", (0,), 3e38, "batchnorm in block1.spectral_bn"),
 ]
 
 
@@ -198,9 +198,9 @@ class TestEvalStream:
         calls, nodes = [], []
         bn_call = nn.BatchNorm.__call__
 
-        def spy(bn, x, training):
+        def spy(bn, x, training, pool=None):
             calls.append(training)
-            return bn_call(bn, x, training)
+            return bn_call(bn, x, training, pool)
 
         monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
         monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
@@ -247,6 +247,55 @@ class TestPrecision:
         assert logits.dtype == dtype
         assert all(p.data.dtype == dtype and p.grad.dtype == dtype
                    for p in model.parameters())
+
+
+def _replayed_nodes(model, batch, replay, monkeypatch):
+    """One training step of `model` on `batch` random patches, its nodes
+    replayed by `replay`: (op, first input's shape, tracemalloc peak above
+    the bytes live before the node) for every node in replay order."""
+    seen = []
+
+    def traced(node):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        replay(node)
+        seen.append((node.op, node.inputs[0].shape if node.inputs[0] else None,
+                     tracemalloc.get_traced_memory()[1] - before))
+
+    monkeypatch.setattr(T, "_replay", traced)
+    patches = Tensor(rand_patches(batch, model.config))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = cross_entropy(model(patches, training=True, rng=np.random.default_rng(2)),
+                                 np.arange(batch) % model.config.num_classes)
+        tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    return seen
+
+
+def test_training_step_backward_holds_one_full_size_gradient(chunking, monkeypatch):
+    # CFG32 on 9x9x32 patches, one sample per chunk, so every chunked
+    # loop's temporaries are one sample's: a node's backward may not grow
+    # with the batch by a [B,C,H,W,D] array, which would add two samples'
+    # block input from batch 2 to 4. The gradient of the block input is the
+    # spectral conv's, written over its output gradient, which the spectral
+    # BN wrote over the conv's output; the pooled projector and the means
+    # of x allocate none of their own
+    model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
+    replay = T._replay
+    small, large = (_replayed_nodes(model, batch, replay, monkeypatch) for batch in (2, 4))
+    sample_bytes = 64 * 9 * 9 * 32 * 4
+    assert [op for op, _, _ in small] == [op for op, _, _ in large]
+    grown = {f"{i}:{op}": peak - peak_small
+             for i, ((op, _, peak_small), (_, _, peak)) in enumerate(zip(small, large))
+             if peak - peak_small >= sample_bytes}
+    assert not grown, grown
+    # the spectral BN pools its own output: the only recorded means are the
+    # block input's, its band-mean and the residual's mean
+    means = [shape for op, shape, _ in large if op == "mean_axis"]
+    assert means == [(4, 64, 9, 9, 32)] * 2, means
 
 
 def test_training_step_skips_the_patches_gradient(monkeypatch):
@@ -465,6 +514,17 @@ class TestCheckpoint:
         arrays[entry][index] = value
         save_checkpoint(model, tmp_path / "m.bin")
         with pytest.raises(CheckpointError, match=f"entry '{entry}' holds non-finite values"):
+            load_checkpoint(tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("value", [-1.0, -5e-6], ids=["minus_one", "minus_5e-6"])
+    def test_negative_running_variance_rejected(self, tmp_path, value):
+        # loaded, -1 failed at the first forward as non-finite, and -5e-6
+        # predicted silently with that channel's scale amplified ~450 times
+        model = tiny_model()
+        model.stem_bn.running_var[0] = value
+        save_checkpoint(model, tmp_path / "m.bin")
+        with pytest.raises(CheckpointError,
+                           match="entry 'stem_bn.running_var' holds a negative variance"):
             load_checkpoint(tmp_path / "m.bin")
 
     def test_bad_magic_rejected(self, tmp_path):

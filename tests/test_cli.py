@@ -186,6 +186,9 @@ MALFORMED = {
     # a checkpoint whose stem_bn.running_var holds inf
     "eval-non-finite": (["eval", "--model", "{non_finite_bin}", "--data", "{scene}",
                          "--out", "{tmp}/r.json"], "checkpoint"),
+    # a checkpoint whose stem_bn.running_var holds -5e-6
+    "eval-negative-variance": (["eval", "--model", "{negative_var_bin}", "--data", "{scene}",
+                                "--out", "{tmp}/r.json"], "checkpoint"),
     # eval measures T itself
     "eval-infer-time-flag": (["eval", "--model", "{four_bands_bin}", "--data", "{scene}",
                               "--out", "{tmp}/r.json", "--infer-time-s", "0.5"],
@@ -240,6 +243,8 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     rewrite_manifest(tmp_path / "float_patch.bin", with_model(patch_size=3.0), whole=True)
     four_bands.stem_bn.running_var[0] = np.inf
     save_checkpoint(four_bands, tmp_path / "non_finite.bin", data_recipe=GOOD_RECIPE)
+    four_bands.stem_bn.running_var[0] = -5e-6
+    save_checkpoint(four_bands, tmp_path / "negative_var.bin", data_recipe=GOOD_RECIPE)
     assert main(["gen", "--seed", "3", "--height", "8", "--width", "8", "--bands", "6",
                  "--classes", "2", "--out", str(tmp_path / "scene6")]) == 0
     paths = {"tmp": tmp_path, "scene": scene, "bad_json": tmp_path / "bad.json",
@@ -248,6 +253,7 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
              "four_bands_bin": tmp_path / "four_bands.bin",
              "float_patch_bin": tmp_path / "float_patch.bin",
              "non_finite_bin": tmp_path / "non_finite.bin",
+             "negative_var_bin": tmp_path / "negative_var.bin",
              "six_band_scene": tmp_path / "scene6"}
     argv, code = MALFORMED[command]
     capsys.readouterr()

@@ -115,6 +115,12 @@ class TestConv3D:
         with pytest.raises(ValueError):
             Conv3D(1, 1, 2, RNG)
 
+    def test_pool_without_batchnorm_rejected(self):
+        # the mean over the pool axes is taken by the BatchNorm op
+        layer = Conv3D(1, 1, 3, RNG)
+        with pytest.raises(ValueError, match="pool"):
+            layer(Tensor(np.zeros((2, 1, 3, 3, 3), dtype=np.float32)), pool=(2, 3))
+
 
 def test_conv_numpy_fallback_matches_bruteforce():
     rng = np.random.default_rng(77)
@@ -224,7 +230,11 @@ def test_edge_shape_conv_matches_bruteforce(name, chunking):
     # the conv is bilinear in (x, w), so its gradients are its adjoints:
     # <conv(x, w), g> = <x, gx> = <w, gw>
     g = rng.standard_normal(out.shape)
-    gx, gw, gb = nn._conv_backward(g, x, w)
+    # the rule may write the input gradient over its g: into the front of
+    # g's buffer exactly when the input has no more channels than the output
+    handed = g.copy()
+    gx, gw, gb = nn._conv_backward(handed, x, w)
+    assert np.shares_memory(gx, handed) == (x.shape[1] <= w.shape[0])
     linear = np.vdot(out - b.reshape((1, -1) + (1,) * (x.ndim - 2)), g)
     np.testing.assert_allclose(np.vdot(x, gx), linear, rtol=1e-12)
     np.testing.assert_allclose(np.vdot(w, gw), linear, rtol=1e-12)
@@ -251,12 +261,14 @@ def _traced_bytes(fn):
     return result, peak - base, current - base
 
 
-def _transient_bytes(fn):
-    """tracemalloc peak of fn() above what was allocated before the call,
-    less the bytes of the arrays it returns."""
-    result, peak, _ = _traced_bytes(fn)
+def _transient_bytes(fn, *args):
+    """tracemalloc peak of fn(*args) above what was allocated before the
+    call, less the bytes of the arrays it returns that are new: a returned
+    view of an argument was never allocated by the call."""
+    result, peak, _ = _traced_bytes(lambda: fn(*args))
     arrays = result if isinstance(result, tuple) else (result,)
-    return peak - sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    return peak - sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)
+                      and not any(np.shares_memory(a, arg) for arg in args))
 
 
 def test_conv_transient_memory_does_not_grow_with_batch():
@@ -269,9 +281,9 @@ def test_conv_transient_memory_does_not_grow_with_batch():
     forward, backward = {}, {}
     for batch in (2, 4):
         x = rng.standard_normal((batch, 64, 9, 9, 32)).astype(np.float32)
-        forward[batch] = _transient_bytes(lambda: nn._conv_forward(x, w, b))
+        forward[batch] = _transient_bytes(nn._conv_forward, x, w, b)
         g = rng.standard_normal((batch, 96, 9, 9, 32)).astype(np.float32)
-        backward[batch] = _transient_bytes(lambda: nn._conv_backward(g, x, w))
+        backward[batch] = _transient_bytes(nn._conv_backward, g, x, w)
     # two more samples may not add their columns to the transient peak
     assert forward[4] - forward[2] < sample_cols, forward
     assert backward[4] - backward[2] < sample_cols, backward
@@ -371,10 +383,10 @@ def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking):
     b = np.zeros(32, dtype=np.float32)
     chunk_cols = 32 * 9 * 9 * 9 * 34 * 4
     if direction == "forward":
-        transient = _transient_bytes(lambda: nn._conv_forward(x, w, b))
+        transient = _transient_bytes(nn._conv_forward, x, w, b)
     else:
         g = rng.standard_normal(x.shape).astype(np.float32)
-        transient = _transient_bytes(lambda: nn._conv_backward(g, x, w))
+        transient = _transient_bytes(nn._conv_backward, g, x, w)
     assert transient < 2 * chunk_cols, transient
 
 
@@ -653,6 +665,34 @@ def test_gradcheck_batchnorm_eval(activation, chunking):
         return T.mean_all(T.mul(out, out))
 
     report = grad_check(f, [x] + bn.parameters(), rng=rng, samples_per_parameter=50)
+    assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@BOTH_CHUNKINGS
+def test_gradcheck_conv_batchnorm_pool(activation, training, chunking):
+    # BatchNorm's pool form through the conv: its backward recomputes each
+    # chunk's slope and writes the conv's output gradient over the conv's
+    # output, and the conv (2 -> 3 channels) writes its input gradient into
+    # that buffer; eval mode is recorded under the tape and streamed for the
+    # finite differences
+    rng = np.random.default_rng(47)
+    conv = Conv3D(2, 3, 3, rng).astype(np.float64)
+    bn = BatchNorm(3, activation).astype(np.float64)
+    bn.running_mean[:] = rng.standard_normal(3)
+    bn.running_var[:] = 0.5 + rng.random(3)
+    x = Parameter(rng.standard_normal((3, 2, 3, 2, 4)), name="x")
+    params = [x] + conv.parameters() + bn.parameters()
+    for p in params[1:]:
+        p.data += 0.05 * rng.standard_normal(p.shape)
+
+    def f():
+        out = conv(x, bn, training, pool=(2, 3))
+        assert out.shape == (3, 3, 4)
+        return T.mean_all(T.mul(out, out))
+
+    report = grad_check(f, params, rng=rng, samples_per_parameter=50)
     assert report.ok, str(report)
 
 
