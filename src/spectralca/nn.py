@@ -6,7 +6,12 @@ records nothing. Every layer is built in float32; ``Module.astype(np.float64)``
 converts a built model for gradient checks.
 BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
 place ReLU exists. That op and silu retain only their input; backward
-recomputes the rest, SiLU's derivative always by _silu_slope.
+recomputes the rest, SiLU's derivative always by _silu_slope. When the
+BatchNorm's input is a conv over an input that takes no gradient (the
+stem's, over the patches), it retains not even that: its backward
+regenerates each batch chunk of the conv's output from the conv's input
+(In-Place ABN's trade of recompute for memory, arXiv:1712.02616). Dropout
+retains a boolean keep-mask.
 
 Every chunked loop, here and in attention, slices its items with _chunks
 under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
@@ -32,7 +37,8 @@ pools its activation a chunk at a time when given the axes.
 
 Training holds one full-size gradient per activation where it can: the
 BatchNorm op's backward writes over its upstream gradient, or with pool
-over its input, the conv's output; a conv's input gradient overwrites the
+over its input, the conv's output (into a new array when that output is
+regenerated rather than kept); a conv's input gradient overwrites the
 front of its output gradient when the conv has no more input channels.
 """
 
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -322,7 +329,10 @@ class _Conv(Module):
         given: its output, or with `pool` that output's mean over the pool
         axes. An eval forward with a bn and no active tape applies bn to one
         conv chunk at a time (see _conv_bn_stream); otherwise the conv and
-        bn are recorded ops over the whole batch."""
+        bn are recorded ops over the whole batch. When x takes no gradient
+        (the stem's patches), bn is given the conv itself as the source of
+        its input, so its backward regenerates each chunk of the conv's
+        output and the whole output is freed once bn's forward returns."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
@@ -331,7 +341,16 @@ class _Conv(Module):
         if bn is not None and not training and active_tape() is None:
             return _conv_bn_stream(self, x, bn, pool)
         y = _conv_op(self.op, x, self.weight, self.bias)
-        return y if bn is None else bn(y, training, pool)
+        if bn is None:
+            return y
+        if x.requires_grad:
+            return bn(y, training, pool)
+        xd, wd, bd = x.data, self.weight.data, self.bias.data
+
+        def regenerate(part):
+            return _conv_forward(xd[part], wd, bd)
+
+        return bn(y, training, pool, regenerate)
 
 
 class Conv2D(_Conv):
@@ -375,16 +394,20 @@ class BatchNorm(Module):
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
     sample): the training variance sums squares of the centred input in
     float64, and the map, activation and pool run a chunk at a time. The op
-    retains only its pre-normalization input x and per-channel vectors.
+    retains its pre-normalization input x and per-channel vectors; given
+    a `source`, a function of a batch slice that returns x.data[slice]
+    anew (in _Conv, the conv over an input that takes no gradient), it
+    retains the source instead of x.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
     in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
-    passes over the batch chunks, so its temporaries are chunk-sized. It
-    overwrites g with gz and then gx; with `pool`, g is the pooled gradient,
-    the second pass recomputes gz, and gx overwrites the input x, which the
-    caller must hold nowhere else (the conv's output, in _Conv). The sum of
-    gz*(x - mu) is taken over centred x, so a large channel mean does not
-    cancel.
+    passes over the batch chunks, so its temporaries are chunk-sized; with
+    a source, each pass regenerates each chunk of x. It overwrites g with
+    gz and then gx; with `pool`, g is the pooled gradient, the second pass
+    recomputes gz, and gx overwrites the input x, which the caller must
+    hold nowhere else (the conv's output, in _Conv), or with a source goes
+    into a new array. The sum of gz*(x - mu) is taken over centred x, so a
+    large channel mean does not cancel.
     """
 
     def __init__(self, channels: int, activation: str):
@@ -398,15 +421,19 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor, training: bool,
-                 pool: tuple[int, ...] | None = None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, pool: tuple[int, ...] | None = None,
+                 source: Callable[[slice], np.ndarray] | None = None) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects channel extent {self.channels}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
         bshape = (1, self.channels) + (1,) * (x.ndim - 2)
         n = x.size // self.channels
         xd, activation = x.data, self.activation
+        shape, dtype = xd.shape, xd.dtype
         chunks = _chunks(len(xd), xd[:1].nbytes)
+        # backward reads x from x itself, or regenerates it from source
+        kept = xd if source is None else None
+        rows = source or kept.__getitem__
         if training:
             if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
@@ -420,12 +447,12 @@ class BatchNorm(Module):
             mu = self.running_mean
             var = self.running_var
         inv = 1.0 / np.sqrt(var + NORM_EPS)
-        scale = (self.gamma.data * inv).astype(x.dtype)
-        shift = (self.beta.data - mu * scale).astype(x.dtype)
+        scale = (self.gamma.data * inv).astype(dtype)
+        shift = (self.beta.data - mu * scale).astype(dtype)
         scale.shape = shift.shape = bshape
         pooled = pool is not None
-        out = np.empty(tuple(e for i, e in enumerate(xd.shape) if not pooled or i not in pool),
-                       xd.dtype)
+        out = np.empty(tuple(e for i, e in enumerate(shape) if not pooled or i not in pool),
+                       dtype)
         for part in _chunks(len(xd), xd[:1].nbytes):
             z = np.multiply(xd[part], scale, out=None if pooled else out[part])
             z += shift
@@ -446,13 +473,13 @@ class BatchNorm(Module):
             self.running_mean[...], self.running_var[...] = stats
 
         def backward(g):
-            mu_x = mu.astype(xd.dtype).reshape(bshape)
+            mu_x = mu.astype(dtype).reshape(bshape)
             if pooled:  # the mean's gradient, broadcast over the pool axes
-                g = np.expand_dims(g / prod(xd.shape[a] for a in pool), pool)
+                g = np.expand_dims(g / prod(shape[a] for a in pool), pool)
 
-            def grad_z(part):
+            def grad_z(part, xp):
                 # the chunk's gz: in g itself, or with pool in a new array
-                z = xd[part] * scale
+                z = xp * scale
                 z += shift
                 slope = z > 0.0 if activation == "relu" else _silu_slope(z)
                 return slope * g[part] if pooled else np.multiply(g[part], slope, out=g[part])
@@ -460,24 +487,29 @@ class BatchNorm(Module):
             g_beta = np.zeros(len(inv))
             g_dot = np.zeros(len(inv))  # sum of gz * (x - mu)
             for part in chunks:
-                gz = grad_z(part)
+                xp = rows(part)
+                gz = grad_z(part, xp)
                 g_beta += _channel_sums(gz)
-                g_dot += _channel_sums(gz, xd[part] - mu_x)
+                g_dot += _channel_sums(gz, xp - mu_x)
             g_gamma = g_dot * inv  # sum of gz * xhat
             if training:  # the batch statistics depend on x too
-                b = (-scale.ravel() * inv * g_gamma / n).astype(xd.dtype).reshape(bshape)
-                c = (-scale.ravel() * g_beta / n).astype(xd.dtype).reshape(bshape)
+                b = (-scale.ravel() * inv * g_gamma / n).astype(dtype).reshape(bshape)
+                c = (-scale.ravel() * g_beta / n).astype(dtype).reshape(bshape)
+            # with pool, gx goes over the kept x, or into a new array when x
+            # is regenerated; otherwise over g
+            gx = g if not pooled else np.empty(shape, dtype) if kept is None else kept
             for part in chunks:
-                gz = grad_z(part) if pooled else g[part]
+                xp = rows(part)
+                gz = grad_z(part, xp) if pooled else g[part]
                 gz *= scale
                 if training:
-                    term = xd[part] - mu_x
+                    term = xp - mu_x
                     term *= b
                     gz += term
                     gz += c
                 if pooled:
-                    xd[part] = gz
-            return xd if pooled else g, g_gamma.astype(xd.dtype), g_beta.astype(xd.dtype)
+                    gx[part] = gz
+            return gx, g_gamma.astype(dtype), g_beta.astype(dtype)
 
         return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
                          check_finite=False)
@@ -623,7 +655,9 @@ def dropout(x: Tensor, rate: float, training: bool,
     """Zero each element with probability `rate`, scaling survivors by 1/(1-rate).
 
     Identity when not training or rate == 0 (the input tensor is returned
-    unchanged, so the tape stays connected at no cost).
+    unchanged, so the tape stays connected at no cost). Retains only the
+    boolean keep-mask, a quarter of a float32 mask's bytes; the forward and
+    backward each rebuild the scaled mask from it and backward overwrites g.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
@@ -632,11 +666,17 @@ def dropout(x: Tensor, rate: float, training: bool,
     if rng is None:
         raise ValueError("training-mode dropout needs a seeded rng")
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / keep
-    out = x.data * mask
+    kept = rng.random(x.shape) >= rate
+    dtype = x.dtype
+
+    def mask():
+        return kept.astype(dtype) / keep
+
+    out = x.data * mask()
 
     def backward(g):
-        return (g * mask,)
+        g *= mask()
+        return (g,)
 
     return record_op("dropout", (x,), out, backward)
 

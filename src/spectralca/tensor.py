@@ -440,6 +440,10 @@ def grad_check(
     """
     if samples_per_parameter < 1:
         raise ValueError(f"samples_per_parameter must be >= 1, got {samples_per_parameter}")
+    # the report is keyed by name: a shared name would hide all but one error
+    names = [p.name or f"param{k}" for k, p in enumerate(params)]
+    if len(set(names)) != len(names):
+        raise ValueError(f"grad_check needs distinct parameter names, got {names}")
     rng = rng or np.random.default_rng(0)
     for p in params:
         if p.dtype != np.float64:
@@ -454,7 +458,7 @@ def grad_check(
     ad_grads = {id(p): np.array(p.grad) for p in params}
 
     report = GradCheckReport(tolerance=tol)
-    for k, p in enumerate(params):
+    for name, p in zip(names, params):
         flat = p.data.reshape(-1)
         n = flat.size
         if n <= samples_per_parameter:
@@ -473,5 +477,5 @@ def grad_check(
             fd = (f_plus - f_minus) / (2.0 * h)
             rel = abs(ad[i] - fd) / max(1e-8, abs(ad[i]) + abs(fd))
             worst = max(worst, rel)
-        report.per_parameter[p.name or f"param{k}"] = worst
+        report.per_parameter[name] = worst
     return report

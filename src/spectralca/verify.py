@@ -10,7 +10,17 @@ from . import tensor as T
 from .attention import CrossAttention
 from .block import CFG32, SpectralCABlock, SpectralCAConfig
 from .classifier import ModelConfig, PatchClassifier
-from .nn import BatchNorm, Conv2D, Conv3D, LayerNorm, Linear, cross_entropy, dropout, silu
+from .nn import (
+    BatchNorm,
+    Conv2D,
+    Conv3D,
+    LayerNorm,
+    Linear,
+    Module,
+    cross_entropy,
+    dropout,
+    silu,
+)
 from .tensor import GradCheckReport, Parameter, Tensor, grad_check
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -49,29 +59,41 @@ def _tensor_ops_report(seed: int, samples: int) -> GradCheckReport:
 
 
 def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
+    """Every nn op, with a conv->BatchNorm pair on a constant input (the
+    stem's case, whose BatchNorm regenerates the conv's output in backward)
+    in training, relu and silu, with and without pool. The layers are
+    children of one Module, so each parameter has its own dotted name."""
     rng = np.random.default_rng(seed)
-    conv2 = Conv2D(2, 3, rng).astype(np.float64)
-    bn2 = BatchNorm(3, "silu").astype(np.float64)
-    conv3 = Conv3D(2, 2, 3, rng).astype(np.float64)
-    ln = LayerNorm(3).astype(np.float64)
-    lin = Linear(3, 4, rng).astype(np.float64)
-    head = Linear(2, 3, rng).astype(np.float64)
+    m = Module()
+    m.conv2 = Conv2D(2, 3, rng)
+    m.bn2 = BatchNorm(3, "silu")
+    m.conv3 = Conv3D(2, 2, 3, rng)
+    m.ln = LayerNorm(3)
+    m.lin = Linear(3, 4, rng)
+    m.head = Linear(2, 3, rng)
     x2 = Parameter(rng.standard_normal((2, 2, 4, 5)), name="x2")
     x3 = Parameter(rng.standard_normal((2, 2, 3, 3, 3)), name="x3")
+    m.stem = Conv3D(1, 2, 3, rng)
+    m.stem_relu = BatchNorm(2, "relu")
+    m.stem_silu = BatchNorm(2, "silu")
+    m.astype(np.float64)
+    patches = Tensor(rng.standard_normal((2, 1, 3, 3, 3)))
     labels = np.array([0, 2])
-    layers = [conv2, bn2, conv3, ln, lin, head]
 
     def f():
-        a = bn2(conv2(x2), training=True)
-        tokens = ln(T.transpose(T.reshape(a, (2, 3, 20)), (0, 2, 1)))
-        tokens = dropout(lin(tokens), 0.2, training=True, rng=np.random.default_rng(5))
-        b = silu(conv3(x3))
+        a = m.bn2(m.conv2(x2), training=True)
+        tokens = m.ln(T.transpose(T.reshape(a, (2, 3, 20)), (0, 2, 1)))
+        tokens = dropout(m.lin(tokens), 0.2, training=True, rng=np.random.default_rng(5))
+        b = silu(m.conv3(x3))
         pooled = T.mean_axis(b, (2, 3, 4))
-        ce = cross_entropy(head(pooled), labels)
-        return T.add(_quadratic(tokens), T.scale(ce, _PROBE_SCALE))
+        ce = cross_entropy(m.head(pooled), labels)
+        loss = T.add(_quadratic(tokens), T.scale(ce, _PROBE_SCALE))
+        for bn in (m.stem_relu, m.stem_silu):
+            for pool in (None, (2, 3)):
+                loss = T.add(loss, _quadratic(m.stem(patches, bn, True, pool)))
+        return loss
 
-    params = [x2, x3] + [p for layer in layers for p in layer.parameters()]
-    return _check(f, params, rng, samples)
+    return _check(f, [x2, x3] + m.parameters(), rng, samples)
 
 
 def _attention_report(seed: int, samples: int) -> GradCheckReport:

@@ -334,6 +334,24 @@ def test_recorded_silu_retains_only_its_input():
     assert out.data.nbytes <= retained < out.data.nbytes + 100_000, retained
 
 
+def test_recorded_dropout_retains_a_bool_mask():
+    # the FFN's dropout under a tape: backward rebuilds the scaled mask from
+    # the boolean keep-mask, so after the forward only the output and one
+    # byte per element stay allocated (a float32 mask would add four), and
+    # its products are the float32 mask's bit for bit
+    rng = np.random.default_rng(87)
+    x = Tensor(rng.standard_normal((32, 81, 192)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        out, _, retained = _traced_bytes(
+            lambda: dropout(x, 0.1, training=True, rng=np.random.default_rng(3)))
+    assert len(tape.nodes) == 1
+    assert out.data.nbytes + x.size <= retained < out.data.nbytes + x.size + 100_000, retained
+    mask = (np.random.default_rng(3).random(x.shape) >= 0.1).astype(np.float32) / 0.9
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    assert np.array_equal(out.data, x.data * mask)
+    assert np.array_equal(tape.nodes[0].backward(g.copy())[0], g * mask)
+
+
 def test_batchnorm_backward_transient_memory_does_not_grow_with_batch():
     # the spectral BN's backward overwrites its upstream gradient, a batch
     # chunk at a time: two more samples may not add input-sized temporaries
@@ -690,6 +708,29 @@ def test_gradcheck_conv_batchnorm_pool(activation, training, chunking):
     def f():
         out = conv(x, bn, training, pool=(2, 3))
         assert out.shape == (3, 3, 4)
+        return T.mean_all(T.mul(out, out))
+
+    report = grad_check(f, params, rng=rng, samples_per_parameter=50)
+    assert report.ok, str(report)
+
+
+@pytest.mark.parametrize("pool", [None, (2, 3)], ids=["full", "pool"])
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@BOTH_CHUNKINGS
+def test_gradcheck_conv_batchnorm_on_a_constant_input(activation, pool, chunking):
+    # the stem's case: the conv's input takes no gradient, so BatchNorm's
+    # backward regenerates the conv's output chunk by chunk instead of
+    # keeping it, and with pool writes its input gradient into a new array
+    rng = np.random.default_rng(48)
+    conv = Conv3D(1, 3, 3, rng).astype(np.float64)
+    bn = BatchNorm(3, activation).astype(np.float64)
+    x = Tensor(rng.standard_normal((3, 1, 3, 2, 4)))
+    params = conv.parameters() + bn.parameters()
+    for p in params:
+        p.data += 0.05 * rng.standard_normal(p.shape)
+
+    def f():
+        out = conv(x, bn, True, pool)
         return T.mean_all(T.mul(out, out))
 
     report = grad_check(f, params, rng=rng, samples_per_parameter=50)

@@ -322,6 +322,13 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(lambda: T.sum_all(theta), [theta])
 
+    def test_shared_names_rejected(self):
+        # the report is keyed by name: two "weight"s would report one error
+        a = Parameter(np.array([1.0]), name="weight")
+        b = Parameter(np.array([2.0]), name="weight")
+        with pytest.raises(ValueError, match="distinct parameter names"):
+            grad_check(lambda: T.sum_all(T.mul(a, b)), [a, b])
+
 
 # --- transpose-action (dot product) test for the linear primitives ------
 
