@@ -178,10 +178,10 @@ class SpectralCABlock(Module):
 
         The conv module runs the first four steps, and the BN op averages
         its output a batch chunk at a time, so the [B,d,H,W,D] BN output is
-        never built. An eval forward with no active tape runs BN on one conv
-        chunk at a time, so the conv output is not built either; training,
-        and eval under a tape, record the conv and BN ops on the whole
-        batch."""
+        never built. An eval forward with no active tape records nothing
+        and the BN op reads one conv chunk at a time from the conv, so the
+        conv output is not built either; training, and eval under a tape,
+        record the conv on the whole batch."""
         _check_input(x, self.config.channels)
         pooled = self.spectral_conv(x, self.spectral_bn, training, pool=(2, 3))  # [B,d,D]
         return self.spectral_token_norm(T.transpose(pooled, (0, 2, 1)))  # [B,D,d]

@@ -170,7 +170,12 @@ def save_checkpoint(model: PatchClassifier, path, seed: int | None = None,
     chunks = []
     offset = 0
     for name, kind, arr in _entry_arrays(model):
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        values = np.ascontiguousarray(arr, dtype="<f4")
+        # refused before the file is opened: load_checkpoint would reject it
+        if not np.isfinite(values).all():
+            raise T.NonFiniteError(f"entry {name!r} holds non-finite values; "
+                                   "no checkpoint written")
+        raw = values.tobytes()
         entries.append({"name": name, "kind": kind, "shape": list(arr.shape),
                         "offset": offset})
         chunks.append(raw)

@@ -116,9 +116,9 @@ def generate_synthetic(seed: int, height: int, width: int, bands: int,
                        num_classes: int, noise_sigma: float) -> tuple[Hypercube, LabelRaster]:
     """Deterministic scene: one smooth spectral signature per contiguous
     region, plus optional per-voxel white noise."""
-    if min(height, width, bands) < 1 or noise_sigma < 0:
+    if min(height, width, bands) < 1 or not 0 <= noise_sigma < np.inf:
         raise ValueError(f"scene {height}x{width}x{bands} needs extents >= 1 and "
-                         f"noise sigma {noise_sigma} >= 0")
+                         f"a finite noise sigma {noise_sigma} >= 0")
     if num_classes > height * width:
         raise ValueError(f"{num_classes} classes cannot fit {height}x{width} pixels")
     if num_classes < 1:

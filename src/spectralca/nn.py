@@ -27,13 +27,14 @@ gathers the columns again, chunk by chunk, and the input gradient is the
 same lowering applied with the flipped kernel.
 
 A conv module called with the BatchNorm that follows it (and, for the
-spectral path, the axes to average over) runs in an eval forward with no
-active tape as a stream over its batch chunks: each conv chunk, its bias
-added, goes through the BatchNorm op while it is in cache, so neither full
-output is built. Training, and eval under a tape, record the conv and the
-BatchNorm op once over the whole batch. Either way BatchNorm, the
-activation and the mean have one implementation each: the BatchNorm op
-pools its activation a chunk at a time when given the axes.
+spectral path, the axes to average over) hands the BatchNorm op a source
+that computes the conv over a batch slice. In an eval forward with no
+active tape the conv records nothing and builds no output: the op reads
+each conv chunk from the source while it is in cache, so neither full
+output is built. Training, and eval under a tape, record the conv once over
+the whole batch. Either way BatchNorm, the activation and the mean have one
+implementation each: the BatchNorm op pools its activation a chunk at a
+time when given the axes.
 
 Training holds one full-size gradient per activation where it can: the
 BatchNorm op's backward writes over its upstream gradient, or with pool
@@ -207,15 +208,15 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
     return cols
 
 
-def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                 out: np.ndarray | None = None):
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
-    bd [O], one batch chunk at a time: yields (batch slice, the chunk's
-    C-contiguous [n,O,*S] output), which is out[slice] when out is given
-    and a fresh array otherwise. Each chunk's columns are freed before its
-    output is yielded."""
+    bd [O], one batch chunk at a time, written into `out` when given. A new
+    [B,O,*S] output is allocated once the first chunk's columns are freed,
+    so a call over one chunk never holds its columns and its output at once."""
     spatial, k, pad, parts = _conv_geometry(xd, wd)
     o = wd.shape[0]
+    shape = (xd.shape[0], o) + spatial
     wstack = _tap_weights(wd)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
     for part in parts:
@@ -230,23 +231,14 @@ def _conv_chunks(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         for e in range(1, k):
             acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
         del cols, tap
+        if out is None:
+            out = np.empty(shape, dtype=xd.dtype)
         acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
-        y = np.empty((n, o) + spatial, dtype=xd.dtype) if out is None else out[part]
+        y = out[part]
         y[...] = np.swapaxes(acc, 0, 1)
         del acc
         y += bias
-        yield part, y
-
-
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Same-padded cross-correlation. xd [B,C,*S], wd [O,C,*K], bd [O];
-    written into `out` when given."""
-    if out is None:
-        out = np.empty((xd.shape[0], wd.shape[0]) + xd.shape[2:], dtype=xd.dtype)
-    for _ in _conv_chunks(xd, wd, bd, out):
-        pass
-    return out
+    return np.empty(shape, dtype=xd.dtype) if out is None else out  # None: no samples
 
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
@@ -327,30 +319,31 @@ class _Conv(Module):
                  pool: tuple[int, ...] | None = None) -> Tensor:
         """The convolution of x, then bn(., training, pool) when bn is
         given: its output, or with `pool` that output's mean over the pool
-        axes. An eval forward with a bn and no active tape applies bn to one
-        conv chunk at a time (see _conv_bn_stream); otherwise the conv and
-        bn are recorded ops over the whole batch. When x takes no gradient
-        (the stem's patches), bn is given the conv itself as the source of
-        its input, so its backward regenerates each chunk of the conv's
-        output and the whole output is freed once bn's forward returns."""
+        axes. In an eval forward with no active tape nothing is recorded:
+        bn reads each chunk of the conv from `regenerate`, the checked conv
+        over a batch slice, and gets a zero-stride stand-in for the whole
+        output. Otherwise the conv is recorded over the whole batch, and
+        when x takes no gradient (the stem's patches) bn's backward
+        regenerates the output, which is freed once bn's forward returns."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
         if pool is not None and bn is None:
             raise ValueError("pool needs the BatchNorm that computes the mean")
-        if bn is not None and not training and active_tape() is None:
-            return _conv_bn_stream(self, x, bn, pool)
-        y = _conv_op(self.op, x, self.weight, self.bias)
         if bn is None:
-            return y
-        if x.requires_grad:
-            return bn(y, training, pool)
+            return _conv_op(self.op, x, self.weight, self.bias)
         xd, wd, bd = x.data, self.weight.data, self.bias.data
 
         def regenerate(part):
-            return _conv_forward(xd[part], wd, bd)
+            y = _conv_forward(xd[part], wd, bd)
+            _ensure_finite(y, self.op, (x, self.weight, self.bias))
+            return y
 
-        return bn(y, training, pool, regenerate)
+        if not training and active_tape() is None:
+            shape = (len(xd), self.out_channels) + xd.shape[2:]
+            return bn(Tensor(np.broadcast_to(xd.dtype.type(0), shape)), False, pool, regenerate)
+        y = _conv_op(self.op, x, self.weight, self.bias)
+        return bn(y, training, pool, None if x.requires_grad else regenerate)
 
 
 class Conv2D(_Conv):
@@ -386,28 +379,29 @@ class BatchNorm(Module):
     Training mode normalizes with the batch's population statistics and
     updates the running estimates, once the output and the updated
     estimates are both checked finite; eval mode uses the running
-    estimates, so it is the per-channel map act(x*scale + shift). The eval
-    stream of the conv before it (_conv_bn_stream) calls this op on each
-    conv chunk. gamma/beta are the only trainable entries.
+    estimates, so it is the per-channel map act(x*scale + shift).
+    gamma/beta are the only trainable entries.
 
     Besides its output, the forward allocates only batch-chunk
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
     sample): the training variance sums squares of the centred input in
     float64, and the map, activation and pool run a chunk at a time. The op
-    retains its pre-normalization input x and per-channel vectors; given
-    a `source`, a function of a batch slice that returns x.data[slice]
-    anew (in _Conv, the conv over an input that takes no gradient), it
-    retains the source instead of x.
+    retains its pre-normalization input x and per-channel vectors. Given a
+    `source`, a function of a batch slice that returns x.data[slice] anew
+    (in _Conv, the conv itself), it retains the source instead of x, and
+    eval mode reads every chunk of x from it, so x serves only for its
+    shape and dtype and may be a zero-stride view.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
     in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
     passes over the batch chunks, so its temporaries are chunk-sized; with
     a source, each pass regenerates each chunk of x. It overwrites g with
     gz and then gx; with `pool`, g is the pooled gradient, the second pass
-    recomputes gz, and gx overwrites the input x, which the caller must
-    hold nowhere else (the conv's output, in _Conv), or with a source goes
-    into a new array. The sum of gz*(x - mu) is taken over centred x, so a
-    large channel mean does not cancel.
+    recomputes gz, and gx overwrites x when x is a recorded op's output
+    that the caller holds nowhere else (the conv's output, in _Conv), and
+    otherwise, a leaf or with a source, goes into a new array. The sum of
+    gz*(x - mu) is taken over centred x, so a large channel mean does not
+    cancel.
     """
 
     def __init__(self, channels: int, activation: str):
@@ -431,9 +425,11 @@ class BatchNorm(Module):
         xd, activation = x.data, self.activation
         shape, dtype = xd.shape, xd.dtype
         chunks = _chunks(len(xd), xd[:1].nbytes)
-        # backward reads x from x itself, or regenerates it from source
-        kept = xd if source is None else None
-        rows = source or kept.__getitem__
+        # eval and backward read x from x itself or from source; with pool,
+        # backward writes gx over x only when x is a recorded op's output
+        # that it reads (the conv's, in _Conv), never over a leaf's data
+        rows = source or xd.__getitem__
+        spare = xd if source is None and x.cell is not None else None
         if training:
             if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
@@ -453,8 +449,10 @@ class BatchNorm(Module):
         pooled = pool is not None
         out = np.empty(tuple(e for i, e in enumerate(shape) if not pooled or i not in pool),
                        dtype)
-        for part in _chunks(len(xd), xd[:1].nbytes):
-            z = np.multiply(xd[part], scale, out=None if pooled else out[part])
+        for part in chunks:
+            xp = xd[part] if training else rows(part)
+            z = np.multiply(xp, scale, out=None if pooled else out[part])
+            del xp  # a regenerated chunk is freed before the next is built
             z += shift
             if activation == "relu":
                 np.maximum(z, 0.0, out=z)
@@ -495,9 +493,7 @@ class BatchNorm(Module):
             if training:  # the batch statistics depend on x too
                 b = (-scale.ravel() * inv * g_gamma / n).astype(dtype).reshape(bshape)
                 c = (-scale.ravel() * g_beta / n).astype(dtype).reshape(bshape)
-            # with pool, gx goes over the kept x, or into a new array when x
-            # is regenerated; otherwise over g
-            gx = g if not pooled else np.empty(shape, dtype) if kept is None else kept
+            gx = g if not pooled else np.empty(shape, dtype) if spare is None else spare
             for part in chunks:
                 xp = rows(part)
                 gz = grad_z(part, xp) if pooled else g[part]
@@ -513,23 +509,6 @@ class BatchNorm(Module):
 
         return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
                          check_finite=False)
-
-
-def _conv_bn_stream(conv: _Conv, x: Tensor, bn: BatchNorm,
-                    pool: tuple[int, ...] | None) -> Tensor:
-    """Eval-mode bn(conv(x), pool), one conv chunk at a time and recording
-    nothing: each chunk of the conv's output, bias added and checked as the
-    recorded conv checks its output, goes through bn itself and is dropped
-    before the next chunk is gathered, so neither full output is built."""
-    xd = x.data
-    shape = (xd.shape[0], conv.out_channels) + xd.shape[2:]
-    if pool is not None:
-        shape = tuple(e for i, e in enumerate(shape) if i not in pool)
-    out = np.empty(shape, dtype=xd.dtype)
-    for part, y in _conv_chunks(xd, conv.weight.data, conv.bias.data):
-        _ensure_finite(y, conv.op, (x, conv.weight, conv.bias))
-        out[part] = bn(Tensor(y), False, pool).data
-    return Tensor(out)
 
 
 class LayerNorm(Module):

@@ -49,6 +49,17 @@ def rewrite_manifest(path, mutate, whole=False):
                      + blob[12 + length:])
 
 
+def set_entry(path, name, index, value):
+    """Write float32 `value` at `index` of entry `name` in the blob of a
+    saved checkpoint, the manifest unchanged."""
+    blob = bytearray(path.read_bytes())
+    start = 12 + int.from_bytes(blob[4:12], "little")
+    entry = next(e for e in json.loads(blob[12:start])["entries"] if e["name"] == name)
+    at = start + entry["offset"] + 4 * int(np.ravel_multi_index(index, entry["shape"]))
+    blob[at:at + 4] = np.array(value, "<f4").tobytes()
+    path.write_bytes(bytes(blob))
+
+
 def with_model(block1=(), drop=(), **fields):
     """A whole-manifest edit that updates the model config and its block1,
     then removes the block1 keys in `drop`."""
@@ -156,6 +167,16 @@ class TestEvalStream:
         for a, b in zip(streamed, recorded):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
+    def test_no_samples_give_no_logits(self, config):
+        model = PatchClassifier(config, np.random.default_rng(0))
+        patches = rand_patches(0, config)
+        with Tape():
+            recorded = model(Tensor(patches), training=False)
+        assert model(Tensor(patches)).shape == recorded.shape == (0, config.num_classes)
+        assert model.predict_proba(patches).shape == (0, config.num_classes)
+        assert model.predict(patches).shape == (0,)
+
     def test_eval_forward_never_builds_the_full_spectral_output(self):
         # CFG32 at batch 16: the recorded ops hold the stem's output beside
         # the spectral conv's and then its BatchNorm's (10.6 + 2 x 15.9 MB);
@@ -193,20 +214,26 @@ class TestEvalStream:
                              ids=["depth1", "depth2"])
     def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking,
                                                     monkeypatch):
-        # one sample per chunk: every conv->BatchNorm pair runs BatchNorm's
-        # own eval op once per sample, and nothing is recorded
-        calls, nodes = [], []
+        # one sample per chunk: every conv->BatchNorm pair calls BatchNorm's
+        # eval op once, which reads the conv's output from its source one
+        # sample at a time, and nothing is recorded
+        calls, reads, nodes = [], [], []
         bn_call = nn.BatchNorm.__call__
 
-        def spy(bn, x, training, pool=None):
+        def spy(bn, x, training, pool=None, source=None):
             calls.append(training)
-            return bn_call(bn, x, training, pool)
+
+            def counted(part):
+                reads.append(part.stop - part.start)
+                return source(part)
+
+            return bn_call(bn, x, training, pool, counted)
 
         monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
         monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
         model = PatchClassifier(config, np.random.default_rng(0))
         model(Tensor(rand_patches(5, config)))
-        assert calls == [False] * (pairs * 5) and not nodes
+        assert calls == [False] * pairs and reads == [1] * (pairs * 5) and not nodes
 
 
 def full_projector_logits(model, patches, training):
@@ -422,6 +449,12 @@ FRESH_CHECKPOINT_SHA256 = {
 }
 
 
+NON_FINITE_ENTRIES = pytest.mark.parametrize("entry, index, value", [
+    ("stem_bn.running_var", (0,), np.inf),  # loaded, it predicts uniform probabilities
+    ("stem.weight", (0, 0, 1, 1, 1), np.nan),  # loaded, it fails at the first forward
+], ids=["inf_running_var", "nan_weight"])
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("depth", [1, 2])
     def test_fresh_model_bytes_pinned(self, tmp_path, depth):
@@ -553,18 +586,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("entry, index, value", [
-        ("stem_bn.running_var", (0,), np.inf),  # loaded, it predicts uniform probabilities
-        ("stem.weight", (0, 0, 1, 1, 1), np.nan),  # loaded, it fails at the first forward
-    ], ids=["inf_running_var", "nan_weight"])
+    @NON_FINITE_ENTRIES
     def test_non_finite_entry_rejected(self, tmp_path, entry, index, value):
+        save_checkpoint(tiny_model(), tmp_path / "m.bin")
+        set_entry(tmp_path / "m.bin", entry, index, value)
+        with pytest.raises(CheckpointError, match=f"entry '{entry}' holds non-finite values"):
+            load_checkpoint(tmp_path / "m.bin")
+
+    @NON_FINITE_ENTRIES
+    def test_non_finite_entry_not_saved(self, tmp_path, entry, index, value):
+        # refused before the file is opened, so the checkpoint there is kept
         model = tiny_model()
+        save_checkpoint(model, tmp_path / "m.bin")
+        saved = (tmp_path / "m.bin").read_bytes()
         arrays = {name: p.data for name, p in model.named_parameters()}
         arrays.update(model.named_buffers())
         arrays[entry][index] = value
-        save_checkpoint(model, tmp_path / "m.bin")
-        with pytest.raises(CheckpointError, match=f"entry '{entry}' holds non-finite values"):
-            load_checkpoint(tmp_path / "m.bin")
+        with pytest.raises(NonFiniteError, match=f"entry '{entry}' holds non-finite values"):
+            save_checkpoint(model, tmp_path / "m.bin")
+        assert (tmp_path / "m.bin").read_bytes() == saved
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin"]
 
     @pytest.mark.parametrize("value", [-1.0, -5e-6], ids=["minus_one", "minus_5e-6"])
     def test_negative_running_variance_rejected(self, tmp_path, value):

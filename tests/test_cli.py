@@ -13,7 +13,7 @@ from spectralca.classifier import ModelConfig, PatchClassifier, read_checkpoint,
 from spectralca.cli import DataRecipe, build_parser, main
 from spectralca.data import load_labels, save_labels
 from spectralca.trainer import TrainConfig
-from test_classifier import TINY_MODEL, rewrite_manifest, with_model
+from test_classifier import TINY_MODEL, rewrite_manifest, set_entry, with_model
 
 TINY_RECIPE = {
     "patch_size": 3,
@@ -150,6 +150,12 @@ BAD_CONFIGS = {
     "negative-eval-cadence": (b'{"train": {"eval_cadence": -1}}', "invalid-argument"),
     "target-oa-7": (b'{"train": {"eval_cadence": 1, "target_oa": 7}}', "invalid-argument"),
     "target-oa-no-cadence": (b'{"train": {"target_oa": 0.9}}', "invalid-argument"),
+    # JSON's 1e400 loads as inf, and Python's json reads NaN
+    "infinite-learning-rate": (b'{"train": {"learning_rate": 1e400}}', "invalid-argument"),
+    "nan-learning-rate": (b'{"train": {"learning_rate": NaN}}', "invalid-argument"),
+    # finite, but the first Adam step overflows float32: the weights are not saved
+    "overflowing-learning-rate": (json.dumps({**TINY_RECIPE, "train": {
+        "epochs": 1, "learning_rate": 1e39}}).encode(), "non-finite"),
 }
 
 # checkpoint data recipes that lack a key, hold a wrongly typed value, are
@@ -170,6 +176,8 @@ BAD_RECIPES = {
 # must map to
 MALFORMED = {
     "gen": (["gen", "--seed", "1", "--bands", "0", "--out", "{tmp}/g"], "invalid-argument"),
+    **{f"gen-{noise}-noise": (["gen", "--seed", "1", "--noise", noise, "--out", "{tmp}/g"],
+                              "invalid-argument") for noise in ("nan", "inf")},
     "train": (["train", "--data", "{scene}", "--config", "{bad_json}", "--out", "{tmp}/t"],
               "config-parse"),
     **{f"train-{name}": (["train", "--data", "{scene}", "--config", f"{{tmp}}/{name}.json",
@@ -220,7 +228,9 @@ def test_malformed_input_covers_every_subcommand():
     assert sorted({argv[0] for argv, _ in MALFORMED.values()}) == sorted(subcommands)
 
 
-@pytest.mark.parametrize("command", list(MALFORMED))
+@pytest.mark.parametrize("command", [
+    pytest.param(command, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+    if command == "train-overflowing-learning-rate" else command for command in MALFORMED])
 def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"train": ')
     for name, (payload, _) in BAD_CONFIGS.items():
@@ -241,8 +251,8 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
         save_checkpoint(four_bands, tmp_path / f"recipe-{name}.bin", data_recipe=recipe)
     save_checkpoint(four_bands, tmp_path / "float_patch.bin", data_recipe=GOOD_RECIPE)
     rewrite_manifest(tmp_path / "float_patch.bin", with_model(patch_size=3.0), whole=True)
-    four_bands.stem_bn.running_var[0] = np.inf
     save_checkpoint(four_bands, tmp_path / "non_finite.bin", data_recipe=GOOD_RECIPE)
+    set_entry(tmp_path / "non_finite.bin", "stem_bn.running_var", (0,), np.inf)
     four_bands.stem_bn.running_var[0] = -5e-6
     save_checkpoint(four_bands, tmp_path / "negative_var.bin", data_recipe=GOOD_RECIPE)
     assert main(["gen", "--seed", "3", "--height", "8", "--width", "8", "--bands", "6",

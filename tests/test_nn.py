@@ -444,6 +444,19 @@ class TestBatchNorm:
         np.testing.assert_allclose(bn.running_mean, [0.9 * 0.0 + 0.1 * 2.0])
         np.testing.assert_allclose(bn.running_var, [0.9 * 1.0 + 0.1 * 1.0])
 
+    @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+    def test_pooled_backward_leaves_a_leaf_input_intact(self, training):
+        # the pooled backward writes its input gradient over its input only
+        # when that input is a recorded op's output; a leaf's data is kept
+        x0 = RNG.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        x = Parameter(x0.copy())
+        with Tape() as tape:
+            out = BatchNorm(3, "silu")(x, training, pool=(2, 3))
+            loss = T.mean_all(T.mul(out, out))
+        tape.backward(loss)
+        assert np.array_equal(x.data, x0)
+        assert x.grad.shape == x0.shape and np.any(x.grad != 0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("through_conv", [False, True], ids=["standalone", "conv"])
     @pytest.mark.parametrize("case", ["input-3e38", "gamma-3e38", "input-pm1e30"])
@@ -720,7 +733,9 @@ def test_gradcheck_conv_batchnorm_pool(activation, training, chunking):
 def test_gradcheck_conv_batchnorm_on_a_constant_input(activation, pool, chunking):
     # the stem's case: the conv's input takes no gradient, so BatchNorm's
     # backward regenerates the conv's output chunk by chunk instead of
-    # keeping it, and with pool writes its input gradient into a new array
+    # keeping it, and with pool writes its input gradient into a new array;
+    # in eval mode, under the tape and without it, its forward reads the
+    # regenerated chunks too
     rng = np.random.default_rng(48)
     conv = Conv3D(1, 3, 3, rng).astype(np.float64)
     bn = BatchNorm(3, activation).astype(np.float64)
@@ -729,12 +744,17 @@ def test_gradcheck_conv_batchnorm_on_a_constant_input(activation, pool, chunking
     for p in params:
         p.data += 0.05 * rng.standard_normal(p.shape)
 
-    def f():
-        out = conv(x, bn, True, pool)
-        return T.mean_all(T.mul(out, out))
+    for training in (True, False):
+        if not training:
+            bn.running_mean[:] = rng.standard_normal(3)
+            bn.running_var[:] = 0.5 + rng.random(3)
 
-    report = grad_check(f, params, rng=rng, samples_per_parameter=50)
-    assert report.ok, str(report)
+        def f():
+            out = conv(x, bn, training, pool)
+            return T.mean_all(T.mul(out, out))
+
+        report = grad_check(f, params, rng=rng, samples_per_parameter=50)
+        assert report.ok, (training, str(report))
 
 
 @pytest.mark.parametrize("fn", [silu], ids=["silu"])
