@@ -189,8 +189,10 @@ def save_checkpoint(model: PatchClassifier, path, seed: int | None = None,
         "blob_bytes": offset,
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    # a failed write leaves whatever checkpoint was at `path` intact
+    # a failed write leaves whatever checkpoint was at `path` intact; the
+    # directory is made only once every entry has passed its check
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:

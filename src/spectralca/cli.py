@@ -177,8 +177,7 @@ def _cmd_train(args) -> int:
     history = train(model, train_set, train_cfg,
                     test_set=test_set if train_cfg.eval_cadence else None)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # made by save_checkpoint once the weights pass its checks
     save_checkpoint(model, out / "checkpoint.bin", seed=train_cfg.seed,
                     data_recipe=asdict(recipe))
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:

@@ -18,13 +18,34 @@ under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
 time, so its temporaries are chunk-sized. Convolutions are same-padded
 cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
-the batch is split into chunks whose buffers fit the budget, and each
-chunk's buffers are freed before the next chunk is gathered; each chunk
+the batch is split into chunks whose buffers fit the budget; each chunk
 gathers the kernel taps over all spatial axes but the last, and the k taps
 along the last axis are k BLAS matmuls on shifted views of those columns.
 Backward keeps nothing of the forward but its input: the weight gradient
 gathers the columns again, chunk by chunk, and the input gradient is the
 same lowering applied with the flipped kernel.
+
+The conv loops and BatchNorm's passes over x run their jobs on a pool of
+one thread per usable core (_map): numpy releases the GIL inside BLAS and
+its copy loops, so the loops outside the GEMM kernel split across threads
+(Smith et al., IPDPS 2014), and OpenBLAS is pinned to one thread once the
+pool runs. A conv call over several batch chunks cuts each into tiles:
+blocks of output rows in the forward, each gathering its own halo of input
+rows, which split the GEMM's N; blocks of leading taps in the weight
+gradient, which split its M. A call whose chunks are not cut, one chunk
+or too little work per tile, runs in turn on the caller: a single-patch
+predict was no faster with its one chunk's tiles on two threads, the idle
+pool thread being slow to start, and whole-chunk jobs of the stem and the
+2D conv were slower on two threads than on one. No tile splits K, so
+each output element is the same dot product summed in the same order as
+without tiles; the weight gradient's per-chunk parts and BatchNorm's
+float64 channel sums are added in chunk order on the caller.
+Outputs are bit-identical at any worker count. Each running job works in
+scratch made before the loop's first job, so a loop's memory does not
+depend on how its jobs interleave, and the tiles in flight hold no more
+columns than one chunk. A chunk's output is written only once all its
+tiles have returned (write after gather): the input gradient may be
+written over the front of its own g, which its tiles gather from.
 
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
@@ -45,8 +66,13 @@ front of its output gradient when the conv has no more input channels.
 
 from __future__ import annotations
 
-from itertools import product
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from itertools import islice, product
 from math import prod
+from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -146,6 +172,9 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # forward within noise from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6
 # the stem, the spectral conv and the spectral BN run one sample per chunk,
 # the 2D conv 8 samples, and each CFG32 cross-attention one query block.
+# A BatchNorm pass runs its chunks on the workers, and a conv runs the tiles
+# it cuts each chunk into (_blocks), so with any number of workers the
+# columns in flight stay within one chunk's.
 _CHUNK_BYTES = 1e6
 
 
@@ -154,6 +183,79 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
     at most _CHUNK_BYTES of items of item_bytes each."""
     step = max(1, int(_CHUNK_BYTES // max(item_bytes, 1)))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+# ---------------------------------------------------------------------------
+# worker pool
+#
+# numpy releases the GIL inside BLAS and its copy loops, so the jobs of a
+# chunked loop (a conv chunk's tiles, BatchNorm's batch chunks) run on every
+# core the process may use. The pool is built by the first map that needs
+# it, which also pins OpenBLAS to one thread: each worker's GEMM then runs
+# on one core rather than every worker's on all of them.
+# the cores this process may run on (all of them where the platform cannot say)
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool: ThreadPoolExecutor | None = None
+_in_worker = threading.local()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        from .trainer import set_blas_threads  # trainer imports this module
+
+        set_blas_threads(1)
+        _pool = ThreadPoolExecutor(_WORKERS, "spectralca", _in_worker.__setattr__,
+                                   ("active", True))
+    return _pool
+
+
+def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = False):
+    """fn(job), or with `scratch` fn(job, buffers), for each job, yielded in
+    job order. At most _WORKERS jobs run at once and one more waits queued,
+    so no worker idles while the caller handles a result. When `inline`,
+    with one worker or one job, or when called from a worker (a nested map
+    would wait on the workers it occupies), the jobs run in turn on the
+    caller.
+
+    `scratch` makes one job's working buffers. On the pool, a set is made
+    for each worker before any job runs, and each job borrows a set that no
+    running job holds: the map's memory is then the same however its jobs
+    interleave. The sets are freed when the map ends. Inline, fn gets None
+    and makes its own temporaries as it goes, as the jobs run in turn."""
+    jobs = list(jobs)
+    if inline or _WORKERS == 1 or len(jobs) < 2 or getattr(_in_worker, "active", False):
+        yield from (fn(job) if scratch is None else fn(job, None) for job in jobs)
+        return
+    run = fn
+    free = SimpleQueue()
+    if scratch is not None:
+        for _ in range(min(len(jobs), _WORKERS)):
+            free.put(scratch())
+
+        def run(job):
+            buffers = free.get()
+            try:
+                return fn(job, buffers)
+            finally:
+                free.put(buffers)
+
+    pool = _executor()
+    todo = iter(jobs)
+    pending = deque(pool.submit(run, job) for job in islice(todo, _WORKERS + 1))
+    try:
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(run, job) for job in islice(todo, 1))
+            yield result
+            del result  # not held while the next job is awaited
+    finally:  # after a failed job or an abandoned map, no job outlives the call
+        for future in pending:
+            future.cancel()
+        wait(pending)
+        while not free.empty():  # the scratch, though a worker may still
+            free.get()  # be leaving `run`
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +269,50 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
 # gathers each chunk's columns again rather than keep them from forward
 # (202 MB for the spectral conv at batch 32; forward plus backward took
 # 1.31-1.40 s kept and 1.24-1.45 s re-gathered, 2-core Xeon, one thread).
+#
+# A chunk is cut into tiles only when each tile's GEMMs keep _TILE_MACS
+# multiply-adds (M*N*K). Below about 1e6 OpenBLAS runs small-matrix kernels
+# whose sums can differ with the GEMM's shape: on the 2-core AVX-512 Xeon
+# with scipy-openblas 0.3.31, every split of N or M of a GEMM above 1e6
+# matched the whole GEMM bit for bit, and splits below it often did not.
+# 4e6 leaves a factor of 4 and keeps the stem and the 2D conv whole; the
+# spectral conv's smallest tile keeps 34e6.
+_TILE_MACS = 4e6
+
+
+def _blocks(n: int) -> list[slice]:
+    """range(n) cut into near-equal contiguous slices, the longer first:
+    the fewest, a multiple of _WORKERS, of which any _WORKERS hold at most n
+    items (9 items and two workers: 3, 2, 2 and 2), or n of one item. Each
+    round of _WORKERS slices then takes the same time, and the scratch of
+    the slices in flight is no larger than that of all n items."""
+    parts = next((b for b in range(_WORKERS, n + 1, _WORKERS)
+                  if _WORKERS * -(-n // b) <= n), n)
+    q, r = divmod(n, max(parts, 1))
+    bounds = [i * q + min(i, r) for i in range(max(parts, 1) + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
-    """(spatial, k, pad, parts): the batch slices are sized by the bytes of
-    one sample's columns plus its GEMM accumulator."""
+    """(spatial, k, pad, parts, rows, taps): the batch slices, sized by the
+    bytes of one sample's columns plus its GEMM accumulator, and the blocks
+    each is cut into: of output rows along the first spatial axis for the
+    forward, of leading taps for the weight gradient. Those are _blocks's
+    when there are several slices and each block's GEMMs keep _TILE_MACS
+    multiply-adds, else one block, and a pass whose slices are whole runs
+    on the caller."""
     spatial = xd.shape[2:]
     o, c, k = wd.shape[:3]
     pad = (k - 1) // 2
+    ntaps = k ** (len(spatial) - 1)
     ncols = int(np.prod(spatial[:-1])) * (spatial[-1] + 2 * pad)
-    per_sample = (c * k ** (len(spatial) - 1) + o) * ncols * xd.itemsize
-    return spatial, k, pad, _chunks(xd.shape[0], per_sample)
+    parts = _chunks(xd.shape[0], (c * ntaps + o) * ncols * xd.itemsize)
+    rows, taps = _blocks(spatial[0]), _blocks(ntaps)
+    n = min((p.stop - p.start for p in parts), default=0)
+    smallest = min((b[-1].stop - b[-1].start) / b[-1].stop for b in (rows, taps))
+    if len(parts) < 2 or o * c * ntaps * n * ncols * smallest < _TILE_MACS:
+        rows, taps = [slice(0, spatial[0])], [slice(0, ntaps)]
+    return spatial, k, pad, parts, rows, taps
 
 
 def _tap_weights(wd: np.ndarray) -> np.ndarray:
@@ -188,17 +324,40 @@ def _tap_weights(wd: np.ndarray) -> np.ndarray:
     )
 
 
-def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarray:
-    """[n,C,*S] -> [k^(d-1) * C, n * prod(S[:-1]) * (S[-1]+2p)] columns:
-    every tap over the leading axes, the last axis whole and padded."""
+def _front(buffer: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous array of `shape` over the front of a flat buffer."""
+    return buffer[:prod(shape)].reshape(shape)
+
+
+def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial,
+                    rows: slice | None = None, taps: slice | None = None,
+                    buffers=None) -> np.ndarray:
+    """[n,C,*S] -> [T * C, n * h * prod(S[1:-1]) * (S[-1]+2p)] columns of
+    the h output rows `rows` of the first spatial axis (all by default) and
+    the T leading taps `taps` (all k^(d-1) by default): each such tap over
+    the leading axes, the last axis whole and padded. Only the input rows
+    the block reads are padded, its halo of p rows each side included.
+    With `buffers`, flat (columns, padded input) scratch, both are made in
+    their front."""
     n, c = x_chunk.shape[:2]
-    xpt = np.zeros((c, n) + tuple(e + 2 * pad for e in spatial), dtype=x_chunk.dtype)
-    xpt[(slice(None), slice(None)) + tuple(slice(pad, pad + e) for e in spatial)] = \
-        np.swapaxes(x_chunk, 0, 1)
-    lead = spatial[:-1]
+    rows = rows or slice(0, spatial[0])
+    lead = (rows.stop - rows.start,) + spatial[1:-1]
+    padded = (c, n, lead[0] + 2 * pad) + tuple(e + 2 * pad for e in spatial[1:])
+    if buffers is None:
+        xpt = np.zeros(padded, dtype=x_chunk.dtype)
+    else:
+        xpt = _front(buffers[1], padded)
+        xpt.fill(0)
+    lo, hi = max(rows.start - pad, 0), min(rows.stop + pad, spatial[0])
+    first = lo - rows.start + pad
+    xpt[(slice(None), slice(None), slice(first, first + hi - lo))
+        + tuple(slice(pad, pad + e) for e in spatial[1:])] = \
+        np.swapaxes(x_chunk[:, :, lo:hi], 0, 1)
     view = (c, n) + lead + xpt.shape[-1:]
-    cols = np.empty((k ** len(lead) * c, int(np.prod(view[1:]))), dtype=x_chunk.dtype)
-    for t, offs in enumerate(product(range(k), repeat=len(lead))):
+    offsets = list(product(range(k), repeat=len(lead)))[taps or slice(None)]
+    shape = (len(offsets) * c, prod(view[1:]))
+    cols = np.empty(shape, dtype=x_chunk.dtype) if buffers is None else _front(buffers[0], shape)
+    for t, offs in enumerate(offsets):
         window = (slice(None), slice(None)) + tuple(
             slice(off, off + ext) for off, ext in zip(offs, lead)
         )
@@ -211,32 +370,58 @@ def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial) -> np.ndarra
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
-    bd [O], one batch chunk at a time, written into `out` when given. A new
-    [B,O,*S] output is allocated once the first chunk's columns are freed,
-    so a call over one chunk never holds its columns and its output at once."""
-    spatial, k, pad, parts = _conv_geometry(xd, wd)
+    bd [O], one job per batch chunk and block of output rows, written into
+    `out` when given. A chunk is written once all its tiles have returned:
+    `out` may lie over xd (the input gradient's, over g), and a tile gathers
+    input rows beyond its own. A new [B,O,*S] output is allocated once the
+    first chunk's tiles have returned, and for a call over one chunk once
+    its columns are freed, so it never holds its columns and output at once."""
+    spatial, k, pad, parts, blocks, _ = _conv_geometry(xd, wd)
     o = wd.shape[0]
     shape = (xd.shape[0], o) + spatial
     wstack = _tap_weights(wd)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
-    for part in parts:
-        n = part.stop - part.start
-        cols = _gather_columns(xd[part], k, pad, spatial)
+    n = max((p.stop - p.start for p in parts), default=0)
+    h = blocks[0].stop - blocks[0].start
+    tile_cols = n * h * prod(spatial[1:-1]) * (spatial[-1] + 2 * pad)
+
+    def scratch():  # the largest tile's columns, padded input and tap output
+        return [np.empty(size, dtype=xd.dtype) for size in (
+            wstack.shape[2] * tile_cols,
+            xd.shape[1] * n * (h + 2 * pad) * prod(e + 2 * pad for e in spatial[1:]),
+            o * tile_cols)]
+
+    def tile(job, buffers):
+        part, rows = job
+        cols = _gather_columns(xd[part], k, pad, spatial, rows, buffers=buffers)
         # column j + e holds last-axis tap e of output column j; the last
         # k-1 columns fall in the padding and are never computed
         m = cols.shape[1] - (k - 1)
         acc = np.empty((o, cols.shape[1]), dtype=xd.dtype)
         np.matmul(wstack[0], cols[:, :m], out=acc[:, :m])
-        tap = np.empty((o, m), dtype=xd.dtype)
-        for e in range(1, k):
-            acc[:, :m] += np.matmul(wstack[e], cols[:, e:e + m], out=tap)
-        del cols, tap
+        if k > 1:
+            # whole rows are added, the padding columns as zeros: an add
+            # over contiguous rows allocates no iterator buffer
+            tap = np.empty_like(acc) if buffers is None else _front(buffers[2], acc.shape)
+            acc[:, m:] = tap[:, m:] = 0
+            for e in range(1, k):
+                np.matmul(wstack[e], cols[:, e:e + m], out=tap[:, :m])
+                acc += tap
+        lead = (part.stop - part.start, rows.stop - rows.start) + spatial[1:-1]
+        return acc.reshape((o,) + lead + (-1,))[..., :spatial[-1]]
+
+    results = _map(tile, [(part, rows) for part in parts for rows in blocks], scratch,
+                   inline=len(blocks) == 1)
+    for part in parts:
+        done = [next(results) for _ in blocks]
+        if part is parts[-1]:
+            results.close()  # frees the scratch
         if out is None:
             out = np.empty(shape, dtype=xd.dtype)
-        acc = acc.reshape((o, n) + spatial[:-1] + (-1,))[..., :spatial[-1]]
         y = out[part]
-        y[...] = np.swapaxes(acc, 0, 1)
-        del acc
+        for rows, acc in zip(blocks, done):
+            y[:, :, rows] = np.swapaxes(acc, 0, 1)
+        del done, acc
         y += bias
     return np.empty(shape, dtype=xd.dtype) if out is None else out  # None: no samples
 
@@ -244,34 +429,52 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                    need_gx: bool = True):
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
-    and bias. The weight gradient re-gathers the columns chunk by chunk like
-    the forward; the input gradient is the forward with the flipped,
+    and bias. The weight gradient re-gathers the columns, one job per batch
+    chunk and block of leading taps, and adds each chunk's rows in chunk
+    order; the input gradient is the forward with the flipped,
     channel-swapped kernel. With C <= O and a C-contiguous, writeable g, it
     is written over the front of g's buffer once the others are taken: each
     chunk's rows end before the next chunk's g starts.
     """
-    spatial, k, pad, parts = _conv_geometry(xd, wd)
+    spatial, k, pad, parts, _, blocks = _conv_geometry(xd, wd)
     c = xd.shape[1]
     o = wd.shape[0]
     rows = c * k ** (len(spatial) - 1)
-    gw_t = np.zeros((k, rows, o), dtype=wd.dtype)
     padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
-    for part in parts:
-        cols = _gather_columns(xd[part], k, pad, spatial)
+    n = max((p.stop - p.start for p in parts), default=0)
+
+    def scratch():  # the largest block's columns, a chunk's padded x and g
+        return [np.empty(size, dtype=xd.dtype) for size in (
+            (blocks[0].stop - blocks[0].start) * c * n * prod(padded),
+            c * n * prod(e + 2 * pad for e in spatial),
+            o * n * prod(padded))]
+
+    def tap_block(job, buffers):
+        part, taps = job
+        cols = _gather_columns(xd[part], k, pad, spatial, taps=taps, buffers=buffers)
         m = cols.shape[1] - (k - 1)
         # g in the padded column order, zero where no output was computed
-        gp = np.zeros((o, part.stop - part.start) + padded, dtype=g.dtype)
+        gp_shape = (o, part.stop - part.start) + padded
+        gp = np.empty(gp_shape, g.dtype) if buffers is None else _front(buffers[2], gp_shape)
+        gp[..., spatial[-1]:] = 0
         gp[..., :spatial[-1]] = np.swapaxes(g[part], 0, 1)
         gp = gp.reshape(o, -1)[:, :m]
         # per-tap gradients, the GEMM's output [rows, O] or [O, rows],
         # whichever has more rows: [rows, O] ran faster for the spectral
         # conv (576 rows, O = 96), [O, rows] for the stem (9 rows, O = 64)
+        gw = np.empty((k, cols.shape[0], o), dtype=wd.dtype)
         for e in range(k):
             if rows >= o:
-                gw_t[e] += cols[:, e:e + m] @ gp.T
+                np.matmul(cols[:, e:e + m], gp.T, out=gw[e])
             else:
-                gw_t[e] += (gp @ cols[:, e:e + m].T).T
-        del cols, gp  # freed before the next chunk is gathered
+                gw[e] = (gp @ cols[:, e:e + m].T).T
+        return gw
+
+    gw_t = np.zeros((k, rows, o), dtype=wd.dtype)
+    jobs = [(part, taps) for part in parts for taps in blocks]
+    results = _map(tap_block, jobs, scratch, inline=len(blocks) == 1)
+    for gw, (_, taps) in zip(results, jobs):  # results first: the map runs to its end
+        gw_t[:, taps.start * c:taps.stop * c] += gw
     gw = gw_t.reshape(k, -1, c, o).transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None
@@ -385,7 +588,10 @@ class BatchNorm(Module):
     Besides its output, the forward allocates only batch-chunk
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
     sample): the training variance sums squares of the centred input in
-    float64, and the map, activation and pool run a chunk at a time. The op
+    float64, and the map, activation and pool run a chunk at a time. A pass
+    over x runs its chunks on the workers (_map), in scratch of one or two
+    chunks per worker, and adds its sums in chunk order; a pass over a
+    source runs its chunks in turn. The op
     retains its pre-normalization input x and per-channel vectors. Given a
     `source`, a function of a batch slice that returns x.data[slice] anew
     (in _Conv, the conv itself), it retains the source instead of x, and
@@ -430,14 +636,31 @@ class BatchNorm(Module):
         # that it reads (the conv's, in _Conv), never over a leaf's data
         rows = source or xd.__getitem__
         spare = xd if source is None and x.cell is not None else None
+        chunk_size = xd[:1].size * max((p.stop - p.start for p in chunks), default=0)
+
+        def each(fn, buffers: int, from_source: bool = source is not None):
+            # fn over the chunks with `buffers` chunk-sized scratch arrays: a
+            # pass over x runs on the workers; one over the source runs in
+            # turn and makes its temporaries once each chunk is regenerated,
+            # when the source call, which maps its own tiles, has freed its own
+            return _map(fn, chunks, lambda: [np.empty(chunk_size, dtype) for _ in range(buffers)],
+                        inline=from_source)
+
+        def tmp(buffers, i, shape):  # scratch i in `shape`, or None: a new array
+            return None if buffers is None else _front(buffers[i], shape)
+
         if training:
             if n <= 1:
                 raise ShapeError("batchnorm training needs > 1 statistic element per channel")
             mu = xd.mean(axis=axes)
+
+            def centred_squares(part, buffers):
+                z = np.subtract(xd[part], mu.reshape(bshape), out=tmp(buffers, 0, xd[part].shape))
+                return _channel_sums(z, z)
+
             var = np.zeros(self.channels)
-            for part in chunks:
-                z = xd[part] - mu.reshape(bshape)
-                var += _channel_sums(z, z)
+            for sums in each(centred_squares, 1, from_source=False):
+                var += sums
             var /= n
         else:
             mu = self.running_mean
@@ -449,17 +672,21 @@ class BatchNorm(Module):
         pooled = pool is not None
         out = np.empty(tuple(e for i, e in enumerate(shape) if not pooled or i not in pool),
                        dtype)
-        for part in chunks:
+
+        def normalize(part, buffers):
             xp = xd[part] if training else rows(part)
-            z = np.multiply(xp, scale, out=None if pooled else out[part])
+            z = np.multiply(xp, scale, out=tmp(buffers, 0, xp.shape) if pooled else out[part])
             del xp  # a regenerated chunk is freed before the next is built
             z += shift
             if activation == "relu":
                 np.maximum(z, 0.0, out=z)
             else:
-                z *= _sigmoid(z)
+                z *= _sigmoid(z, tmp(buffers, -1, z.shape))
             if pooled:
                 out[part] = z.mean(axis=pool)
+
+        deque(each(normalize, pooled + (activation == "silu"),
+                   from_source=source is not None and not training), maxlen=0)
         # both checked before the running estimates move: a rejected batch
         # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
@@ -475,36 +702,48 @@ class BatchNorm(Module):
             if pooled:  # the mean's gradient, broadcast over the pool axes
                 g = np.expand_dims(g / prod(shape[a] for a in pool), pool)
 
-            def grad_z(part, xp):
-                # the chunk's gz: in g itself, or with pool in a new array
-                z = xp * scale
+            def grad_z(part, xp, buffers):
+                # the chunk's gz: in g itself, or with pool in buffers[0]
+                z = np.multiply(xp, scale, out=tmp(buffers, 0, xp.shape))
                 z += shift
-                slope = z > 0.0 if activation == "relu" else _silu_slope(z)
-                return slope * g[part] if pooled else np.multiply(g[part], slope, out=g[part])
+                if activation == "relu":
+                    slope = np.greater(z, 0.0, out=z)
+                else:
+                    slope = _silu_slope(z, tmp(buffers, 1, z.shape))
+                if pooled:
+                    return np.multiply(slope, g[part], out=slope)
+                return np.multiply(g[part], slope, out=g[part])
+
+            def sums(part, buffers):
+                xp = rows(part)
+                gz = grad_z(part, xp, buffers)
+                centred = np.subtract(xp, mu_x, out=tmp(buffers, 1, xp.shape))
+                return _channel_sums(gz), _channel_sums(gz, centred)
 
             g_beta = np.zeros(len(inv))
             g_dot = np.zeros(len(inv))  # sum of gz * (x - mu)
-            for part in chunks:
-                xp = rows(part)
-                gz = grad_z(part, xp)
-                g_beta += _channel_sums(gz)
-                g_dot += _channel_sums(gz, xp - mu_x)
+            for s_beta, s_dot in each(sums, 2):
+                g_beta += s_beta
+                g_dot += s_dot
             g_gamma = g_dot * inv  # sum of gz * xhat
             if training:  # the batch statistics depend on x too
                 b = (-scale.ravel() * inv * g_gamma / n).astype(dtype).reshape(bshape)
                 c = (-scale.ravel() * g_beta / n).astype(dtype).reshape(bshape)
             gx = g if not pooled else np.empty(shape, dtype) if spare is None else spare
-            for part in chunks:
+
+            def input_grad(part, buffers):
                 xp = rows(part)
-                gz = grad_z(part, xp) if pooled else g[part]
+                gz = grad_z(part, xp, buffers) if pooled else g[part]
                 gz *= scale
                 if training:
-                    term = xp - mu_x
+                    term = np.subtract(xp, mu_x, out=tmp(buffers, -1, xp.shape))
                     term *= b
                     gz += term
                     gz += c
                 if pooled:
                     gx[part] = gz
+
+            deque(each(input_grad, 1 + pooled), maxlen=0)
             return gx, g_gamma.astype(dtype), g_beta.astype(dtype)
 
         return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
@@ -576,20 +815,21 @@ class Linear(Module):
 # functional ops
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) as (1 + tanh(x/2)) / 2: stable for any magnitude,
-    in one new buffer."""
-    sig = x * 0.5
+    in one new buffer or `out`."""
+    sig = np.multiply(x, 0.5, out=out)
     np.tanh(sig, out=sig)
     sig += 1.0
     sig *= 0.5
     return sig
 
 
-def _silu_slope(z: np.ndarray) -> np.ndarray:
+def _silu_slope(z: np.ndarray, sig: np.ndarray | None = None) -> np.ndarray:
     """Overwrite z with silu'(z) = sig * (1 + z*(1 - sig)), computed as
-    1 + (z*sig - 1) * (1 - sig), and return it."""
-    sig = _sigmoid(z)
+    1 + (z*sig - 1) * (1 - sig), and return it; the sigmoid goes in a new
+    buffer or `sig`."""
+    sig = _sigmoid(z, sig)
     z *= sig
     z -= 1.0
     np.subtract(1.0, sig, out=sig)

@@ -25,6 +25,7 @@ from .metrics import (
     overall_accuracy,
     per_class_accuracy,
 )
+from . import nn
 from .nn import cross_entropy
 from .tensor import NonFiniteError, Parameter, Tape, Tensor
 
@@ -60,7 +61,9 @@ class TrainConfig:
 
 
 class Adam:
-    """Adaptive moments with bias correction."""
+    """Adaptive moments with bias correction. A step whose update leaves a
+    parameter non-finite raises NonFiniteError naming it, before that
+    parameter changes (the parameters before it have stepped)."""
 
     def __init__(self, params: list[Parameter], lr: float = 1e-3):
         self.params = list(params)
@@ -75,11 +78,17 @@ class Adam:
         bc2 = 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            # an overflow shows as a non-finite value, reported below
+            with np.errstate(over="ignore", invalid="ignore"):
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
+                new = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            if not np.isfinite(new).all():
+                raise NonFiniteError(f"Adam step {self.t} makes {p.name or 'a parameter'} "
+                                     "non-finite")
+            p.data[...] = new
 
 
 def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
@@ -109,10 +118,10 @@ def train(model: PatchClassifier, train_set: PatchSet, cfg: TrainConfig,
                 with Tape() as tape:
                     logits = model(x, training=True, rng=dropout_rng)
                     loss = cross_entropy(logits, y)
+                tape.backward(loss)
+                opt.step()
             except NonFiniteError as exc:
                 raise NonFiniteError(f"{exc} at epoch {epoch}, step {step}") from exc
-            tape.backward(loss)
-            opt.step()
             loss_sum += float(loss.data) * len(idx)
             correct += int((logits.data.argmax(axis=1) == y).sum())
         record = {"epoch": epoch, "loss": loss_sum / n, "acc": correct / n}
@@ -174,6 +183,7 @@ class BenchReport:
     peak_mem_mb: float  # tracemalloc peak of one untimed call after the timed ones
     blas_threads: int | None  # read back from the loaded OpenBLAS; None if unreadable
     numpy_version: str
+    workers: int  # threads that share each conv chunk's tiles and BatchNorm's chunks
 
     @property
     def median_s(self) -> float:
@@ -196,32 +206,56 @@ def _device_note() -> str:
     return f"cpu ({platform.machine()}, {platform.system()})"
 
 
-# Symbols OpenBLAS builds export for the thread count in force.
+# Symbols OpenBLAS builds export to read and to set the thread count.
 _BLAS_THREAD_SYMBOLS = (
     "scipy_openblas_get_num_threads64_",
     "openblas_get_num_threads64_",
     "openblas_get_num_threads",
 )
+_BLAS_SET_THREADS_SYMBOLS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
-def blas_threads() -> int | None:
-    """Thread count the OpenBLAS that numpy ships reports, or None if it
-    cannot be read. Opening the library returns the copy already loaded, so
-    this is the count in force, not the one an environment variable asked
-    for."""
+def _openblas_function(symbols):
+    """The first of `symbols` that the OpenBLAS numpy ships exports, or None.
+    Opening the library returns the copy already loaded, so the function
+    acts on the library numpy calls."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("*openblas*")):
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for symbol in _BLAS_THREAD_SYMBOLS:
+        for symbol in symbols:
             fn = getattr(handle, symbol, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                fn.argtypes = []
-                return int(fn())
+                return fn
     return None
+
+
+def blas_threads() -> int | None:
+    """Thread count the OpenBLAS that numpy ships reports, or None if it
+    cannot be read: the count in force, not the one an environment variable
+    asked for."""
+    fn = _openblas_function(_BLAS_THREAD_SYMBOLS)
+    if fn is None:
+        return None
+    fn.restype = ctypes.c_int
+    fn.argtypes = []
+    return int(fn())
+
+
+def set_blas_threads(n: int) -> None:
+    """Set the thread count of the OpenBLAS that numpy ships, if it exports
+    a setter; otherwise do nothing."""
+    fn = _openblas_function(_BLAS_SET_THREADS_SYMBOLS)
+    if fn is not None:
+        fn.restype = None
+        fn.argtypes = [ctypes.c_int]
+        fn(n)
 
 
 def benchmark_callables(fns, warmup: int, runs: int, batch_size: int,
@@ -251,7 +285,8 @@ def benchmark_callables(fns, warmup: int, runs: int, batch_size: int,
         finally:
             tracemalloc.stop()
         reports.append(BenchReport(warmup, runs, fn_times, batch_size, _device_note(),
-                                   count, peak_mb, blas_threads(), np.__version__))
+                                   count, peak_mb, blas_threads(), np.__version__,
+                                   nn._WORKERS))
     return reports
 
 

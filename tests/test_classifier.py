@@ -194,11 +194,13 @@ class TestEvalStream:
         assert peak < stem_bytes + spectral_bytes, peak / 1e6
 
 
-    def test_eval_forward_never_builds_the_projector_output(self):
+    def test_eval_forward_never_builds_the_projector_output(self, workers):
         # CFG32 at batch 16: the full projector held its [16,64,9,9,32]
         # output beside its input, the stem's output (10.6 MB each, 23.1 MB
         # peak); the pooled one never builds it, and the peak is the
-        # spectral stream's, the stem's output plus one conv chunk (21.4 MB)
+        # spectral stream's, the stem's output plus one conv chunk (21.4 MB),
+        # whose tiles two workers share
+        workers(2)
         model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
         patches = rand_patches(16, model.config)
         stem_bytes = 16 * 64 * 9 * 9 * 32 * 4
@@ -302,14 +304,17 @@ def _replayed_nodes(model, batch, replay, monkeypatch):
     return seen
 
 
-def test_training_step_backward_holds_one_full_size_gradient(chunking, monkeypatch):
+def test_training_step_backward_holds_one_full_size_gradient(chunking, monkeypatch,
+                                                            workers):
     # CFG32 on 9x9x32 patches, one sample per chunk, so every chunked
     # loop's temporaries are one sample's: a node's backward may not grow
     # with the batch by a [B,C,H,W,D] array, which would add two samples'
     # block input from batch 2 to 4. The gradient of the block input is the
     # spectral conv's, written over its output gradient, which the spectral
     # BN wrote over the conv's output; the pooled projector and the means
-    # of x allocate none of their own
+    # of x allocate none of their own. Two workers hold two chunks' or
+    # tiles' temporaries at either batch
+    workers(2)
     model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
     replay = T._replay
     small, large = (_replayed_nodes(model, batch, replay, monkeypatch) for batch in (2, 4))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralca import cli
+from spectralca import cli, nn
 from spectralca.classifier import ModelConfig, PatchClassifier, read_checkpoint, save_checkpoint
 from spectralca.cli import DataRecipe, build_parser, main
 from spectralca.data import load_labels, save_labels
@@ -46,6 +46,23 @@ def test_train_prints_one_summary_line(scene, tmp_path, capsys, epochs):
     assert ("final loss" in lines[0]) == (epochs > 0)
     assert (out / "checkpoint.bin").is_file()
     assert len((out / "history.jsonl").read_text().splitlines()) == epochs
+
+
+def test_overflowing_learning_rate_is_one_stderr_line_and_no_out_dir(scene, tmp_path):
+    # the first Adam step overflows float32: the process prints the ERR:
+    # line alone, no numpy warning before it, and makes no --out directory
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": 1,
+                                                           "learning_rate": 1e39}}))
+    out = tmp_path / "run"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spectralca.cli", "train", "--data",
+                           str(scene), "--config", str(config), "--out", str(out)],
+                          capture_output=True, env=env, timeout=120)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert len(lines) == 1 and lines[0].startswith("ERR:non-finite: "), lines
+    assert not out.exists()
 
 
 def test_negative_epochs_is_one_err_line(scene, tmp_path, capsys):
@@ -228,9 +245,7 @@ def test_malformed_input_covers_every_subcommand():
     assert sorted({argv[0] for argv, _ in MALFORMED.values()}) == sorted(subcommands)
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(command, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
-    if command == "train-overflowing-learning-rate" else command for command in MALFORMED])
+@pytest.mark.parametrize("command", list(MALFORMED))
 def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     (tmp_path / "bad.json").write_text('{"train": ')
     for name, (payload, _) in BAD_CONFIGS.items():
@@ -304,6 +319,7 @@ def test_bench_always_compares_the_block_with_the_baseline(capsys):
         report = payload[side]
         assert not {"mean_s", "params_millions"} & set(report)
         assert report["measured_runs"] == 1 and len(report["times_s"]) == 1
+        assert report["workers"] == nn._WORKERS
     assert payload["spectralca"]["param_count"] == 383_680
 
 

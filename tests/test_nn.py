@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -217,7 +220,25 @@ BOTH_CHUNKINGS = pytest.mark.parametrize("chunking", CHUNKINGS, indirect=True)
 @pytest.mark.parametrize("name", list(EDGE_LAYERS))
 @BOTH_CHUNKINGS
 def test_edge_shape_conv_matches_bruteforce(name, chunking):
-    build, shape = EDGE_LAYERS[name]
+    _check_conv_against_bruteforce(*EDGE_LAYERS[name])
+
+
+TILED_LAYERS = {**EDGE_LAYERS, **{f"multi_chunk_{name}": layer
+                                  for name, layer in MULTI_CHUNK_LAYERS.items()}}
+
+
+@pytest.mark.parametrize("name", list(TILED_LAYERS))
+@BOTH_CHUNKINGS
+def test_conv_cut_into_tiles_matches_bruteforce(name, chunking, workers, monkeypatch):
+    # two workers and no work floor: every chunk is cut into row blocks and
+    # tap blocks, down to one row or one tap each where it has two, and its
+    # blocks gather their halos from the rows beside them
+    monkeypatch.setattr(nn, "_TILE_MACS", 0)
+    workers(2)
+    _check_conv_against_bruteforce(*TILED_LAYERS[name])
+
+
+def _check_conv_against_bruteforce(build, shape):
     rng = np.random.default_rng(82)
     w = build(rng).weight.data
     # strictly increasing along every axis: no spatial symmetry, so an
@@ -271,9 +292,11 @@ def _transient_bytes(fn, *args):
                       and not any(np.shares_memory(a, arg) for arg in args))
 
 
-def test_conv_transient_memory_does_not_grow_with_batch():
+def test_conv_transient_memory_does_not_grow_with_batch(workers):
     # the block's spectral conv (64 -> 96 channels, 3x3x3) on 9x9x32
-    # patches: one sample's float32 columns are 17.9 MB
+    # patches: one sample's float32 columns are 17.9 MB; two workers keep
+    # about one sample's columns in flight
+    workers(2)
     rng = np.random.default_rng(80)
     w = (0.01 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
     b = np.zeros(96, dtype=np.float32)
@@ -391,10 +414,12 @@ def test_batchnorm_forward_transient_is_below_one_input():
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking):
+def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking, workers):
     # a 3x3x3 conv at batch 2, one sample per chunk: the first chunk's
     # columns (3.2 MB, as are the input gradient pass's) are freed before
-    # the second is gathered, so the transient stays under two chunks'
+    # the second is gathered, so the transient stays under two chunks';
+    # two workers share each chunk's tiles, with scratch for one tile each
+    workers(2)
     rng = np.random.default_rng(88)
     x = rng.standard_normal((2, 32, 9, 9, 32)).astype(np.float32)
     w = (0.01 * rng.standard_normal((32, 32, 3, 3, 3))).astype(np.float32)
@@ -406,6 +431,182 @@ def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking):
         g = rng.standard_normal(x.shape).astype(np.float32)
         transient = _transient_bytes(nn._conv_backward, g, x, w)
     assert transient < 2 * chunk_cols, transient
+
+
+# --- one worker or two: the same bits --------------------------------------
+
+
+class TestMap:
+    def test_results_come_in_job_order_with_two_running_and_one_queued(self, workers):
+        workers(2)
+        lock = threading.Lock()
+        running, started, most = [0], [0], [0, 0]
+
+        def job(i):
+            with lock:
+                running[0] += 1
+                started[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.01 * (i % 3))
+            with lock:
+                running[0] -= 1
+            return i
+
+        done = []
+        for i in nn._map(job, range(8)):
+            done.append(i)
+            with lock:  # jobs started but not yet handed to the caller
+                most[1] = max(most[1], started[0] - len(done))
+            time.sleep(0.005)
+        assert done == list(range(8))
+        assert most[0] <= 2 and most[1] <= 3, most
+
+    def test_a_failed_job_raises_in_the_caller_after_the_others_stop(self, workers):
+        workers(2)
+        finished = []
+
+        def job(i):
+            if i == 1:
+                raise NonFiniteError("job 1")
+            time.sleep(0.02)
+            finished.append(i)
+            return i
+
+        with pytest.raises(NonFiniteError, match="job 1"):
+            list(nn._map(job, range(6)))
+        count = len(finished)
+        time.sleep(0.05)
+        assert len(finished) == count and count < 6
+
+    def test_many_workers_and_fast_thread_switches_run_each_job_once(self, workers):
+        # more threads than cores, switching every microsecond: a job run
+        # twice or skipped, or two running jobs handed one scratch set, would
+        # show in what the jobs record and return
+        workers(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ran, results = [], []
+
+            def job(i, buffers):
+                ran.append(i)
+                buffers[0][:] = i
+                time.sleep(0)
+                return int(buffers[0].min()), int(buffers[0].max())
+
+            def consume():
+                results.extend(nn._map(job, range(400), lambda: [np.empty(64)]))
+
+            consumer = threading.Thread(target=consume)
+            consumer.start()
+            consumer.join(timeout=60)
+            assert not consumer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(400))
+        assert results == [(i, i) for i in range(400)]
+
+    def test_one_worker_runs_inline(self, workers):
+        workers(1)
+        assert list(nn._map(lambda _: threading.current_thread().name, [0, 1])) == \
+            [threading.current_thread().name] * 2
+        assert nn._pool is None
+
+
+@BOTH_CHUNKINGS
+def test_conv_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
+    # the block's spectral conv (64 -> 96, 3x3x3) on 9x9x32 at batch 2:
+    # two workers cut each sample into blocks of 3, 2, 2 and 2 output rows
+    # (forward) and leading taps (weight gradient), whose GEMMs keep over
+    # _TILE_MACS multiply-adds and every GEMM's K
+    rng = np.random.default_rng(90)
+    x = rng.standard_normal((2, 64, 9, 9, 32)).astype(np.float32)
+    w = (0.05 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
+    b = rng.standard_normal(96).astype(np.float32)
+    g = rng.standard_normal((2, 96, 9, 9, 32)).astype(np.float32)
+    results = []
+    for count in (1, 2):
+        workers(count)
+        assert len(nn._conv_geometry(x, w)[4]) == {1: 1, 2: 4}[count]
+        _, gw, gb = nn._conv_backward(g.copy(), x, w, need_gx=False)
+        results.append((nn._conv_forward(x, w, b), gw, gb))
+    for one, two in zip(*results):
+        np.testing.assert_array_equal(one, two)
+
+
+@BOTH_CHUNKINGS
+def test_in_place_input_gradient_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
+    # C = 32 < O = 64 over three samples: each chunk's input gradient goes
+    # over the front of g, where its own rows of g lie, which the chunk's
+    # other tiles gather with their halos; a chunk is written only once
+    # all its tiles have returned
+    rng = np.random.default_rng(91)
+    x = rng.standard_normal((3, 32, 9, 9, 32)).astype(np.float32)
+    w = (0.05 * rng.standard_normal((64, 32, 3, 3, 3))).astype(np.float32)
+    g = rng.standard_normal((3, 64, 9, 9, 32)).astype(np.float32)
+    flipped = np.flip(w, axis=(2, 3, 4)).swapaxes(0, 1)
+    grads = []
+    for count in (1, 2):
+        workers(count)
+        assert len(nn._conv_geometry(g, flipped)[4]) == {1: 1, 2: 4}[count]
+        handed = g.copy()
+        gx = nn._conv_backward(handed, x, w)[0]
+        assert np.shares_memory(gx, handed)
+        grads.append(gx)
+    np.testing.assert_array_equal(*grads)
+
+
+@pytest.mark.parametrize("pool", [None, (2, 3, 4)], ids=["unpooled", "pooled"])
+@BOTH_CHUNKINGS
+def test_batchnorm_training_is_bitwise_equal_at_one_and_two_workers(pool, chunking, workers):
+    # one sample per chunk: two workers take the chunks of every pass, and
+    # the float64 channel sums are added in chunk order either way
+    rng = np.random.default_rng(92)
+    x0 = (3.0 * rng.standard_normal((5, 16, 4, 4, 6)) + 1.0).astype(np.float32)
+    results = []
+    for count in (1, 2):
+        workers(count)
+        bn = BatchNorm(16, "silu")
+        x = Parameter(x0.copy())
+        with Tape() as tape:
+            out = bn(x, True, pool)
+            loss = T.mean_all(T.mul(out, out))
+        tape.backward(loss)
+        results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                        bn.running_mean, bn.running_var))
+    for one, two in zip(*results):
+        np.testing.assert_array_equal(one, two)
+
+
+@BOTH_CHUNKINGS
+def test_stem_batchnorm_backward_on_a_worker_regenerates_its_conv_inline(chunking, workers):
+    # the stem's BatchNorm regenerates its conv's output in backward; two
+    # backwards replayed at once on the two workers map that conv's jobs
+    # inline, where a nested map would wait on the workers it occupies
+    def stem_step():
+        rng = np.random.default_rng(93)
+        conv, bn = Conv3D(1, 8, 3, rng), BatchNorm(8, "relu")
+        x = Tensor(rng.standard_normal((4, 1, 5, 5, 6)).astype(np.float32))
+        with Tape() as tape:
+            loss = T.mean_all(conv(x, bn, training=True))
+        params = (conv.weight, conv.bias, bn.gamma, bn.beta)
+
+        def replay():
+            on_worker.append(getattr(nn._in_worker, "active", False))
+            tape.backward(loss)
+            return [p.grad for p in params]
+
+        return replay
+
+    on_worker = []
+    workers(1)
+    expected = stem_step()()
+    workers(2)
+    replayed = list(nn._map(lambda replay: replay(), [stem_step(), stem_step()]))
+    assert on_worker == [False, True, True]
+    for grads in replayed:
+        for one, two in zip(expected, grads):
+            np.testing.assert_array_equal(one, two)
 
 
 class TestBatchNorm:

@@ -13,7 +13,7 @@ from spectralca.classifier import ModelConfig, PatchClassifier
 from spectralca.data import PatchSet, extract_patches, generate_synthetic, split
 from spectralca.metrics import objective_j
 from spectralca.selftrain import pseudo_label_select
-from spectralca import trainer
+from spectralca import nn, trainer
 from spectralca.tensor import NonFiniteError, Parameter
 from spectralca.trainer import (
     EVAL_BATCH,
@@ -71,6 +71,21 @@ class TestAdam:
         for a, b in zip(norms[10:], norms[11:]):
             assert b <= a + 1e-12
         assert norms[-1] < norms[10]
+
+
+    def test_overflowing_update_raises_naming_the_parameter_it_would_break(self):
+        # a step of ~1e38 keeps p finite but takes q past float32's largest
+        # value: the error names q, without a numpy warning, and q keeps
+        # its value
+        p = Parameter(np.array([1.0, -2.0], dtype=np.float32), name="stem.weight")
+        q = Parameter(np.array([3e38], dtype=np.float32), name="head.bias")
+        opt = Adam([p, q], lr=1e38)
+        p.grad[:] = [0.5, -0.3]
+        q.grad[:] = [-1.0]
+        with pytest.raises(NonFiniteError, match="Adam step 1 makes head.bias non-finite"):
+            opt.step()
+        assert np.isfinite(p.data).all() and p.data[0] < -1e37
+        np.testing.assert_array_equal(q.data, np.float32([3e38]))
 
 
 class TestTrain:
@@ -297,6 +312,15 @@ class TestBenchmark:
         report = benchmark_callables([lambda: None], 0, 1, 1, [0])[0]
         assert report.as_dict()["blas_threads"] is None
 
+    def test_reports_workers_and_one_blas_thread_beside_a_pool(self, workers):
+        workers(2)
+        # the first map that runs on the pool pins OpenBLAS to one thread,
+        # so two workers do not each run a two-thread GEMM
+        assert list(nn._map(abs, [-1, 2, -3])) == [1, 2, 3]
+        assert trainer.blas_threads() in (1, None)
+        payload = benchmark_callables([lambda: None], 0, 1, 1, [0])[0].as_dict()
+        assert payload["workers"] == 2
+
     def test_callables_take_turns_run_by_run(self):
         log = []
         reports = benchmark_callables([lambda: log.append("a"), lambda: log.append("b")],
@@ -307,7 +331,7 @@ class TestBenchmark:
         assert [r.param_count for r in reports] == [5, 7]
 
     def test_reports_quartiles(self):
-        report = BenchReport(0, 5, [0.5, 0.1, 0.3, 0.2, 0.4], 1, "cpu", 0, 0.0, None, "x")
+        report = BenchReport(0, 5, [0.5, 0.1, 0.3, 0.2, 0.4], 1, "cpu", 0, 0.0, None, "x", 1)
         payload = report.as_dict()
         assert (payload["p25_s"], payload["median_s"], payload["p75_s"]) == (0.2, 0.3, 0.4)
 
