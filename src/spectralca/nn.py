@@ -192,8 +192,8 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
 # chunked loop (a conv chunk's tiles, BatchNorm's batch chunks) run on every
 # core the process may use. The pool is built by the first map that needs
 # it, which also pins OpenBLAS to one thread: each worker's GEMM then runs
-# on one core rather than every worker's on all of them.
-# the cores this process may run on (all of them where the platform cannot say)
+# on one core rather than every worker's on all of them. _WORKERS counts the
+# cores this process may run on (all of them where the platform cannot say).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
