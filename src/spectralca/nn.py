@@ -16,7 +16,8 @@ retains a boolean keep-mask.
 Every chunked loop, here and in attention, slices its items with _chunks
 under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
-time, so its temporaries are chunk-sized. Convolutions are same-padded
+time (in an eval pass over a conv, _WORKERS chunks at a time), so its
+temporaries are chunk-sized. Convolutions are same-padded
 cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
 the batch is split into chunks whose buffers fit the budget; each chunk
 gathers the kernel taps over all spatial axes but the last, and the k taps
@@ -36,7 +37,10 @@ gradient, which split its M. A call whose chunks are not cut, one chunk
 or too little work per tile, runs in turn on the caller: a single-patch
 predict was no faster with its one chunk's tiles on two threads, the idle
 pool thread being slow to start, and whole-chunk jobs of the stem and the
-2D conv were slower on two threads than on one. No tile splits K, so
+2D conv were slower on two threads than on one. So that an eval forward
+reaches the workers too, BatchNorm reads its conv source _WORKERS chunks
+per call (one with one worker), and the spectral and mid convs cut those
+chunks into tiles; the stem's stay below _TILE_MACS. No tile splits K, so
 each output element is the same dot product summed in the same order as
 without tiles; the weight gradient's per-chunk parts and BatchNorm's
 float64 channel sums are added in chunk order on the caller.
@@ -51,9 +55,9 @@ A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
 that computes the conv over a batch slice. In an eval forward with no
 active tape the conv records nothing and builds no output: the op reads
-each conv chunk from the source while it is in cache, so neither full
-output is built. Training, and eval under a tape, record the conv once over
-the whole batch. Either way BatchNorm, the activation and the mean have one
+_WORKERS conv chunks at a time from the source while they are in cache,
+so neither full output is built. Training, and eval under a tape, record
+the conv once over the whole batch. Either way BatchNorm, the activation and the mean have one
 implementation each: the BatchNorm op pools its activation a chunk at a
 time when given the axes.
 
@@ -172,9 +176,11 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # forward within noise from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6
 # the stem, the spectral conv and the spectral BN run one sample per chunk,
 # the 2D conv 8 samples, and each CFG32 cross-attention one query block.
-# A BatchNorm pass runs its chunks on the workers, and a conv runs the tiles
-# it cuts each chunk into (_blocks), so with any number of workers the
-# columns in flight stay within one chunk's.
+# A BatchNorm pass over x runs its chunks on the workers, and a conv runs
+# the tiles it cuts each chunk into (_blocks), so with any number of workers
+# the columns in flight stay within one chunk's. An eval pass over a conv
+# source reads _WORKERS chunks per call, whose tiles the workers share, so
+# its conv output and BatchNorm temporaries are _WORKERS chunks long.
 _CHUNK_BYTES = 1e6
 
 
@@ -523,11 +529,12 @@ class _Conv(Module):
         """The convolution of x, then bn(., training, pool) when bn is
         given: its output, or with `pool` that output's mean over the pool
         axes. In an eval forward with no active tape nothing is recorded:
-        bn reads each chunk of the conv from `regenerate`, the checked conv
-        over a batch slice, and gets a zero-stride stand-in for the whole
-        output. Otherwise the conv is recorded over the whole batch, and
-        when x takes no gradient (the stem's patches) bn's backward
-        regenerates the output, which is freed once bn's forward returns."""
+        bn reads the conv from `regenerate`, the checked conv over a batch
+        slice of _WORKERS of its chunks, whose tiles the workers share, and
+        gets a zero-stride stand-in for the whole output. Otherwise the conv
+        is recorded over the whole batch, and when x takes no gradient (the
+        stem's patches) bn's backward regenerates the output, which is freed
+        once bn's forward returns."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
@@ -591,7 +598,9 @@ class BatchNorm(Module):
     float64, and the map, activation and pool run a chunk at a time. A pass
     over x runs its chunks on the workers (_map), in scratch of one or two
     chunks per worker, and adds its sums in chunk order; a pass over a
-    source runs its chunks in turn. The op
+    source runs in turn on the caller, a chunk per source call in backward
+    and, in eval mode, _WORKERS chunks per call and per temporary, so that
+    the source (the conv) can share their tiles among the workers. The op
     retains its pre-normalization input x and per-channel vectors. Given a
     `source`, a function of a batch slice that returns x.data[slice] anew
     (in _Conv, the conv itself), it retains the source instead of x, and
@@ -638,12 +647,13 @@ class BatchNorm(Module):
         spare = xd if source is None and x.cell is not None else None
         chunk_size = xd[:1].size * max((p.stop - p.start for p in chunks), default=0)
 
-        def each(fn, buffers: int, from_source: bool = source is not None):
-            # fn over the chunks with `buffers` chunk-sized scratch arrays: a
-            # pass over x runs on the workers; one over the source runs in
-            # turn and makes its temporaries once each chunk is regenerated,
-            # when the source call, which maps its own tiles, has freed its own
-            return _map(fn, chunks, lambda: [np.empty(chunk_size, dtype) for _ in range(buffers)],
+        def each(fn, buffers: int, from_source: bool = source is not None, parts=chunks):
+            # fn over `parts`, the chunks unless grouped, with `buffers`
+            # chunk-sized scratch arrays: a pass over x runs on the workers;
+            # one over the source runs in turn and makes its temporaries once
+            # each part is regenerated, when the source call, which maps its
+            # own tiles, has freed its own
+            return _map(fn, parts, lambda: [np.empty(chunk_size, dtype) for _ in range(buffers)],
                         inline=from_source)
 
         def tmp(buffers, i, shape):  # scratch i in `shape`, or None: a new array
@@ -685,8 +695,13 @@ class BatchNorm(Module):
             if pooled:
                 out[part] = z.mean(axis=pool)
 
-        deque(each(normalize, pooled + (activation == "silu"),
-                   from_source=source is not None and not training), maxlen=0)
+        # an eval pass over a source reads _WORKERS chunks per source call,
+        # so the conv has a chunk per worker to cut into tiles on the workers
+        reading = source is not None and not training
+        step = _WORKERS if reading else 1
+        groups = [slice(chunks[i].start, chunks[min(i + step, len(chunks)) - 1].stop)
+                  for i in range(0, len(chunks), step)]
+        deque(each(normalize, pooled + (activation == "silu"), reading, groups), maxlen=0)
         # both checked before the running estimates move: a rejected batch
         # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -198,8 +199,10 @@ class TestEvalStream:
         # CFG32 at batch 16: the full projector held its [16,64,9,9,32]
         # output beside its input, the stem's output (10.6 MB each, 23.1 MB
         # peak); the pooled one never builds it, and the peak is the
-        # spectral stream's, the stem's output plus one conv chunk (21.4 MB),
-        # whose tiles two workers share
+        # spectral stream's: the stem's output plus a source call of two
+        # one-sample conv chunks, whose tiles the two workers share, and
+        # their BatchNorm temporaries (21.31-21.56 MB; 20.47 MB at one
+        # worker, where a call reads one chunk)
         workers(2)
         model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
         patches = rand_patches(16, model.config)
@@ -212,13 +215,34 @@ class TestEvalStream:
             tracemalloc.stop()
         assert peak < 2 * stem_bytes + 1e6, peak / 1e6
 
+    def test_depth2_eval_forward_memory_is_bounded(self, workers):
+        # CFG64 block2 at batch 16 peaked at 41.92 MB when every source call
+        # read one chunk. A source call of W chunks adds at most W - 1 more
+        # samples of block2's spectral conv output and of its BatchNorm's
+        # two temporaries (the pooled activation and the sigmoid), 1.24 MB
+        # each, so 45.65 MB at two workers; 43.44-44.06 MB was measured.
+        # The tile outputs queued ahead depend on timing, so this bounds the
+        # peak rather than pinning it.
+        workers(2)
+        model = PatchClassifier(ModelConfig(num_classes=4, depth=2), np.random.default_rng(0))
+        patches = rand_patches(16, model.config)
+        sample_bytes = 120 * 9 * 9 * 32 * 4
+        tracemalloc.start()
+        try:
+            model(Tensor(patches))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 41.92e6 + (2 - 1) * 3 * sample_bytes, peak / 1e6
+
     @pytest.mark.parametrize("config, pairs", [(TINY_MODEL, 3), (TINY_DEPTH2, 6)],
                              ids=["depth1", "depth2"])
-    def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking,
+    def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking, workers,
                                                     monkeypatch):
         # one sample per chunk: every conv->BatchNorm pair calls BatchNorm's
-        # eval op once, which reads the conv's output from its source one
-        # sample at a time, and nothing is recorded
+        # eval op once, which reads the conv's output from its source
+        # _WORKERS chunks at a time, the remainder last, and nothing is
+        # recorded
         calls, reads, nodes = [], [], []
         bn_call = nn.BatchNorm.__call__
 
@@ -234,8 +258,65 @@ class TestEvalStream:
         monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
         monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
         model = PatchClassifier(config, np.random.default_rng(0))
-        model(Tensor(rand_patches(5, config)))
-        assert calls == [False] * pairs and reads == [1] * (pairs * 5) and not nodes
+        for count, sizes in ((1, [1] * 5), (2, [2, 2, 1])):
+            workers(count)
+            calls.clear()
+            reads.clear()
+            model(Tensor(rand_patches(5, config)))
+            assert calls == [False] * pairs and reads == sizes * pairs and not nodes, count
+
+    @pytest.mark.parametrize("config, tiled", [
+        (ModelConfig(num_classes=4), ["block1.spectral_bn"]),
+        (ModelConfig(num_classes=4, depth=2), ["block1.spectral_bn", "mid_bn",
+                                                "block2.spectral_bn"]),
+    ], ids=["depth1", "depth2"])
+    def test_eval_conv_tiles_run_on_the_workers(self, config, tiled, workers, monkeypatch):
+        # under the module's own budgets, each source call of a spectral conv
+        # (and of the mid conv) reads two one-sample chunks at two workers,
+        # and the conv cuts them into tiles that run off the caller; at one
+        # worker every job runs on the caller. The tiny configs' tiles fall
+        # below _TILE_MACS, so these are the published widths
+        model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+        names = {id(m): path.rstrip(".") for path, m in model.named_modules()}
+        patches = rand_patches(4, config)
+        reads, current = [], []  # per source call: (BatchNorm path, threads of its jobs)
+        bn_call, map_call = nn.BatchNorm.__call__, nn._map
+
+        def bn_spy(bn, x, training, pool=None, source=None):
+            def read(part):
+                reads.append((names[id(bn)], []))
+                current.append(reads[-1][1])
+                try:
+                    return source(part)
+                finally:
+                    current.pop()
+
+            return bn_call(bn, x, training, pool, read)
+
+        def map_spy(fn, jobs, scratch=None, inline=False):
+            threads = current[-1] if current else []
+
+            def run(job, *buffers):
+                threads.append(threading.get_ident())
+                return fn(job, *buffers)
+
+            return map_call(run, jobs, scratch, inline)
+
+        monkeypatch.setattr(nn.BatchNorm, "__call__", bn_spy)
+        monkeypatch.setattr(nn, "_map", map_spy)
+        caller = threading.get_ident()
+        logits = {}
+        for count in (1, 2):
+            workers(count)
+            reads.clear()
+            logits[count] = model(Tensor(patches)).data
+            off_caller = [(path, sum(t != caller for t in threads)) for path, threads in reads]
+            if count == 1:
+                assert all(n == 0 for _, n in off_caller), off_caller
+            else:
+                runs = [n for path, n in off_caller if path in tiled]
+                assert len(runs) == 2 * len(tiled) and min(runs) >= 2, off_caller
+        assert np.array_equal(logits[1], logits[2])
 
 
 def full_projector_logits(model, patches, training):
