@@ -180,7 +180,7 @@ class SpectralCABlock(Module):
         its output a batch chunk at a time, so the [B,d,H,W,D] BN output is
         never built. An eval forward with no active tape records nothing
         and the BN op reads the conv one group of _WORKERS chunks at a
-        time, whose tiles the workers share, so the conv output is not
+        time, one chunk per worker, so the conv output is not
         built either; training, and eval under a tape, record the conv on
         the whole batch."""
         _check_input(x, self.config.channels)

@@ -18,38 +18,39 @@ under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
 time (in an eval pass over a conv, _WORKERS chunks at a time), so its
 temporaries are chunk-sized. Convolutions are same-padded
-cross-correlations (no kernel flip), stride 1, lowered by partial im2col:
-the batch is split into chunks whose buffers fit the budget; each chunk
-gathers the kernel taps over all spatial axes but the last, and the k taps
-along the last axis are k BLAS matmuls on shifted views of those columns.
-Backward keeps nothing of the forward but its input: the weight gradient
-gathers the columns again, chunk by chunk, and the input gradient is the
-same lowering applied with the flipped kernel.
+cross-correlations (no kernel flip), stride 1, lowered by partial im2col
+with a Winograd last axis: the batch is split into chunks; each chunk
+gathers the kernel taps over all spatial axes but the last, and along the
+last axis F(m, 3) (Lavin & Gray, arXiv:1509.09308) turns windows of m + 2
+inputs into m + 2 transforms whose columns are gathered and multiplied one
+at a time, m = 4 where the columns have _WINOGRAD_K rows (the spectral and
+mid convs), m = 1, the direct correlation, elsewhere. F(4, 3) halves the
+GEMMs' work on a 32-band axis. Backward keeps nothing of the forward but
+its input: the weight gradient gathers the columns again, chunk by chunk,
+and the input gradient is the same lowering applied with the flipped
+kernel.
 
 The conv loops and BatchNorm's passes over x run their jobs on a pool of
 one thread per usable core (_map): numpy releases the GIL inside BLAS and
 its copy loops, so the loops outside the GEMM kernel split across threads
-(Smith et al., IPDPS 2014), and OpenBLAS is pinned to one thread once the
-pool runs. A conv call over several batch chunks cuts each into tiles:
-blocks of output rows in the forward, each gathering its own halo of input
-rows, which split the GEMM's N; blocks of leading taps in the weight
-gradient, which split its M. A call whose chunks are not cut, one chunk
-or too little work per tile, runs in turn on the caller: a single-patch
-predict was no faster with its one chunk's tiles on two threads, the idle
-pool thread being slow to start, and whole-chunk jobs of the stem and the
-2D conv were slower on two threads than on one. So that an eval forward
-reaches the workers too, BatchNorm reads its conv source _WORKERS chunks
-per call (one with one worker), and the spectral and mid convs cut those
-chunks into tiles; the stem's stay below _TILE_MACS. No tile splits K, so
-each output element is the same dot product summed in the same order as
-without tiles; the weight gradient's per-chunk parts and BatchNorm's
-float64 channel sums are added in chunk order on the caller.
-Outputs are bit-identical at any worker count. Each running job works in
-scratch made before the loop's first job, so a loop's memory does not
-depend on how its jobs interleave, and the tiles in flight hold no more
-columns than one chunk. A chunk's output is written only once all its
-tiles have returned (write after gather): the input gradient may be
-written over the front of its own g, which its tiles gather from.
+(Smith et al., IPDPS 2014), and OpenBLAS is pinned to one thread before
+the first conv module runs. A conv call over several batch chunks runs one
+job per chunk on the workers when each holds _JOB_MACS of GEMM work; a
+call over one chunk, or over chunks of less work, runs in turn on the
+caller: a single-patch predict was no faster with its one chunk split
+over two threads, the idle pool thread being slow to start, and
+whole-chunk jobs of the stem and the 2D conv were slower on two threads
+than on one. So that an eval forward reaches the workers too, BatchNorm
+reads its conv source _WORKERS chunks per call (one with one worker). No
+GEMM is split between jobs, so each output element is the same dot
+product summed in the same order at any worker count; the weight
+gradient's per-chunk parts and BatchNorm's float64 channel sums are added
+in chunk order. Outputs are bit-identical at any worker count. Each
+running job works in scratch made before the loop's first job, its
+outputs included, so a loop's memory depends neither on how its jobs
+interleave nor on the batch. A conv job writes its chunk's output only
+once every earlier chunk's input has been read: the input gradient may be
+written over the front of its own g.
 
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
@@ -74,7 +75,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from itertools import islice, product
+from itertools import islice
 from math import prod
 from queue import SimpleQueue
 from typing import Callable
@@ -161,26 +162,29 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # chunking
 #
 # Every chunked loop cuts its items into slices of about _CHUNK_BYTES: a
-# conv's batch by the bytes of one sample's columns plus GEMM accumulator,
-# BatchNorm's batch (training variance, SiLU, backward) by one sample's
-# input, attention's queries by one query row's [B, 1, Nk] scores. The
-# budget is sized to cache rather than to a memory ceiling: a chunk is
-# still cached when the next pass over it reads it, and the temporaries
-# stop growing with the batch. Each loop was swept on its own (2-core Xeon,
-# 2 MB L2 per core, one BLAS thread, CFG32 on 9x9x32 patches) and 1e6 is
-# at, or within noise of, the best value for each: conv, 1e6 to 5e6 within
-# noise of each other, eval forward at batch 64 17% and a batch-32 training
-# step 8% faster than 2e7; BatchNorm, one sample per chunk ran the spectral
-# backward in 81-114 ms of a training step, two samples in 108-118 ms and
-# the whole batch in 139-198 ms; attention, the baseline's batch-2 eval
-# forward within noise from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6
-# the stem, the spectral conv and the spectral BN run one sample per chunk,
-# the 2D conv 8 samples, and each CFG32 cross-attention one query block.
-# A BatchNorm pass over x runs its chunks on the workers, and a conv runs
-# the tiles it cuts each chunk into (_blocks), so with any number of workers
-# the columns in flight stay within one chunk's. An eval pass over a conv
-# source reads _WORKERS chunks per call, whose tiles the workers share, so
-# its conv output and BatchNorm temporaries are _WORKERS chunks long.
+# conv's batch by the bytes of one sample's columns plus GEMM accumulator
+# in the direct lowering (every tap over the leading axes, the last axis
+# padded), the unit of the sweep below, BatchNorm's batch (training
+# variance, SiLU, backward) by one sample's input, attention's queries by
+# one query row's [B, 1, Nk] scores. The budget is sized to cache rather
+# than to a memory ceiling: a chunk is still cached when the next pass over
+# it reads it, and the temporaries stop growing with the batch. Each loop
+# was swept on its own (2-core Xeon, 2 MB L2 per core, one BLAS thread,
+# CFG32 on 9x9x32 patches) and 1e6 is at, or within noise of, the best
+# value for each: conv, 1e6 to 5e6 within noise of each other, eval
+# forward at batch 64 17% and a batch-32 training step 8% faster than 2e7;
+# BatchNorm, one sample per chunk ran the spectral backward in 81-114 ms
+# of a training step, two samples in 108-118 ms and the whole batch in
+# 139-198 ms; attention, the baseline's batch-2 eval forward within noise
+# from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6 the stem, the spectral
+# conv and the spectral BN run one sample per chunk, the 2D conv 8 samples,
+# and each CFG32 cross-attention one query block. A conv gathers a chunk's
+# columns of one transform a block at a time within the budget too
+# (_blocks): the spectral conv's 1.49 MB per sample in two blocks of output
+# rows. A BatchNorm pass over x runs its chunks on the workers, as a conv
+# runs its chunks, with scratch for one chunk per worker. An eval pass over
+# a conv source reads _WORKERS chunks per call, one per worker, so its conv
+# output and BatchNorm temporaries are _WORKERS chunks long.
 _CHUNK_BYTES = 1e6
 
 
@@ -195,23 +199,35 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
 # worker pool
 #
 # numpy releases the GIL inside BLAS and its copy loops, so the jobs of a
-# chunked loop (a conv chunk's tiles, BatchNorm's batch chunks) run on every
+# chunked loop (a conv's batch chunks, BatchNorm's batch chunks) run on every
 # core the process may use. The pool is built by the first map that needs
-# it, which also pins OpenBLAS to one thread: each worker's GEMM then runs
-# on one core rather than every worker's on all of them. _WORKERS counts the
-# cores this process may run on (all of them where the platform cannot say).
+# it. With more than one worker, OpenBLAS is pinned to one thread before the
+# first conv module runs or the pool is built, whichever comes first: each
+# worker's GEMM then runs on one core rather than every worker's on all of
+# them, and a conv whose jobs run on the caller (the stem) runs its GEMMs on
+# one thread too. _WORKERS counts the cores this process may run on (all of
+# them where the platform cannot say).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
 _in_worker = threading.local()
+_blas_pinned = False
+
+
+def _pin_blas() -> None:
+    """With more than one worker, pin OpenBLAS to one thread, once."""
+    global _blas_pinned
+    if _WORKERS > 1 and not _blas_pinned:
+        from .trainer import set_blas_threads  # trainer imports this module
+
+        set_blas_threads(1)
+        _blas_pinned = True
 
 
 def _executor() -> ThreadPoolExecutor:
     global _pool
     if _pool is None:
-        from .trainer import set_blas_threads  # trainer imports this module
-
-        set_blas_threads(1)
+        _pin_blas()
         _pool = ThreadPoolExecutor(_WORKERS, "spectralca", _in_worker.__setattr__,
                                    ("active", True))
     return _pool
@@ -267,67 +283,102 @@ def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = Fal
 # ---------------------------------------------------------------------------
 # convolution kernels (shared by the 2D and 3D layers)
 #
-# Partial im2col (MEC, Cho & Brand 2017): the columns gather every tap over
-# the leading spatial axes and keep the last axis whole and zero-padded, so
-# the last-axis taps are k GEMMs on column-shifted views of one buffer.
-# Column rows are ordered tap-major (row = leading_tap * C + c) and each
-# last-axis tap's weight matrix is permuted to match. The weight gradient
-# gathers each chunk's columns again rather than keep them from forward
-# (202 MB for the spectral conv at batch 32; forward plus backward took
-# 1.31-1.40 s kept and 1.24-1.45 s re-gathered, 2-core Xeon, one thread).
+# Partial im2col (MEC, Cho & Brand 2017) with a Winograd last axis (Lavin &
+# Gray, arXiv:1509.09308). The columns gather every tap over the leading
+# spatial axes. Along the last axis the k taps are the minimal filtering
+# algorithm F(m, k), which gives m outputs of a k-tap correlation from a
+# window d of alpha = m + k - 1 inputs as Aᵀ[(G w) ⊙ (Bᵀ d)]: the input is cut
+# into windows m apart, Bᵀ turns them into alpha transforms, and the columns
+# of each transform are gathered and multiplied by its weights G w, one
+# transform at a time; Aᵀ adds the alpha products into the m outputs. The
+# GEMMs' N is alpha * ceil(D/m) per row of the last axis. m = 1 is the
+# direct correlation: Bᵀ and G are the identity, each transform is the
+# input shifted by a tap, and Aᵀ sums the k products. Column rows are
+# ordered tap-major (row = leading_tap * C + c) and the weights are
+# permuted to match.
 #
-# A chunk is cut into tiles only when each tile's GEMMs keep _TILE_MACS
-# multiply-adds (M*N*K). Below about 1e6 OpenBLAS runs small-matrix kernels
-# whose sums can differ with the GEMM's shape: on the 2-core AVX-512 Xeon
-# with scipy-openblas 0.3.31, every split of N or M of a GEMM above 1e6
-# matched the whole GEMM bit for bit, and splits below it often did not.
-# 4e6 leaves a factor of 4 and keeps the stem and the 2D conv whole; the
-# spectral conv's smallest tile keeps 34e6.
-_TILE_MACS = 4e6
+# The weight gradient takes the output gradient back through Aᵀ and
+# multiplies it by each transform's columns, gathered again rather than kept
+# from forward (202 MB for the spectral conv at batch 32 before F(4, 3);
+# forward plus backward took 1.31-1.40 s kept and 1.24-1.45 s re-gathered,
+# 2-core Xeon, one thread); Gᵀ is applied once, to the sum over the chunks.
+# The transforms of the input, the products and the output gradient are
+# elementwise sums in a fixed order, so no element depends on how the
+# batch is cut.
+#
+# F(4, 3) runs where the columns have at least _WINOGRAD_K rows (the GEMMs'
+# K). Over fewer rows the GEMMs are cheap and the transforms cost more than
+# they save. Forwards at batch 32 on 9x9x32 patches, one thread, under
+# F(1, 3) and F(4, 3): the stem (K = 9) 20 and 30 ms; the 2D conv (K = 192,
+# over a 9-wide last axis whose last window of 4 outputs is 3 of padding)
+# 6.1 and 8.8 ms; the spectral conv (K = 576) 334 and 247 ms. F(4, 3)'s
+# float32 error against float64 is about five times the direct
+# correlation's: 18-28 eps of the output's scale against 3-5.
+_WINOGRAD_K = 512
+_F43 = (  # Bᵀ, G and Aᵀ, at the points 0, 1, -1, 2, -2 and infinity
+    np.array([[4, 0, -5, 0, 1, 0], [0, -4, -4, 1, 1, 0], [0, 4, -4, -1, 1, 0],
+              [0, -2, -1, 2, 1, 0], [0, 2, -1, -2, 1, 0], [0, 4, 0, -5, 0, 1]], float),
+    np.array([[1 / 4, 0, 0], [-1 / 6, -1 / 6, -1 / 6], [-1 / 6, 1 / 6, -1 / 6],
+              [1 / 24, 1 / 12, 1 / 6], [1 / 24, -1 / 12, 1 / 6], [0, 0, 1]]),
+    np.array([[1, 1, 1, 1, 1, 0], [0, 1, -1, 2, -2, 0], [0, 1, 1, 4, 4, 0],
+              [0, 1, -1, 8, -8, 1]], float),
+)
 
-
-def _blocks(n: int) -> list[slice]:
-    """range(n) cut into near-equal contiguous slices, the longer first:
-    the fewest, a multiple of _WORKERS, of which any _WORKERS hold at most n
-    items (9 items and two workers: 3, 2, 2 and 2), or n of one item. Each
-    round of _WORKERS slices then takes the same time, and the scratch of
-    the slices in flight is no larger than that of all n items."""
-    parts = next((b for b in range(_WORKERS, n + 1, _WORKERS)
-                  if _WORKERS * -(-n // b) <= n), n)
-    q, r = divmod(n, max(parts, 1))
-    bounds = [i * q + min(i, r) for i in range(max(parts, 1) + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+# A call over several batch chunks runs them on the workers, one job per
+# chunk, when each chunk's GEMMs hold _JOB_MACS multiply-adds or more: the
+# spectral and mid convs' one-sample chunks hold 2e8 and more, while
+# whole-chunk jobs of the stem (5e6) and the 2D conv (4e7) ran slower on two
+# threads than on one. No GEMM is split between jobs, so each output element
+# is the same dot product summed in the same order at any worker count.
+_JOB_MACS = 5e7
 
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
-    """(spatial, k, pad, parts, rows, taps): the batch slices, sized by the
-    bytes of one sample's columns plus its GEMM accumulator, and the blocks
-    each is cut into: of output rows along the first spatial axis for the
-    forward, of leading taps for the weight gradient. Those are _blocks's
-    when there are several slices and each block's GEMMs keep _TILE_MACS
-    multiply-adds, else one block, and a pass whose slices are whole runs
-    on the caller."""
+    """(spatial, k, pad, parts, parallel, m): m outputs per window of the
+    last axis, 4 when k is 3 and the columns have _WINOGRAD_K rows or more,
+    else 1; the batch slices; and whether they run on the workers. The
+    slices are sized as the budget was swept, by the bytes of one sample's
+    columns and accumulator in the direct lowering: every tap over the
+    leading axes and the last axis padded."""
     spatial = xd.shape[2:]
     o, c, k = wd.shape[:3]
     pad = (k - 1) // 2
-    ntaps = k ** (len(spatial) - 1)
-    ncols = int(np.prod(spatial[:-1])) * (spatial[-1] + 2 * pad)
-    parts = _chunks(xd.shape[0], (c * ntaps + o) * ncols * xd.itemsize)
-    rows, taps = _blocks(spatial[0]), _blocks(ntaps)
+    rows = c * k ** (len(spatial) - 1)
+    m = 4 if k == 3 and rows >= _WINOGRAD_K else 1
+    lead = prod(spatial[:-1])
+    parts = _chunks(xd.shape[0], (rows + o) * lead * (spatial[-1] + 2 * pad) * xd.itemsize)
     n = min((p.stop - p.start for p in parts), default=0)
-    smallest = min((b[-1].stop - b[-1].start) / b[-1].stop for b in (rows, taps))
-    if len(parts) < 2 or o * c * ntaps * n * ncols * smallest < _TILE_MACS:
-        rows, taps = [slice(0, spatial[0])], [slice(0, ntaps)]
-    return spatial, k, pad, parts, rows, taps
+    macs = (m + k - 1) * o * rows * n * lead * -(-spatial[-1] // m)
+    return spatial, k, pad, parts, _WORKERS > 1 and len(parts) > 1 and macs >= _JOB_MACS, m
 
 
-def _tap_weights(wd: np.ndarray) -> np.ndarray:
-    """[O,C,*K] -> contiguous [k, O, k^(d-1) * C]: one weight matrix per
-    last-axis tap, its columns in the row order of the columns."""
+def _blocks(n: int, item_bytes: float) -> list[slice]:
+    """range(n) in the fewest near-equal slices whose items, of item_bytes
+    each, fit _CHUNK_BYTES, down to one item each. A conv gathers one
+    transform's columns a block at a time: of output rows in the forward,
+    of taps in the weight gradient. Only a one-sample chunk has more than
+    one block, since a chunk of several fits the budget."""
+    q = min(n, max(1, -(-int(n * item_bytes) // int(_CHUNK_BYTES))))
+    return [slice(n * i // q, n * (i + 1) // q) for i in range(q)]
+
+
+def _transforms(k: int, m: int):
+    """(Bᵀ, G, Aᵀ) of F(m, k): F(4, 3)'s, or the direct correlation's."""
+    return _F43 if m == 4 else (np.eye(k), np.eye(k), np.ones((1, k)))
+
+
+def _terms(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Per row, the (column, coefficient) of each nonzero entry."""
+    return [[(j, coef) for j, coef in enumerate(row) if coef] for row in matrix.tolist()]
+
+
+def _tap_weights(wd: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[O,C,*K] -> contiguous [alpha, O, k^(d-1) * C]: each transform's
+    weights, G applied along the last axis, their columns in the row order
+    of the columns."""
     o, c, k = wd.shape[:3]
-    return np.ascontiguousarray(
-        wd.reshape(o, c, -1, k).transpose(3, 0, 2, 1).reshape(k, o, -1)
-    )
+    taps = np.ascontiguousarray(wd.reshape(o, c, -1, k).transpose(3, 0, 2, 1))
+    return np.matmul(g.astype(wd.dtype), taps.reshape(k, -1)).reshape(len(g), o, -1)
 
 
 def _front(buffer: np.ndarray, shape) -> np.ndarray:
@@ -335,153 +386,227 @@ def _front(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[:prod(shape)].reshape(shape)
 
 
-def _gather_columns(x_chunk: np.ndarray, k: int, pad: int, spatial,
-                    rows: slice | None = None, taps: slice | None = None,
-                    buffers=None) -> np.ndarray:
-    """[n,C,*S] -> [T * C, n * h * prod(S[1:-1]) * (S[-1]+2p)] columns of
-    the h output rows `rows` of the first spatial axis (all by default) and
-    the T leading taps `taps` (all k^(d-1) by default): each such tap over
-    the leading axes, the last axis whole and padded. Only the input rows
-    the block reads are padded, its halo of p rows each side included.
-    With `buffers`, flat (columns, padded input) scratch, both are made in
-    their front."""
-    n, c = x_chunk.shape[:2]
-    rows = rows or slice(0, spatial[0])
-    lead = (rows.stop - rows.start,) + spatial[1:-1]
-    padded = (c, n, lead[0] + 2 * pad) + tuple(e + 2 * pad for e in spatial[1:])
-    if buffers is None:
-        xpt = np.zeros(padded, dtype=x_chunk.dtype)
+def _window(x_chunk: np.ndarray, nu: int, m: int, pad: int, out: np.ndarray) -> np.ndarray:
+    """Input nu of every window of x_chunk [n,C,*S], into `out` [C, n,
+    *S[:-1], ceil(S[-1]/m)]: at window t, the input at m*t + nu - pad along
+    the last axis, zero outside it."""
+    d, t = x_chunk.shape[-1], out.shape[-1]
+    t0, t1 = max(0, -(-(pad - nu) // m)), min(t, -(-(d + pad - nu) // m))
+    out[..., :t0] = out[..., t1:] = 0
+    out[..., t0:t1] = np.swapaxes(x_chunk[..., m * t0 + nu - pad::m][..., :t1 - t0], 0, 1)
+    return out
+
+
+def _windows(x_chunk: np.ndarray, m: int, alpha: int, pad: int, buffer: np.ndarray) -> np.ndarray:
+    """Inputs 0 to alpha-1 of every window of x_chunk [n,C,*S] (_window),
+    [alpha, C, n, *S[:-1], ceil(S[-1]/m)] in the front of `buffer`."""
+    n, c, *spatial = x_chunk.shape
+    xw = _front(buffer, (alpha, c, n, *spatial[:-1], -(-spatial[-1] // m)))
+    for nu in range(alpha):
+        _window(x_chunk, nu, m, pad, xw[nu])
+    return xw
+
+
+def _padded(shape, pad: int, buffer: np.ndarray):
+    """(v, inside): zeros of `shape` with the axes between the first two and
+    the last padded by `pad`, in the front of `buffer`, and the view of v
+    inside the padding."""
+    v = _front(buffer, (*shape[:2], *(e + 2 * pad for e in shape[2:-1]), shape[-1]))
+    v.fill(0)
+    return v, v[(slice(None),) * 2 + tuple(slice(pad, pad + e) for e in shape[2:-1])]
+
+
+def _gather(v: np.ndarray, k: int, buffer: np.ndarray, first: slice = slice(None)):
+    """(cols, copy) for v [C, n, *(lead + k-1), L]: cols [T * C,
+    n * prod(lead) * L] in the front of `buffer`, and a function that copies
+    into it, in one call, the T taps over the leading axes whose offset on
+    the first is in `first` (all by default), each with the last axis whole,
+    from a strided view of v that holds each tap's window."""
+    c, n, *extents, last = v.shape
+    lead = tuple(e - (k - 1) for e in extents)
+    steps = v.strides[2:-1]
+    taps = np.lib.stride_tricks.as_strided(
+        v, (k,) * len(lead) + (c, n) + lead + (last,),
+        steps + v.strides[:2] + steps + v.strides[-1:], writeable=False)[first]
+    cols = _front(buffer, (prod(taps.shape[:len(lead) + 1]), n * prod(lead) * last))
+    dest = cols.reshape(taps.shape)
+    return cols, lambda: np.copyto(dest, taps)
+
+
+def _add_scaled(acc: np.ndarray, a: np.ndarray, coef: float, tmp: np.ndarray):
+    """acc += coef * a; a coefficient other than 1 and -1 multiplies a into
+    the front of the flat buffer tmp first."""
+    if coef == 1:
+        acc += a
+    elif coef == -1:
+        acc -= a
     else:
-        xpt = _front(buffers[1], padded)
-        xpt.fill(0)
-    lo, hi = max(rows.start - pad, 0), min(rows.stop + pad, spatial[0])
-    first = lo - rows.start + pad
-    xpt[(slice(None), slice(None), slice(first, first + hi - lo))
-        + tuple(slice(pad, pad + e) for e in spatial[1:])] = \
-        np.swapaxes(x_chunk[:, :, lo:hi], 0, 1)
-    view = (c, n) + lead + xpt.shape[-1:]
-    offsets = list(product(range(k), repeat=len(lead)))[taps or slice(None)]
-    shape = (len(offsets) * c, prod(view[1:]))
-    cols = np.empty(shape, dtype=x_chunk.dtype) if buffers is None else _front(buffers[0], shape)
-    for t, offs in enumerate(offsets):
-        window = (slice(None), slice(None)) + tuple(
-            slice(off, off + ext) for off, ext in zip(offs, lead)
-        )
-        # each tap's rows are contiguous, so the reshape is a view and the
-        # strided window is copied once, straight into place
-        cols[t * c:(t + 1) * c].reshape(view)[...] = xpt[window]
-    return cols
+        acc += np.multiply(a, coef, out=_front(tmp, a.shape))
+
+
+def _combine(terms, arrays, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The sum of coef * arrays[j] over `terms`, (j, coef) pairs, added in
+    order into `out`, which is returned; tmp is _add_scaled's."""
+    np.multiply(arrays[terms[0][0]], terms[0][1], out=out)
+    for j, coef in terms[1:]:
+        _add_scaled(out, arrays[j], coef, tmp)
+    return out
 
 
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
-    bd [O], one job per batch chunk and block of output rows, written into
-    `out` when given. A chunk is written once all its tiles have returned:
-    `out` may lie over xd (the input gradient's, over g), and a tile gathers
-    input rows beyond its own. A new [B,O,*S] output is allocated once the
-    first chunk's tiles have returned, and for a call over one chunk once
-    its columns are freed, so it never holds its columns and output at once."""
-    spatial, k, pad, parts, blocks, _ = _conv_geometry(xd, wd)
+    bd [O], one job per batch chunk, written into `out` when given, else
+    into a new [B,O,*S] array. `out` may lie over xd (the input gradient's,
+    over g) as long as each chunk's output ends before the next chunk's
+    input starts: a job writes its chunk once every earlier chunk's input
+    has been read."""
+    spatial, k, pad, parts, parallel, m = _conv_geometry(xd, wd)
+    bt, g, at = _transforms(k, m)
+    alpha = len(bt)
+    inputs, products = _terms(bt), _terms(at.T)
     o = wd.shape[0]
-    shape = (xd.shape[0], o) + spatial
-    wstack = _tap_weights(wd)
+    out = np.empty((xd.shape[0], o) + spatial, dtype=xd.dtype) if out is None else out
+    u = _tap_weights(wd, g)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
+    t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
-    h = blocks[0].stop - blocks[0].start
-    tile_cols = n * h * prod(spatial[1:-1]) * (spatial[-1] + 2 * pad)
+    row = prod(spatial[1:-1]) * t  # columns per sample and row of the first axis
+    blocks = _blocks(spatial[0], u.shape[2] * n * row * xd.itemsize)
+    block = n * max(r.stop - r.start for r in blocks) * row
+    window = xd.shape[1] * n * spatial[0] * row
+    read = [threading.Event() for _ in parts]  # set once a chunk's input is read
 
-    def scratch():  # the largest tile's columns, padded input and tap output
+    def scratch():  # with m > 1 a chunk's windows and a temporary; one
+        # transform padded, a block's columns and product, and the outputs
         return [np.empty(size, dtype=xd.dtype) for size in (
-            wstack.shape[2] * tile_cols,
-            xd.shape[1] * n * (h + 2 * pad) * prod(e + 2 * pad for e in spatial[1:]),
-            o * tile_cols)]
+            (m > 1) * alpha * window, (m > 1) * max(window, o * block),
+            xd.shape[1] * n * prod(e + 2 * pad for e in spatial[:-1]) * t,
+            u.shape[2] * block, o * block, m * o * n * spatial[0] * row)]
 
-    def tile(job, buffers):
-        part, rows = job
-        cols = _gather_columns(xd[part], k, pad, spatial, rows, buffers=buffers)
-        # column j + e holds last-axis tap e of output column j; the last
-        # k-1 columns fall in the padding and are never computed
-        m = cols.shape[1] - (k - 1)
-        acc = np.empty((o, cols.shape[1]), dtype=xd.dtype)
-        np.matmul(wstack[0], cols[:, :m], out=acc[:, :m])
-        if k > 1:
-            # whole rows are added, the padding columns as zeros: an add
-            # over contiguous rows allocates no iterator buffer
-            tap = np.empty_like(acc) if buffers is None else _front(buffers[2], acc.shape)
-            acc[:, m:] = tap[:, m:] = 0
-            for e in range(1, k):
-                np.matmul(wstack[e], cols[:, e:e + m], out=tap[:, :m])
-                acc += tap
-        lead = (part.stop - part.start, rows.stop - rows.start) + spatial[1:-1]
-        return acc.reshape((o,) + lead + (-1,))[..., :spatial[-1]]
+    def chunk(p, buffers):
+        part = parts[p]
+        size = part.stop - part.start
+        try:
+            buffers = buffers or scratch()  # run on the caller: its own scratch
+            v, inside = _padded((xd.shape[1], size) + spatial[:-1] + (t,), pad, buffers[2])
+            y = _front(buffers[5], (m, o, size * spatial[0] * row))
+            # per block of rows: its columns, their gather and its outputs
+            # (with several blocks, the chunk is one sample)
+            gathers = [(*_gather(v[:, :, r.start:r.stop + 2 * pad], k, buffers[3]),
+                        y[:, :, r.start * size * row:r.stop * size * row]) for r in blocks]
+            written = set()
+            # each transform of the direct correlation is a window, copied
+            # straight into place; the others are sums over the windows
+            xw = _windows(xd[part], m, alpha, pad, buffers[0]) if m > 1 else None
+            for xi in range(alpha):
+                if m == 1:
+                    _window(xd[part], xi, m, pad, inside)
+                else:
+                    _combine(inputs[xi], xw, inside, buffers[1])
+                terms = products[xi]
+                # a product that is all of an output's first term is made there
+                into = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
+                into = None if into in written else into
+                for cols, copy, yb in gathers:
+                    copy()
+                    if into is not None:
+                        np.matmul(u[xi], cols, out=yb[into])
+                        continue
+                    product_ = np.matmul(u[xi], cols, out=_front(buffers[4], yb.shape[1:]))
+                    for i, coef in terms:
+                        if i in written:
+                            _add_scaled(yb[i], product_, coef, buffers[1])
+                        else:
+                            np.multiply(product_, coef, out=yb[i])
+                written.update(i for i, _ in terms)
+        finally:
+            read[p].set()
+        for earlier in read[:p]:
+            earlier.wait()
+        y = y.reshape((m, o, size) + spatial[:-1] + (t,))
+        dest = out[part]
+        for i in range(m):  # output i of window t lies at m*t + i
+            dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
+        dest += bias
 
-    results = _map(tile, [(part, rows) for part in parts for rows in blocks], scratch,
-                   inline=len(blocks) == 1)
-    for part in parts:
-        done = [next(results) for _ in blocks]
-        if part is parts[-1]:
-            results.close()  # frees the scratch
-        if out is None:
-            out = np.empty(shape, dtype=xd.dtype)
-        y = out[part]
-        for rows, acc in zip(blocks, done):
-            y[:, :, rows] = np.swapaxes(acc, 0, 1)
-        del done, acc
-        y += bias
-    return np.empty(shape, dtype=xd.dtype) if out is None else out  # None: no samples
+    deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
+    return out
 
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                    need_gx: bool = True):
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
     and bias. The weight gradient re-gathers the columns, one job per batch
-    chunk and block of leading taps, and adds each chunk's rows in chunk
-    order; the input gradient is the forward with the flipped,
+    chunk, and each job adds its chunk's part once the previous chunk's is
+    added; the input gradient is the forward with the flipped,
     channel-swapped kernel. With C <= O and a C-contiguous, writeable g, it
     is written over the front of g's buffer once the others are taken: each
     chunk's rows end before the next chunk's g starts.
     """
-    spatial, k, pad, parts, _, blocks = _conv_geometry(xd, wd)
+    spatial, k, pad, parts, parallel, m = _conv_geometry(xd, wd)
+    bt, gt, at = _transforms(k, m)
+    alpha = len(bt)
+    inputs, outputs = _terms(bt), _terms(at.T)
     c = xd.shape[1]
     o = wd.shape[0]
     rows = c * k ** (len(spatial) - 1)
-    padded = spatial[:-1] + (spatial[-1] + 2 * pad,)
+    t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
+    ncols = n * prod(spatial[:-1]) * t
+    blocks = _blocks(k, rows // k * ncols * xd.itemsize)  # of the first axis's taps
+    gu_t = np.zeros((alpha, rows, o), dtype=wd.dtype)
+    added = [threading.Event() for _ in parts]  # set once a chunk's part is added
 
-    def scratch():  # the largest block's columns, a chunk's padded x and g
+    def scratch():  # with m > 1 a chunk's windows, one transform of the
+        # m phases of g and a temporary; one transform padded, a block's
+        # columns, the phases, and the chunk's part of the gradient
         return [np.empty(size, dtype=xd.dtype) for size in (
-            (blocks[0].stop - blocks[0].start) * c * n * prod(padded),
-            c * n * prod(e + 2 * pad for e in spatial),
-            o * n * prod(padded))]
+            (m > 1) * alpha * c * ncols, (m > 1) * o * ncols, (m > 1) * max(c, o) * ncols,
+            c * n * t * prod(e + 2 * pad for e in spatial[:-1]),
+            max(b.stop - b.start for b in blocks) * rows // k * ncols, m * o * ncols,
+            alpha * rows * o)]
 
-    def tap_block(job, buffers):
-        part, taps = job
-        cols = _gather_columns(xd[part], k, pad, spatial, taps=taps, buffers=buffers)
-        m = cols.shape[1] - (k - 1)
-        # g in the padded column order, zero where no output was computed
-        gp_shape = (o, part.stop - part.start) + padded
-        gp = np.empty(gp_shape, g.dtype) if buffers is None else _front(buffers[2], gp_shape)
-        gp[..., spatial[-1]:] = 0
-        gp[..., :spatial[-1]] = np.swapaxes(g[part], 0, 1)
-        gp = gp.reshape(o, -1)[:, :m]
-        # per-tap gradients, the GEMM's output [rows, O] or [O, rows],
-        # whichever has more rows: [rows, O] ran faster for the spectral
-        # conv (576 rows, O = 96), [O, rows] for the stem (9 rows, O = 64)
-        gw = np.empty((k, cols.shape[0], o), dtype=wd.dtype)
-        for e in range(k):
-            if rows >= o:
-                np.matmul(cols[:, e:e + m], gp.T, out=gw[e])
-            else:
-                gw[e] = (gp @ cols[:, e:e + m].T).T
-        return gw
+    def chunk(p, buffers):
+        part = parts[p]
+        size = part.stop - part.start
+        try:
+            buffers = buffers or scratch()  # run on the caller: its own scratch
+            v, inside = _padded((c, size) + spatial[:-1] + (t,), pad, buffers[3])
+            gathers = [(*_gather(v, k, buffers[4], b),
+                        slice(b.start * rows // k, b.stop * rows // k)) for b in blocks]
+            xw = _windows(xd[part], m, alpha, pad, buffers[0]) if m > 1 else None
+            # phase i of window t of g is its output at m*t + i, zero past the end
+            gy = _windows(g[part], m, m, 0, buffers[5])
+            # per-transform gradients, the GEMM's output [rows, O] or [O, rows],
+            # whichever has more rows: [rows, O] ran faster for the spectral
+            # conv (576 rows, O = 96), [O, rows] for the stem (9 rows, O = 64)
+            gu = _front(buffers[6], (alpha, rows, o))
+            for xi in range(alpha):
+                # as in the forward; each product's gradient is a sum over
+                # the phases, or for the direct correlation g's own
+                if m == 1:
+                    _window(xd[part], xi, m, pad, inside)
+                    gm = gy[0]
+                else:
+                    _combine(inputs[xi], xw, inside, buffers[2])
+                    gm = _combine(outputs[xi], gy, _front(buffers[1], gy.shape[1:]), buffers[2])
+                gm = gm.reshape(o, -1)
+                for cols, copy, r in gathers:
+                    copy()
+                    if rows >= o:
+                        np.matmul(cols, gm.T, out=gu[xi, r])
+                    else:
+                        gu[xi, r] = (gm @ cols.T).T
+            if p:
+                added[p - 1].wait()
+            gu_t[...] += gu
+        finally:
+            added[p].set()
 
-    gw_t = np.zeros((k, rows, o), dtype=wd.dtype)
-    jobs = [(part, taps) for part in parts for taps in blocks]
-    results = _map(tap_block, jobs, scratch, inline=len(blocks) == 1)
-    for gw, (_, taps) in zip(results, jobs):  # results first: the map runs to its end
-        gw_t[:, taps.start * c:taps.stop * c] += gw
-    gw = gw_t.reshape(k, -1, c, o).transpose(3, 2, 1, 0).reshape(wd.shape)
+    deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
+    gw_t = np.matmul(gt.T.astype(wd.dtype), gu_t.reshape(alpha, -1)).reshape(k, -1, c, o)
+    gw = gw_t.transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None
     if need_gx:
@@ -530,7 +655,7 @@ class _Conv(Module):
         given: its output, or with `pool` that output's mean over the pool
         axes. In an eval forward with no active tape nothing is recorded:
         bn reads the conv from `regenerate`, the checked conv over a batch
-        slice of _WORKERS of its chunks, whose tiles the workers share, and
+        slice of _WORKERS of its chunks, one per worker, and
         gets a zero-stride stand-in for the whole output. Otherwise the conv
         is recorded over the whole batch, and when x takes no gradient (the
         stem's patches) bn's backward regenerates the output, which is freed
@@ -540,6 +665,7 @@ class _Conv(Module):
                              f"got {x.shape}")
         if pool is not None and bn is None:
             raise ValueError("pool needs the BatchNorm that computes the mean")
+        _pin_blas()
         if bn is None:
             return _conv_op(self.op, x, self.weight, self.bias)
         xd, wd, bd = x.data, self.weight.data, self.bias.data
@@ -600,7 +726,7 @@ class BatchNorm(Module):
     chunks per worker, and adds its sums in chunk order; a pass over a
     source runs in turn on the caller, a chunk per source call in backward
     and, in eval mode, _WORKERS chunks per call and per temporary, so that
-    the source (the conv) can share their tiles among the workers. The op
+    the source (the conv) can run them on the workers. The op
     retains its pre-normalization input x and per-channel vectors. Given a
     `source`, a function of a batch slice that returns x.data[slice] anew
     (in _Conv, the conv itself), it retains the source instead of x, and
@@ -652,7 +778,7 @@ class BatchNorm(Module):
             # chunk-sized scratch arrays: a pass over x runs on the workers;
             # one over the source runs in turn and makes its temporaries once
             # each part is regenerated, when the source call, which maps its
-            # own tiles, has freed its own
+            # own chunks, has freed its own
             return _map(fn, parts, lambda: [np.empty(chunk_size, dtype) for _ in range(buffers)],
                         inline=from_source)
 
@@ -696,7 +822,7 @@ class BatchNorm(Module):
                 out[part] = z.mean(axis=pool)
 
         # an eval pass over a source reads _WORKERS chunks per source call,
-        # so the conv has a chunk per worker to cut into tiles on the workers
+        # so the conv has a chunk per worker to run on the workers
         reading = source is not None and not training
         step = _WORKERS if reading else 1
         groups = [slice(chunks[i].start, chunks[min(i + step, len(chunks)) - 1].stop)

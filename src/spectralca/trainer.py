@@ -183,7 +183,7 @@ class BenchReport:
     peak_mem_mb: float  # tracemalloc peak of one untimed call after the timed ones
     blas_threads: int | None  # read back from the loaded OpenBLAS; None if unreadable
     numpy_version: str
-    workers: int  # threads that share each conv chunk's tiles and BatchNorm's chunks
+    workers: int  # threads that share a conv's and BatchNorm's batch chunks
 
     @property
     def median_s(self) -> float:

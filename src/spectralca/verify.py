@@ -61,18 +61,22 @@ def _tensor_ops_report(seed: int, samples: int) -> GradCheckReport:
 def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
     """Every nn op, with a conv->BatchNorm pair on a constant input (the
     stem's case, whose BatchNorm regenerates the conv's output in backward)
-    in training, relu and silu, with and without pool. The layers are
-    children of one Module, so each parameter has its own dotted name."""
+    in training, relu and silu, with and without pool, and a conv wide
+    enough for the F(4, 3) lowering over 5 bands, which fill its second
+    window of 4 outputs in part. The layers are children of one Module, so
+    each parameter has its own dotted name."""
     rng = np.random.default_rng(seed)
     m = Module()
     m.conv2 = Conv2D(2, 3, rng)
     m.bn2 = BatchNorm(3, "silu")
     m.conv3 = Conv3D(2, 2, 3, rng)
+    m.wide = Conv3D(64, 64, 3, rng)
     m.ln = LayerNorm(3)
     m.lin = Linear(3, 4, rng)
     m.head = Linear(2, 3, rng)
     x2 = Parameter(rng.standard_normal((2, 2, 4, 5)), name="x2")
     x3 = Parameter(rng.standard_normal((2, 2, 3, 3, 3)), name="x3")
+    xw = Parameter(rng.standard_normal((1, 64, 1, 2, 5)), name="xw")
     m.stem = Conv3D(1, 2, 3, rng)
     m.stem_relu = BatchNorm(2, "relu")
     m.stem_silu = BatchNorm(2, "silu")
@@ -88,12 +92,13 @@ def _nn_ops_report(seed: int, samples: int) -> GradCheckReport:
         pooled = T.mean_axis(b, (2, 3, 4))
         ce = cross_entropy(m.head(pooled), labels)
         loss = T.add(_quadratic(tokens), T.scale(ce, _PROBE_SCALE))
+        loss = T.add(loss, _quadratic(m.wide(xw)))
         for bn in (m.stem_relu, m.stem_silu):
             for pool in (None, (2, 3)):
                 loss = T.add(loss, _quadratic(m.stem(patches, bn, True, pool)))
         return loss
 
-    return _check(f, [x2, x3] + m.parameters(), rng, samples)
+    return _check(f, [x2, x3, xw] + m.parameters(), rng, samples)
 
 
 def _attention_report(seed: int, samples: int) -> GradCheckReport:

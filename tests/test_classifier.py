@@ -1,10 +1,16 @@
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import asdict
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,9 +206,9 @@ class TestEvalStream:
         # output beside its input, the stem's output (10.6 MB each, 23.1 MB
         # peak); the pooled one never builds it, and the peak is the
         # spectral stream's: the stem's output plus a source call of two
-        # one-sample conv chunks, whose tiles the two workers share, and
-        # their BatchNorm temporaries (21.31-21.56 MB; 20.47 MB at one
-        # worker, where a call reads one chunk)
+        # one-sample conv chunks, one per worker, and their BatchNorm
+        # temporaries (21.56 MB; 17.11 MB at one worker, where a call reads
+        # one chunk)
         workers(2)
         model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
         patches = rand_patches(16, model.config)
@@ -273,9 +279,9 @@ class TestEvalStream:
     def test_eval_conv_tiles_run_on_the_workers(self, config, tiled, workers, monkeypatch):
         # under the module's own budgets, each source call of a spectral conv
         # (and of the mid conv) reads two one-sample chunks at two workers,
-        # and the conv cuts them into tiles that run off the caller; at one
-        # worker every job runs on the caller. The tiny configs' tiles fall
-        # below _TILE_MACS, so these are the published widths
+        # and the conv runs them off the caller; at one worker every job
+        # runs on the caller. The tiny configs' chunks fall below
+        # _JOB_MACS, so these are the published widths
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         names = {id(m): path.rstrip(".") for path, m in model.named_modules()}
         patches = rand_patches(4, config)
@@ -317,6 +323,38 @@ class TestEvalStream:
                 runs = [n for path, n in off_caller if path in tiled]
                 assert len(runs) == 2 * len(tiled) and min(runs) >= 2, off_caller
         assert np.array_equal(logits[1], logits[2])
+
+
+def test_first_eval_forward_runs_every_batchnorm_on_one_blas_thread():
+    # a fresh process with two workers forced and OpenBLAS at its default
+    # thread count: the first conv module pins OpenBLAS to one thread, so
+    # every BatchNorm call of the first CFG32 forward reads one, the stem's
+    # included (pinned only when the pool was built, the stem, spatial and
+    # spectral calls read the default, one thread per core)
+    script = textwrap.dedent("""
+        import numpy as np
+        from spectralca import ModelConfig, PatchClassifier, Tensor, nn, trainer
+        nn._WORKERS = 2
+        reads, call = [], nn.BatchNorm.__call__
+        def spy(bn, *args, **kwargs):
+            reads.append(trainer.blas_threads())
+            return call(bn, *args, **kwargs)
+        nn.BatchNorm.__call__ = spy
+        model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
+        model(Tensor(np.random.default_rng(1).standard_normal((8, 1, 9, 9, 32))
+                     .astype(np.float32)))
+        print(reads)
+    """)
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(classifier.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reads = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    if None in reads:
+        pytest.skip("the OpenBLAS numpy loads reports no thread count")
+    assert len(reads) == 3 and set(reads) == {1}, reads
 
 
 def full_projector_logits(model, patches, training):
@@ -393,8 +431,8 @@ def test_training_step_backward_holds_one_full_size_gradient(chunking, monkeypat
     # block input from batch 2 to 4. The gradient of the block input is the
     # spectral conv's, written over its output gradient, which the spectral
     # BN wrote over the conv's output; the pooled projector and the means
-    # of x allocate none of their own. Two workers hold two chunks' or
-    # tiles' temporaries at either batch
+    # of x allocate none of their own. Two workers hold two chunks'
+    # temporaries at either batch
     workers(2)
     model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
     replay = T._replay

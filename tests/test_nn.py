@@ -230,12 +230,97 @@ TILED_LAYERS = {**EDGE_LAYERS, **{f"multi_chunk_{name}": layer
 @pytest.mark.parametrize("name", list(TILED_LAYERS))
 @BOTH_CHUNKINGS
 def test_conv_cut_into_tiles_matches_bruteforce(name, chunking, workers, monkeypatch):
-    # two workers and no work floor: every chunk is cut into row blocks and
-    # tap blocks, down to one row or one tap each where it has two, and its
-    # blocks gather their halos from the rows beside them
-    monkeypatch.setattr(nn, "_TILE_MACS", 0)
+    # two workers and no work floor: a call over several chunks runs them on
+    # the workers, and one sample per chunk gathers its columns one output
+    # row (forward) or one first-axis tap (weight gradient) at a time
+    monkeypatch.setattr(nn, "_JOB_MACS", 0)
     workers(2)
     _check_conv_against_bruteforce(*TILED_LAYERS[name])
+
+
+# --- the Winograd last axis: F(4, 3) and the direct correlation -----------
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("extent", [1, 2, 3, 5, 7, 33])
+@BOTH_CHUNKINGS
+def test_winograd_last_axis_matches_bruteforce(m, extent, chunking, workers, monkeypatch):
+    # F(4, 3) and the direct correlation, chosen through the row count of
+    # the columns from which F(4, 3) runs, on last axes whose last window
+    # of 4 outputs is partly padding unless the extent is a multiple of 4;
+    # on the workers with no work floor. Conv3D has C <= O, so its input
+    # gradient goes over g; Conv2D has C > O
+    monkeypatch.setattr(nn, "_WINOGRAD_K", 0 if m == 4 else 10 ** 9)
+    monkeypatch.setattr(nn, "_JOB_MACS", 0)
+    workers(2)
+    for build, shape in ((lambda r: Conv3D(2, 3, 3, r).astype(np.float64), (3, 2, 2, 2, extent)),
+                         (lambda r: Conv2D(3, 2, r).astype(np.float64), (3, 3, 3, extent))):
+        w = build(np.random.default_rng(0)).weight.data
+        assert nn._conv_geometry(np.empty(shape), w)[-1] == m
+        _check_conv_against_bruteforce(build, shape)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_conv_jobs_on_many_workers_with_fast_switches_match_one_worker(m, workers,
+                                                                       monkeypatch):
+    # more workers than cores, switching every microsecond, one sample per
+    # chunk: a chunk's input gradient written over g before an earlier
+    # chunk has read its g, or a chunk's part of the weight gradient added
+    # out of chunk order, would show as a difference from one worker
+    monkeypatch.setattr(nn, "_WINOGRAD_K", 0 if m == 4 else 10 ** 9)
+    monkeypatch.setattr(nn, "_JOB_MACS", 0)
+    monkeypatch.setattr(nn, "_CHUNK_BYTES", 1)
+    rng = np.random.default_rng(94)
+    x = rng.standard_normal((6, 3, 3, 2, 9)).astype(np.float32)
+    w = rng.standard_normal((5, 3, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(5).astype(np.float32)
+    g = rng.standard_normal((6, 5, 3, 2, 9)).astype(np.float32)
+
+    def run():
+        gx, gw, gb = nn._conv_backward(g.copy(), x, w)
+        return nn._conv_forward(x, w, b), gx.copy(), gw, gb
+
+    workers(1)
+    expected = run()
+    workers(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        for _ in range(5):
+            runner = threading.Thread(target=lambda: results.append(run()))
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 5
+    for result in results:
+        for one, many in zip(expected, result):
+            np.testing.assert_array_equal(one, many)
+
+
+def test_float32_spectral_conv_is_within_64_eps_of_float64():
+    # the block's spectral conv in float32 against the same lowering in
+    # float64 on the same float32 inputs (float64 matches conv_reference
+    # to 1e-12), each error against the largest magnitude of its output:
+    # F(4, 3)'s transforms multiply by up to 8 and divide by up to 24, and
+    # over three seeds the error read 18-28 eps of that scale against 3-5
+    # for the direct correlation
+    rng = np.random.default_rng(95)
+    x = rng.standard_normal((1, 64, 9, 9, 32)).astype(np.float32)
+    w = Conv3D(64, 96, 3, rng).weight.data
+    g = rng.standard_normal((1, 96, 9, 9, 32)).astype(np.float32)
+    b = np.zeros(96, dtype=np.float32)
+    assert nn._conv_geometry(x, w)[-1] == 4
+    as64 = [a.astype(np.float64) for a in (x, w, b, g)]
+    pairs = [(nn._conv_forward(x, w, b), nn._conv_forward(*as64[:3]))]
+    pairs += list(zip(nn._conv_backward(g.copy(), x, w)[:2],
+                      nn._conv_backward(as64[3], *as64[:2])[:2]))
+    eps = np.finfo(np.float32).eps
+    for single, double in pairs:
+        scale = np.abs(double).max()
+        assert np.abs(single - double).max() < 64 * eps * scale
 
 
 def _check_conv_against_bruteforce(build, shape):
@@ -310,6 +395,25 @@ def test_conv_transient_memory_does_not_grow_with_batch(workers):
     # two more samples may not add their columns to the transient peak
     assert forward[4] - forward[2] < sample_cols, forward
     assert backward[4] - backward[2] < sample_cols, backward
+
+
+def test_spectral_conv_gathers_one_transform_of_columns_at_a_time():
+    # one sample of the block's spectral conv, on the caller: its F(4, 3)
+    # columns are 1.49 MB per transform, gathered one transform and one of
+    # two blocks of output rows at a time. Beside its output the forward
+    # holds the transformed weights (1.33 MB), the windows (1.0 MB), a
+    # transform (0.25 MB), a block's columns (0.83 MB) and product, a
+    # temporary and the outputs before they are written (4.8 MB in all);
+    # the direct correlation's columns took 6.3 MB (9.13 MB at batch 2,
+    # 8.13 MB at batch 1), and a second transform's columns in flight
+    # would add 1.49 MB
+    rng = np.random.default_rng(89)
+    x = rng.standard_normal((1, 64, 9, 9, 32)).astype(np.float32)
+    w = (0.01 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
+    transform_cols = 64 * 27 * 9 * 9 * 8 * 4
+    transient = _transient_bytes(nn._conv_forward, x, w, np.zeros(96, dtype=np.float32))
+    assert nn._conv_geometry(x, w)[-1] == 4
+    assert transient < min(9.13e6, 4 * transform_cols), transient
 
 
 def test_recorded_conv_retains_only_its_output():
@@ -416,9 +520,9 @@ def test_batchnorm_forward_transient_is_below_one_input():
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking, workers):
     # a 3x3x3 conv at batch 2, one sample per chunk: the first chunk's
-    # columns (3.2 MB, as are the input gradient pass's) are freed before
-    # the second is gathered, so the transient stays under two chunks';
-    # two workers share each chunk's tiles, with scratch for one tile each
+    # direct-lowering columns would be 3.2 MB, as would the input gradient
+    # pass's; each chunk gathers a transform's columns a block at a time,
+    # and two workers hold one chunk's scratch each (4.1-4.2 MB in all)
     workers(2)
     rng = np.random.default_rng(88)
     x = rng.standard_normal((2, 32, 9, 9, 32)).astype(np.float32)
@@ -516,9 +620,8 @@ class TestMap:
 @BOTH_CHUNKINGS
 def test_conv_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
     # the block's spectral conv (64 -> 96, 3x3x3) on 9x9x32 at batch 2:
-    # two workers cut each sample into blocks of 3, 2, 2 and 2 output rows
-    # (forward) and leading taps (weight gradient), whose GEMMs keep over
-    # _TILE_MACS multiply-adds and every GEMM's K
+    # two workers run one sample each, forward and weight gradient, the
+    # weight gradient's parts added in sample order
     rng = np.random.default_rng(90)
     x = rng.standard_normal((2, 64, 9, 9, 32)).astype(np.float32)
     w = (0.05 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
@@ -527,7 +630,7 @@ def test_conv_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
     results = []
     for count in (1, 2):
         workers(count)
-        assert len(nn._conv_geometry(x, w)[4]) == {1: 1, 2: 4}[count]
+        assert nn._conv_geometry(x, w)[4] == (count == 2)  # on the workers
         _, gw, gb = nn._conv_backward(g.copy(), x, w, need_gx=False)
         results.append((nn._conv_forward(x, w, b), gw, gb))
     for one, two in zip(*results):
@@ -537,9 +640,9 @@ def test_conv_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
 @BOTH_CHUNKINGS
 def test_in_place_input_gradient_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
     # C = 32 < O = 64 over three samples: each chunk's input gradient goes
-    # over the front of g, where its own rows of g lie, which the chunk's
-    # other tiles gather with their halos; a chunk is written only once
-    # all its tiles have returned
+    # over the front of g, where its own rows of g lie and the start of the
+    # next chunk's; a chunk is written only once every earlier chunk's g has
+    # been read
     rng = np.random.default_rng(91)
     x = rng.standard_normal((3, 32, 9, 9, 32)).astype(np.float32)
     w = (0.05 * rng.standard_normal((64, 32, 3, 3, 3))).astype(np.float32)
@@ -548,7 +651,7 @@ def test_in_place_input_gradient_is_bitwise_equal_at_one_and_two_workers(chunkin
     grads = []
     for count in (1, 2):
         workers(count)
-        assert len(nn._conv_geometry(g, flipped)[4]) == {1: 1, 2: 4}[count]
+        assert nn._conv_geometry(g, flipped)[4] == (count == 2)  # on the workers
         handed = g.copy()
         gx = nn._conv_backward(handed, x, w)[0]
         assert np.shares_memory(gx, handed)
