@@ -8,6 +8,10 @@ backward rule routes the upstream gradient to the inputs. Replaying the
 nodes in reverse recording order is a valid topological order because
 nodes are appended in execution order.
 
+The layers in nn, attention and block record their own fused ops; the ones
+here join them (add of equal shapes, reshape, transpose, mean_axis and
+concat_channels), and ``probe`` is the linear loss of gradient checks.
+
 A node holds only what its backward reads. Its output is a GradCell (the
 output's shape, dtype and gradient, not its value) and its inputs are the
 inputs' cells, or the Tensors themselves for leaves and Parameters, so a
@@ -246,81 +250,19 @@ def record_op(
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (singleton-axis expansion only, no rank promotion)
-
-
-def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...], op: str) -> tuple[int, ...]:
-    if len(sa) != len(sb):
-        raise ShapeError(f"{op}: rank mismatch {sa} vs {sb} (no implicit rank promotion)")
-    out = []
-    for ea, eb in zip(sa, sb):
-        if ea == eb or ea == 1 or eb == 1:
-            out.append(max(ea, eb))
-        else:
-            raise ShapeError(f"{op}: extents {sa} vs {sb} not broadcastable")
-    return tuple(out)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    axes = tuple(i for i, e in enumerate(shape) if e == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------------------
 # primitive operations
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape, "add")
+    """a + b for operands of one shape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = a.data + b.data
-    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return g, g
 
     return record_op("add", (a, b), out, backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shape(a.shape, b.shape, "mul")
-    out = a.data * b.data
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
-
-    return record_op("mul", (a, b), out, backward)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """x * c. A numpy float64 c would promote float32 x, so c is applied as a
-    Python float and the output keeps x's dtype."""
-    c = float(c)
-    out = x.data * c
-
-    def backward(g):
-        return (g * c,)
-
-    return record_op("scale", (x,), out, backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product [..., n, k] @ [..., k, m]; leading dims must match."""
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim:
-        raise ShapeError(f"matmul: ranks {a.ndim} and {b.ndim} unsupported")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} incompatible")
-    out = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return ga, gb
-
-    return record_op("matmul", (a, b), out, backward)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -361,26 +303,6 @@ def mean_axis(x: Tensor, axis: int | Sequence[int]) -> Tensor:
     return record_op("mean_axis", (x,), out, backward)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(), dtype=x.dtype)
-    shp = x.shape
-
-    def backward(g):
-        return (np.broadcast_to(g, shp),)
-
-    return record_op("sum_all", (x,), out, backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.mean(), dtype=x.dtype)
-    shp, n = x.shape, x.size
-
-    def backward(g):
-        return (np.broadcast_to(g / n, shp),)
-
-    return record_op("mean_all", (x,), out, backward)
-
-
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the channel axis (axis 1); other extents must match."""
     if a.ndim != b.ndim or a.ndim < 2:
@@ -398,6 +320,16 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # gradient checking
+
+
+def probe(out: Tensor, w) -> Tensor:
+    """sum(out * w) for a constant w of out's shape: a scalar loss whose
+    backward hands `out` the gradient w, in out's dtype."""
+    w = np.asarray(w, dtype=out.dtype)
+    if w.shape != out.shape:
+        raise ShapeError(f"probe: weights of shape {w.shape} for an output of shape {out.shape}")
+    value = np.asarray((out.data * w).sum(), dtype=out.dtype)
+    return record_op("probe", (out,), value, lambda g: (g * w,))
 
 
 @dataclass
@@ -466,16 +398,21 @@ def grad_check(
         else:
             idxs = rng.choice(n, size=samples_per_parameter, replace=False)
         ad = ad_grads[id(p)].reshape(-1)
-        worst = 0.0
+        # a non-finite gradient, sampled or not, or difference fails the
+        # check: max() would drop a NaN error
+        worst = 0.0 if np.isfinite(ad).all() else np.inf
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(f().data)
-            flat[i] = orig - h
-            f_minus = float(f().data)
-            flat[i] = orig
+            try:
+                flat[i] = orig + h
+                f_plus = float(f().data)
+                flat[i] = orig - h
+                f_minus = float(f().data)
+            finally:
+                flat[i] = orig
             fd = (f_plus - f_minus) / (2.0 * h)
-            rel = abs(ad[i] - fd) / max(1e-8, abs(ad[i]) + abs(fd))
+            rel = (abs(ad[i] - fd) / max(1e-8, abs(ad[i]) + abs(fd))
+                   if np.isfinite(ad[i]) and np.isfinite(fd) else np.inf)
             worst = max(worst, rel)
         report.per_parameter[name] = worst
     return report

@@ -5,6 +5,7 @@ from spectralca import nn
 from spectralca import tensor as T
 from spectralca.attention import CrossAttention, SelfAttention, attention
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
+from spectralca.verify import probe_loss
 
 
 def apply_linear(layer, x):
@@ -114,7 +115,7 @@ class TestCrossAttention:
 
     def test_gradcheck(self):
         # the key-projection biases have an identically zero gradient
-        # (softmax is shift-invariant per query row); a modest loss scale
+        # (softmax is shift-invariant per query row); the probe loss's scale
         # keeps the finite-difference noise on those dead directions well
         # below the relative-error floor
         rng = np.random.default_rng(5)
@@ -124,8 +125,7 @@ class TestCrossAttention:
 
         def f():
             a1, a2 = ca(s, p)
-            both = T.add(T.mean_all(T.mul(a1, a1)), T.mean_all(T.mul(a2, a2)))
-            return T.scale(both, 0.01)
+            return T.add(probe_loss(a1), probe_loss(a2))
 
         report = grad_check(f, [s, p] + ca.parameters(), rng=rng, samples_per_parameter=30)
         assert report.ok, str(report)
@@ -195,7 +195,7 @@ class TestAttentionOp:
 
         def f():
             out = attention(q, k, v, 2)
-            return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+            return probe_loss(out)
 
         report = grad_check(f, [q, k, v], rng=rng, samples_per_parameter=30)
         assert report.ok, str(report)
@@ -215,7 +215,7 @@ class TestSelfAttention:
 
         def f():
             out = sa(x)
-            return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+            return probe_loss(out)
 
         report = grad_check(f, [x] + sa.parameters(), rng=rng, samples_per_parameter=30)
         assert report.ok, str(report)

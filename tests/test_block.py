@@ -22,7 +22,7 @@ from spectralca.block import (
 )
 from spectralca.nn import BatchNorm
 from spectralca.tensor import Parameter, Tape, Tensor, grad_check
-from spectralca.verify import TINY_BLOCK_CONFIG
+from spectralca.verify import TINY_BLOCK_CONFIG, probe_loss
 from test_nn import conv_reference
 
 TINY = SpectralCAConfig(channels=2, dim=4, heads=2, dropout_rate=0.0)
@@ -127,7 +127,7 @@ class TestBlockForward:
 
         def f():
             out = block(x, training=True)
-            return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+            return probe_loss(out)
 
         report = grad_check(f, [x] + block.parameters(), rng=rng, samples_per_parameter=25)
         assert report.ok, str(report)
@@ -139,7 +139,7 @@ class TestBlockForward:
         block.zero_grad()
         with Tape() as tape:
             out = block(x, training=True)
-            loss = T.mean_all(T.mul(out, out))
+            loss = probe_loss(out)
         tape.backward(loss)
         for name, p in block.named_parameters():
             assert np.abs(p.grad).max() > 0.0, f"no gradient reached {name}"
@@ -205,7 +205,7 @@ class TestOutputStage:
         with Tape() as tape:
             out = block.projector(x, s, p)
             assert [node.op for node in tape.nodes] == ["project_streams"]
-            loss = T.sum_all(T.mul(out, Tensor(g)))
+            loss = T.probe(out, g)
         tape.backward(loss)
         linear = np.vdot(out.data - x.data - bias.data.reshape(1, -1, 1, 1, 1), g)
         np.testing.assert_allclose(np.vdot(s.data, s.grad) + np.vdot(p.data, p.grad),
@@ -228,7 +228,7 @@ class TestPooledProjector:
         b, c, hh, ww, dd = shape
         arrays = (rng.standard_normal(shape), rng.standard_normal((b, hh * ww, TINY.dim)),
                   rng.standard_normal((b, dd, TINY.dim)))
-        g = Tensor(rng.standard_normal((b, c)))
+        g = rng.standard_normal((b, c))
         results = []
         for pooled in (True, False):
             inputs = [Tensor(a, requires_grad=True) for a in arrays]
@@ -240,7 +240,7 @@ class TestPooledProjector:
                     assert [node.op for node in tape.nodes] == ["mean_axis", "project_pooled"]
                 else:
                     out = T.mean_axis(projector(*inputs), (2, 3, 4))
-                loss = T.sum_all(T.mul(out, g))
+                loss = T.probe(out, g)
             tape.backward(loss)
             results.append([out.data] + [t.grad for t in inputs]
                            + [projector.weight.grad.copy(), projector.bias.grad.copy()])
@@ -384,7 +384,7 @@ class TestBaseline:
 
         def f():
             out = block(x, training=True)
-            return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+            return probe_loss(out)
 
         report = grad_check(f, [x] + block.parameters(), h=1e-5, rng=rng,
                             samples_per_parameter=20)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHUNKINGS
-from spectralca import nn, tensor as T
+from spectralca import nn
 from spectralca.nn import (
     BatchNorm,
     Conv2D,
@@ -22,6 +22,7 @@ from spectralca.nn import (
     softmax_inplace,
 )
 from spectralca.tensor import NonFiniteError, Parameter, ShapeError, Tape, Tensor, grad_check
+from spectralca.verify import probe_loss
 
 RNG = np.random.default_rng(1234)
 
@@ -136,7 +137,7 @@ def test_conv_numpy_fallback_matches_bruteforce():
 
     def f():
         out = layer(x2)
-        return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+        return probe_loss(out)
 
     report = grad_check(f, [x2] + layer.parameters(), rng=rng, samples_per_parameter=30)
     assert report.ok, str(report)
@@ -673,7 +674,7 @@ def test_batchnorm_training_is_bitwise_equal_at_one_and_two_workers(pool, chunki
         x = Parameter(x0.copy())
         with Tape() as tape:
             out = bn(x, True, pool)
-            loss = T.mean_all(T.mul(out, out))
+            loss = probe_loss(out)
         tape.backward(loss)
         results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
                         bn.running_mean, bn.running_var))
@@ -691,7 +692,7 @@ def test_stem_batchnorm_backward_on_a_worker_regenerates_its_conv_inline(chunkin
         conv, bn = Conv3D(1, 8, 3, rng), BatchNorm(8, "relu")
         x = Tensor(rng.standard_normal((4, 1, 5, 5, 6)).astype(np.float32))
         with Tape() as tape:
-            loss = T.mean_all(conv(x, bn, training=True))
+            loss = probe_loss(conv(x, bn, training=True))
         params = (conv.weight, conv.bias, bn.gamma, bn.beta)
 
         def replay():
@@ -756,7 +757,7 @@ class TestBatchNorm:
         x = Parameter(x0.copy())
         with Tape() as tape:
             out = BatchNorm(3, "silu")(x, training, pool=(2, 3))
-            loss = T.mean_all(T.mul(out, out))
+            loss = probe_loss(out)
         tape.backward(loss)
         assert np.array_equal(x.data, x0)
         assert x.grad.shape == x0.shape and np.any(x.grad != 0)
@@ -941,9 +942,9 @@ class TestCrossEntropy:
 
 
 def _gradcheck_layer(build, make_input, n_extra=0):
-    # check at a generic point (zero-initialized biases sit at structural
-    # stationary points of the quadratic probe); the 0.01 scale keeps
-    # finite-difference rounding noise below the relative-error floor
+    # check at a generic point, off the zero-initialized biases; the probe
+    # loss's 0.01 / size scale keeps finite-difference rounding noise below
+    # the relative-error floor
     rng = np.random.default_rng(42)
     layer = build(rng)
     x = Parameter(rng.standard_normal(make_input), name="x")
@@ -953,7 +954,7 @@ def _gradcheck_layer(build, make_input, n_extra=0):
 
     def f():
         out = layer(x) if n_extra == 0 else layer(x, True)
-        return T.scale(T.mean_all(T.mul(out, out)), 0.01)
+        return probe_loss(out)
 
     report = grad_check(f, params, h=1e-4, tol=1e-4, rng=rng, samples_per_parameter=50)
     assert report.ok, str(report)
@@ -997,7 +998,7 @@ def test_gradcheck_batchnorm_eval(activation, chunking):
 
     def f():
         out = bn(x, training=False)
-        return T.mean_all(T.mul(out, out))
+        return probe_loss(out)
 
     report = grad_check(f, [x] + bn.parameters(), rng=rng, samples_per_parameter=50)
     assert report.ok, str(report)
@@ -1025,7 +1026,7 @@ def test_gradcheck_conv_batchnorm_pool(activation, training, chunking):
     def f():
         out = conv(x, bn, training, pool=(2, 3))
         assert out.shape == (3, 3, 4)
-        return T.mean_all(T.mul(out, out))
+        return probe_loss(out)
 
     report = grad_check(f, params, rng=rng, samples_per_parameter=50)
     assert report.ok, str(report)
@@ -1055,7 +1056,7 @@ def test_gradcheck_conv_batchnorm_on_a_constant_input(activation, pool, chunking
 
         def f():
             out = conv(x, bn, training, pool)
-            return T.mean_all(T.mul(out, out))
+            return probe_loss(out)
 
         report = grad_check(f, params, rng=rng, samples_per_parameter=50)
         assert report.ok, (training, str(report))
@@ -1068,7 +1069,7 @@ def test_gradcheck_activations(fn):
 
     def f():
         out = fn(x)
-        return T.mean_all(T.mul(out, out))
+        return probe_loss(out)
 
     report = grad_check(f, [x], rng=rng, samples_per_parameter=50)
     assert report.ok, str(report)
@@ -1093,7 +1094,7 @@ def test_gradcheck_dropout_fixed_mask():
 
     def f():
         out = dropout(x, 0.25, training=True, rng=np.random.default_rng(123))
-        return T.mean_all(T.mul(out, out))
+        return probe_loss(out)
 
     report = grad_check(f, [x], rng=np.random.default_rng(0), samples_per_parameter=40)
     assert report.ok, str(report)
