@@ -315,7 +315,9 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     labeled entries partition into train/test/pool and the pool entries'
     labels are hidden (useful for self-training experiments on fully
     labeled scenes). All three outputs are standardized per band with the
-    mean and standard deviation of the train pixels alone.
+    mean and standard deviation of the train pixels alone; a band whose
+    statistics or standardized values overflow float32 raises
+    DataFormatError.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train fraction {train_fraction} outside (0, 1]")
@@ -355,9 +357,17 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     w = patchset.padded.shape[1] - 2 * radius
     core = patchset.padded[radius:radius + h, radius:radius + w, :]
     train_pixels = core[patchset.coords[train_sel, 0], patchset.coords[train_sel, 1], :]
-    mean = train_pixels.mean(axis=0)
-    std = np.maximum(train_pixels.std(axis=0), 1e-8)
-    padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
+    # a finite cube can still overflow float32 here (a value of 3e38 squared
+    # in the std, or divided by a small std); an overflow leaves an inf or
+    # NaN in a band's statistics or values, so each band is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_pixels.mean(axis=0)
+        std = np.maximum(train_pixels.std(axis=0), 1e-8)
+        padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
+    finite = np.isfinite(mean) & np.isfinite(std) & np.isfinite(padded_norm).all(axis=(0, 1))
+    if not finite.all():
+        raise DataFormatError(f"band {np.flatnonzero(~finite)[0]} overflows float32 when "
+                              "standardized with the train pixels' mean and std")
 
     def build(sel: np.ndarray, hide_labels: bool = False) -> PatchSet:
         order = sel[np.argsort(sel)]  # raster-scan order

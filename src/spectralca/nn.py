@@ -18,17 +18,17 @@ under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
 time (in an eval pass over a conv, _WORKERS chunks at a time), so its
 temporaries are chunk-sized. Convolutions are same-padded
-cross-correlations (no kernel flip), stride 1, lowered by partial im2col
-with a Winograd last axis: the batch is split into chunks; each chunk
-gathers the kernel taps over all spatial axes but the last, and along the
-last axis F(m, 3) (Lavin & Gray, arXiv:1509.09308) turns windows of m + 2
-inputs into m + 2 transforms whose columns are gathered and multiplied one
-at a time, m = 4 where the columns have _WINOGRAD_K rows (the spectral and
-mid convs), m = 1, the direct correlation, elsewhere. F(4, 3) halves the
-GEMMs' work on a 32-band axis. Backward keeps nothing of the forward but
-its input: the weight gradient gathers the columns again, chunk by chunk,
-and the input gradient is the same lowering applied with the flipped
-kernel.
+cross-correlations (no kernel flip), stride 1, lowered by im2col with a
+Winograd last axis: per batch chunk, F(m, k) (Lavin & Gray,
+arXiv:1509.09308) turns windows of m + k - 1 inputs of the last axis into
+as many transforms, whose columns over the taps of the other axes are
+gathered and multiplied one at a time: F(4, 3) where those columns have
+_WINOGRAD_K rows (the spectral and mid convs), halving the GEMMs' work on
+32 bands, and elsewhere F(1, 1) over a trailing unit axis, the direct
+correlation as one transform whose columns hold every tap. Backward keeps
+nothing of the forward but its input: the weight gradient gathers the
+columns again, chunk by chunk, and the input gradient is the same lowering
+applied with the flipped kernel.
 
 The conv loops and BatchNorm's passes over x run their jobs on a pool of
 one thread per usable core (_map): numpy releases the GIL inside BLAS and
@@ -163,8 +163,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 #
 # Every chunked loop cuts its items into slices of about _CHUNK_BYTES: a
 # conv's batch by the bytes of one sample's columns plus GEMM accumulator
-# in the direct lowering (every tap over the leading axes, the last axis
-# padded), the unit of the sweep below, BatchNorm's batch (training
+# (every tap over the leading axes, per input of the last axis padded: for
+# the direct correlation, its whole columns), BatchNorm's batch (training
 # variance, SiLU, backward) by one sample's input, attention's queries by
 # one query row's [B, 1, Nk] scores. The budget is sized to cache rather
 # than to a memory ceiling: a chunk is still cached when the next pass over
@@ -177,11 +177,11 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # of a training step, two samples in 108-118 ms and the whole batch in
 # 139-198 ms; attention, the baseline's batch-2 eval forward within noise
 # from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6 the stem, the spectral
-# conv and the spectral BN run one sample per chunk, the 2D conv 8 samples,
+# conv and the spectral BN run one sample per chunk, the 2D conv 4 samples,
 # and each CFG32 cross-attention one query block. A conv gathers a chunk's
-# columns of one transform a block at a time within the budget too
-# (_blocks): the spectral conv's 1.49 MB per sample in two blocks of output
-# rows. A BatchNorm pass over x runs its chunks on the workers, as a conv
+# columns of one transform a block of output rows at a time within the
+# budget too (_blocks): the spectral conv's 1.49 MB per sample in two
+# blocks. A BatchNorm pass over x runs its chunks on the workers, as a conv
 # runs its chunks, with scratch for one chunk per worker. An eval pass over
 # a conv source reads _WORKERS chunks per call, one per worker, so its conv
 # output and BatchNorm temporaries are _WORKERS chunks long.
@@ -283,88 +283,92 @@ def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = Fal
 # ---------------------------------------------------------------------------
 # convolution kernels (shared by the 2D and 3D layers)
 #
-# Partial im2col (MEC, Cho & Brand 2017) with a Winograd last axis (Lavin &
-# Gray, arXiv:1509.09308). The columns gather every tap over the leading
-# spatial axes. Along the last axis the k taps are the minimal filtering
-# algorithm F(m, k), which gives m outputs of a k-tap correlation from a
-# window d of alpha = m + k - 1 inputs as Aᵀ[(G w) ⊙ (Bᵀ d)]: the input is cut
-# into windows m apart, Bᵀ turns them into alpha transforms, and the columns
-# of each transform are gathered and multiplied by its weights G w, one
+# Im2col (Chellapilla et al. 2006) with a Winograd last axis (Lavin & Gray,
+# arXiv:1509.09308). The columns gather every tap over the leading spatial
+# axes. Along the last axis the k taps are the minimal filtering algorithm
+# F(m, k), which gives m outputs of a k-tap correlation from a window d of
+# alpha = m + k - 1 inputs as Aᵀ[(G w) ⊙ (Bᵀ d)]: the input is cut into
+# windows m apart, Bᵀ turns them into alpha transforms, and the columns of
+# each transform are gathered and multiplied by its weights G w, one
 # transform at a time; Aᵀ adds the alpha products into the m outputs. The
-# GEMMs' N is alpha * ceil(D/m) per row of the last axis. m = 1 is the
-# direct correlation: Bᵀ and G are the identity, each transform is the
-# input shifted by a tap, and Aᵀ sums the k products. Column rows are
-# ordered tap-major (row = leading_tap * C + c) and the weights are
-# permuted to match.
+# GEMMs' N is alpha * ceil(D/m) per row of the last axis. The direct
+# correlation is F(1, 1) over a trailing unit axis of the input and the
+# kernel: Bᵀ = G = Aᵀ = [[1]], every spatial axis is a leading one, and the
+# one transform's columns hold all k^d taps. Column rows are ordered
+# tap-major (row = leading_tap * C + c) and the weights are permuted to
+# match.
 #
 # The weight gradient takes the output gradient back through Aᵀ and
 # multiplies it by each transform's columns, gathered again rather than kept
 # from forward (202 MB for the spectral conv at batch 32 before F(4, 3);
 # forward plus backward took 1.31-1.40 s kept and 1.24-1.45 s re-gathered,
 # 2-core Xeon, one thread); Gᵀ is applied once, to the sum over the chunks.
-# The transforms of the input, the products and the output gradient are
-# elementwise sums in a fixed order, so no element depends on how the
-# batch is cut.
+# Both directions gather a transform's columns a block of output rows at a
+# time (_blocks), and the weight gradient adds its blocks' products in
+# block order. The transforms of the input, the products and the output
+# gradient are elementwise sums in a fixed order, so no element depends on
+# how the batch is cut.
 #
-# F(4, 3) runs where the columns have at least _WINOGRAD_K rows (the GEMMs'
-# K). Over fewer rows the GEMMs are cheap and the transforms cost more than
-# they save. Forwards at batch 32 on 9x9x32 patches, one thread, under
-# F(1, 3) and F(4, 3): the stem (K = 9) 20 and 30 ms; the 2D conv (K = 192,
-# over a 9-wide last axis whose last window of 4 outputs is 3 of padding)
-# 6.1 and 8.8 ms; the spectral conv (K = 576) 334 and 247 ms. F(4, 3)'s
-# float32 error against float64 is about five times the direct
-# correlation's: 18-28 eps of the output's scale against 3-5.
+# F(4, 3) runs where the columns over the leading taps have at least
+# _WINOGRAD_K rows (the GEMMs' K). Over fewer rows the GEMMs are cheap and
+# the transforms cost more than they save. Forwards at batch 32 on 9x9x32
+# patches, one thread, over six processes, direct and under F(4, 3): the
+# stem (C = 1) 10-17 and 27-30 ms; the 2D conv (C = 64, over a 9-wide last
+# axis whose last window of 4 outputs is 3 of padding) 5.7-7.2 and
+# 5.2-8.8 ms, the direct faster in 5 of 6; the spectral conv (C = 64)
+# 371-469 and 211-313 ms. F(4, 3)'s float32 error against float64 is about
+# five times the direct correlation's: 18-28 eps of the output's scale
+# against 3-5.
 _WINOGRAD_K = 512
-_F43 = (  # Bᵀ, G and Aᵀ, at the points 0, 1, -1, 2, -2 and infinity
+# Bᵀ, G and Aᵀ by m: of F(1, 1), and of F(4, 3) at the points 0, 1, -1, 2,
+# -2 and infinity
+_TRANSFORMS = {1: (np.ones((1, 1)),) * 3, 4: (
     np.array([[4, 0, -5, 0, 1, 0], [0, -4, -4, 1, 1, 0], [0, 4, -4, -1, 1, 0],
               [0, -2, -1, 2, 1, 0], [0, 2, -1, -2, 1, 0], [0, 4, 0, -5, 0, 1]], float),
     np.array([[1 / 4, 0, 0], [-1 / 6, -1 / 6, -1 / 6], [-1 / 6, 1 / 6, -1 / 6],
               [1 / 24, 1 / 12, 1 / 6], [1 / 24, -1 / 12, 1 / 6], [0, 0, 1]]),
     np.array([[1, 1, 1, 1, 1, 0], [0, 1, -1, 2, -2, 0], [0, 1, 1, 4, 4, 0],
-              [0, 1, -1, 8, -8, 1]], float),
-)
+              [0, 1, -1, 8, -8, 1]], float))}
 
 # A call over several batch chunks runs them on the workers, one job per
 # chunk, when each chunk's GEMMs hold _JOB_MACS multiply-adds or more: the
 # spectral and mid convs' one-sample chunks hold 2e8 and more, while
-# whole-chunk jobs of the stem (5e6) and the 2D conv (4e7) ran slower on two
-# threads than on one. No GEMM is split between jobs, so each output element
-# is the same dot product summed in the same order at any worker count.
+# whole-chunk jobs of the stem (5e6) and the 2D conv (2e7) ran no faster on
+# two threads than on one. No GEMM is split between jobs, so each output
+# element is the same dot product summed in the same order at any worker
+# count.
 _JOB_MACS = 5e7
 
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
-    """(spatial, k, pad, parts, parallel, m): m outputs per window of the
-    last axis, 4 when k is 3 and the columns have _WINOGRAD_K rows or more,
-    else 1; the batch slices; and whether they run on the workers. The
-    slices are sized as the budget was swept, by the bytes of one sample's
-    columns and accumulator in the direct lowering: every tap over the
-    leading axes and the last axis padded."""
-    spatial = xd.shape[2:]
+    """(xd, wd, k, parts, parallel, m): m = 4, F(4, 3) along the last axis,
+    when k is 3 and the columns over the leading taps have _WINOGRAD_K rows
+    or more, else m = 1, F(1, 1) over a trailing unit axis added to the
+    returned xd and wd, so that every tap is a leading one; k, the kernel
+    over the leading axes; the batch slices, sized by one sample's columns
+    and accumulator per input of the last axis padded; and whether they run
+    on the workers."""
     o, c, k = wd.shape[:3]
-    pad = (k - 1) // 2
+    m = 4 if k == 3 and c * k ** (wd.ndim - 3) >= _WINOGRAD_K else 1
+    if m == 1:
+        xd, wd = xd[..., None], wd[..., None]
+    spatial, kl = xd.shape[2:], wd.shape[-1]
     rows = c * k ** (len(spatial) - 1)
-    m = 4 if k == 3 and rows >= _WINOGRAD_K else 1
     lead = prod(spatial[:-1])
-    parts = _chunks(xd.shape[0], (rows + o) * lead * (spatial[-1] + 2 * pad) * xd.itemsize)
+    parts = _chunks(xd.shape[0], (rows + o) * lead * (spatial[-1] + kl - 1) * xd.itemsize)
     n = min((p.stop - p.start for p in parts), default=0)
-    macs = (m + k - 1) * o * rows * n * lead * -(-spatial[-1] // m)
-    return spatial, k, pad, parts, _WORKERS > 1 and len(parts) > 1 and macs >= _JOB_MACS, m
+    macs = (m + kl - 1) * o * rows * n * lead * -(-spatial[-1] // m)
+    return xd, wd, k, parts, _WORKERS > 1 and len(parts) > 1 and macs >= _JOB_MACS, m
 
 
 def _blocks(n: int, item_bytes: float) -> list[slice]:
     """range(n) in the fewest near-equal slices whose items, of item_bytes
     each, fit _CHUNK_BYTES, down to one item each. A conv gathers one
-    transform's columns a block at a time: of output rows in the forward,
-    of taps in the weight gradient. Only a one-sample chunk has more than
-    one block, since a chunk of several fits the budget."""
+    transform's columns a block of output rows of the first axis at a time,
+    in the forward and the weight gradient alike. Only a one-sample chunk
+    has more than one block, since a chunk of several fits the budget."""
     q = min(n, max(1, -(-int(n * item_bytes) // int(_CHUNK_BYTES))))
     return [slice(n * i // q, n * (i + 1) // q) for i in range(q)]
-
-
-def _transforms(k: int, m: int):
-    """(Bᵀ, G, Aᵀ) of F(m, k): F(4, 3)'s, or the direct correlation's."""
-    return _F43 if m == 4 else (np.eye(k), np.eye(k), np.ones((1, k)))
 
 
 def _terms(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
@@ -373,10 +377,10 @@ def _terms(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
 
 
 def _tap_weights(wd: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """[O,C,*K] -> contiguous [alpha, O, k^(d-1) * C]: each transform's
+    """[O,C,*K] -> contiguous [alpha, O, prod(K[:-1]) * C]: each transform's
     weights, G applied along the last axis, their columns in the row order
     of the columns."""
-    o, c, k = wd.shape[:3]
+    o, c, k = wd.shape[0], wd.shape[1], wd.shape[-1]
     taps = np.ascontiguousarray(wd.reshape(o, c, -1, k).transpose(3, 0, 2, 1))
     return np.matmul(g.astype(wd.dtype), taps.reshape(k, -1)).reshape(len(g), o, -1)
 
@@ -386,24 +390,17 @@ def _front(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[:prod(shape)].reshape(shape)
 
 
-def _window(x_chunk: np.ndarray, nu: int, m: int, pad: int, out: np.ndarray) -> np.ndarray:
-    """Input nu of every window of x_chunk [n,C,*S], into `out` [C, n,
-    *S[:-1], ceil(S[-1]/m)]: at window t, the input at m*t + nu - pad along
-    the last axis, zero outside it."""
-    d, t = x_chunk.shape[-1], out.shape[-1]
-    t0, t1 = max(0, -(-(pad - nu) // m)), min(t, -(-(d + pad - nu) // m))
-    out[..., :t0] = out[..., t1:] = 0
-    out[..., t0:t1] = np.swapaxes(x_chunk[..., m * t0 + nu - pad::m][..., :t1 - t0], 0, 1)
-    return out
-
-
 def _windows(x_chunk: np.ndarray, m: int, alpha: int, pad: int, buffer: np.ndarray) -> np.ndarray:
-    """Inputs 0 to alpha-1 of every window of x_chunk [n,C,*S] (_window),
-    [alpha, C, n, *S[:-1], ceil(S[-1]/m)] in the front of `buffer`."""
+    """Inputs 0 to alpha-1 of every window of x_chunk [n,C,*S], [alpha, C,
+    n, *S[:-1], ceil(S[-1]/m)] in the front of `buffer`: input nu of window
+    t is the input at m*t + nu - pad along the last axis, zero outside it."""
     n, c, *spatial = x_chunk.shape
-    xw = _front(buffer, (alpha, c, n, *spatial[:-1], -(-spatial[-1] // m)))
-    for nu in range(alpha):
-        _window(x_chunk, nu, m, pad, xw[nu])
+    d, t = spatial[-1], -(-spatial[-1] // m)
+    xw = _front(buffer, (alpha, c, n, *spatial[:-1], t))
+    for nu, out in enumerate(xw):
+        t0, t1 = max(0, -(-(pad - nu) // m)), min(t, -(-(d + pad - nu) // m))
+        out[..., :t0] = out[..., t1:] = 0
+        out[..., t0:t1] = np.swapaxes(x_chunk[..., m * t0 + nu - pad::m][..., :t1 - t0], 0, 1)
     return xw
 
 
@@ -416,19 +413,19 @@ def _padded(shape, pad: int, buffer: np.ndarray):
     return v, v[(slice(None),) * 2 + tuple(slice(pad, pad + e) for e in shape[2:-1])]
 
 
-def _gather(v: np.ndarray, k: int, buffer: np.ndarray, first: slice = slice(None)):
-    """(cols, copy) for v [C, n, *(lead + k-1), L]: cols [T * C,
-    n * prod(lead) * L] in the front of `buffer`, and a function that copies
-    into it, in one call, the T taps over the leading axes whose offset on
-    the first is in `first` (all by default), each with the last axis whole,
-    from a strided view of v that holds each tap's window."""
+def _gather(v: np.ndarray, k: int, buffer: np.ndarray):
+    """(cols, copy) for v [C, n, *(lead + k-1), L]: cols [k^len(lead) * C,
+    n * prod(lead) * L] in the front of `buffer`, and a function that
+    copies into it, in one call, every tap over the leading axes, each with
+    the last axis whole, from a strided view of v that holds each tap's
+    window."""
     c, n, *extents, last = v.shape
     lead = tuple(e - (k - 1) for e in extents)
     steps = v.strides[2:-1]
     taps = np.lib.stride_tricks.as_strided(
         v, (k,) * len(lead) + (c, n) + lead + (last,),
-        steps + v.strides[:2] + steps + v.strides[-1:], writeable=False)[first]
-    cols = _front(buffer, (prod(taps.shape[:len(lead) + 1]), n * prod(lead) * last))
+        steps + v.strides[:2] + steps + v.strides[-1:], writeable=False)
+    cols = _front(buffer, (k ** len(lead) * c, n * prod(lead) * last))
     dest = cols.reshape(taps.shape)
     return cols, lambda: np.copyto(dest, taps)
 
@@ -461,27 +458,29 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     over g) as long as each chunk's output ends before the next chunk's
     input starts: a job writes its chunk once every earlier chunk's input
     has been read."""
-    spatial, k, pad, parts, parallel, m = _conv_geometry(xd, wd)
-    bt, g, at = _transforms(k, m)
+    o = wd.shape[0]
+    out = np.empty((xd.shape[0], o) + xd.shape[2:], dtype=xd.dtype) if out is None else out
+    xd, wd, k, parts, parallel, m = _conv_geometry(xd, wd)
+    spatial, c, pad = xd.shape[2:], xd.shape[1], (k - 1) // 2
+    bt, g, at = _TRANSFORMS[m]
     alpha = len(bt)
     inputs, products = _terms(bt), _terms(at.T)
-    o = wd.shape[0]
-    out = np.empty((xd.shape[0], o) + spatial, dtype=xd.dtype) if out is None else out
     u = _tap_weights(wd, g)
+    outs = out.reshape(out.shape[:2] + spatial)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
     t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
     row = prod(spatial[1:-1]) * t  # columns per sample and row of the first axis
     blocks = _blocks(spatial[0], u.shape[2] * n * row * xd.itemsize)
     block = n * max(r.stop - r.start for r in blocks) * row
-    window = xd.shape[1] * n * spatial[0] * row
+    window = c * n * spatial[0] * row
     read = [threading.Event() for _ in parts]  # set once a chunk's input is read
 
-    def scratch():  # with m > 1 a chunk's windows and a temporary; one
-        # transform padded, a block's columns and product, and the outputs
+    def scratch():  # a chunk's windows and a temporary; one transform
+        # padded, a block's columns and product, and the outputs
         return [np.empty(size, dtype=xd.dtype) for size in (
-            (m > 1) * alpha * window, (m > 1) * max(window, o * block),
-            xd.shape[1] * n * prod(e + 2 * pad for e in spatial[:-1]) * t,
+            alpha * window, max(window, o * block),
+            c * n * prod(e + 2 * pad for e in spatial[:-1]) * t,
             u.shape[2] * block, o * block, m * o * n * spatial[0] * row)]
 
     def chunk(p, buffers):
@@ -489,27 +488,23 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         size = part.stop - part.start
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
-            v, inside = _padded((xd.shape[1], size) + spatial[:-1] + (t,), pad, buffers[2])
+            v, inside = _padded((c, size) + spatial[:-1] + (t,), pad, buffers[2])
             y = _front(buffers[5], (m, o, size * spatial[0] * row))
-            # per block of rows: its columns, their gather and its outputs
-            # (with several blocks, the chunk is one sample)
+            # per block of rows: its columns, their gather and its span of
+            # the chunk's columns (with several blocks, the chunk is one sample)
             gathers = [(*_gather(v[:, :, r.start:r.stop + 2 * pad], k, buffers[3]),
-                        y[:, :, r.start * size * row:r.stop * size * row]) for r in blocks]
+                        slice(r.start * size * row, r.stop * size * row)) for r in blocks]
             written = set()
-            # each transform of the direct correlation is a window, copied
-            # straight into place; the others are sums over the windows
-            xw = _windows(xd[part], m, alpha, pad, buffers[0]) if m > 1 else None
+            xw = _windows(xd[part], m, alpha, (alpha - m) // 2, buffers[0])
             for xi in range(alpha):
-                if m == 1:
-                    _window(xd[part], xi, m, pad, inside)
-                else:
-                    _combine(inputs[xi], xw, inside, buffers[1])
+                _combine(inputs[xi], xw, inside, buffers[1])
                 terms = products[xi]
                 # a product that is all of an output's first term is made there
                 into = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
                 into = None if into in written else into
-                for cols, copy, yb in gathers:
+                for cols, copy, span in gathers:
                     copy()
+                    yb = y[:, :, span]
                     if into is not None:
                         np.matmul(u[xi], cols, out=yb[into])
                         continue
@@ -525,7 +520,7 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
         for earlier in read[:p]:
             earlier.wait()
         y = y.reshape((m, o, size) + spatial[:-1] + (t,))
-        dest = out[part]
+        dest = outs[part]
         for i in range(m):  # output i of window t lies at m*t + i
             dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
         dest += bias
@@ -544,27 +539,29 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     is written over the front of g's buffer once the others are taken: each
     chunk's rows end before the next chunk's g starts.
     """
-    spatial, k, pad, parts, parallel, m = _conv_geometry(xd, wd)
-    bt, gt, at = _transforms(k, m)
+    xv, wv, k, parts, parallel, m = _conv_geometry(xd, wd)
+    spatial, pad = xv.shape[2:], (k - 1) // 2
+    gv = g.reshape(g.shape[:2] + spatial)
+    bt, gt, at = _TRANSFORMS[m]
     alpha = len(bt)
     inputs, outputs = _terms(bt), _terms(at.T)
-    c = xd.shape[1]
-    o = wd.shape[0]
+    c, o, kl = xd.shape[1], wd.shape[0], wv.shape[-1]
     rows = c * k ** (len(spatial) - 1)
     t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
-    ncols = n * prod(spatial[:-1]) * t
-    blocks = _blocks(k, rows // k * ncols * xd.itemsize)  # of the first axis's taps
+    row = prod(spatial[1:-1]) * t
+    ncols = n * spatial[0] * row
+    blocks = _blocks(spatial[0], rows * n * row * xd.itemsize)  # as the forward's
     gu_t = np.zeros((alpha, rows, o), dtype=wd.dtype)
     added = [threading.Event() for _ in parts]  # set once a chunk's part is added
 
-    def scratch():  # with m > 1 a chunk's windows, one transform of the
-        # m phases of g and a temporary; one transform padded, a block's
-        # columns, the phases, and the chunk's part of the gradient
+    def scratch():  # a chunk's windows, one transform of the m phases of g
+        # and a temporary; one transform padded, a block's columns, the
+        # phases, and the chunk's part of the gradient
         return [np.empty(size, dtype=xd.dtype) for size in (
-            (m > 1) * alpha * c * ncols, (m > 1) * o * ncols, (m > 1) * max(c, o) * ncols,
+            alpha * c * ncols, o * ncols, max(c * ncols, o * ncols, rows * o),
             c * n * t * prod(e + 2 * pad for e in spatial[:-1]),
-            max(b.stop - b.start for b in blocks) * rows // k * ncols, m * o * ncols,
+            rows * n * max(r.stop - r.start for r in blocks) * row, m * o * ncols,
             alpha * rows * o)]
 
     def chunk(p, buffers):
@@ -573,31 +570,32 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
             v, inside = _padded((c, size) + spatial[:-1] + (t,), pad, buffers[3])
-            gathers = [(*_gather(v, k, buffers[4], b),
-                        slice(b.start * rows // k, b.stop * rows // k)) for b in blocks]
-            xw = _windows(xd[part], m, alpha, pad, buffers[0]) if m > 1 else None
+            gathers = [(*_gather(v[:, :, r.start:r.stop + 2 * pad], k, buffers[4]),
+                        slice(r.start * size * row, r.stop * size * row)) for r in blocks]
+            xw = _windows(xv[part], m, alpha, (alpha - m) // 2, buffers[0])
             # phase i of window t of g is its output at m*t + i, zero past the end
-            gy = _windows(g[part], m, m, 0, buffers[5])
+            gy = _windows(gv[part], m, m, 0, buffers[5])
             # per-transform gradients, the GEMM's output [rows, O] or [O, rows],
             # whichever has more rows: [rows, O] ran faster for the spectral
-            # conv (576 rows, O = 96), [O, rows] for the stem (9 rows, O = 64)
+            # conv (576 rows, O = 96), [O, rows] for the stem (27 rows, O = 64)
             gu = _front(buffers[6], (alpha, rows, o))
             for xi in range(alpha):
                 # as in the forward; each product's gradient is a sum over
-                # the phases, or for the direct correlation g's own
-                if m == 1:
-                    _window(xd[part], xi, m, pad, inside)
-                    gm = gy[0]
-                else:
-                    _combine(inputs[xi], xw, inside, buffers[2])
-                    gm = _combine(outputs[xi], gy, _front(buffers[1], gy.shape[1:]), buffers[2])
+                # the phases, or a phase itself when it is one taken once
+                _combine(inputs[xi], xw, inside, buffers[2])
+                terms = outputs[xi]
+                gm = gy[terms[0][0]] if len(terms) == 1 and terms[0][1] == 1 else _combine(
+                    terms, gy, _front(buffers[1], gy.shape[1:]), buffers[2])
                 gm = gm.reshape(o, -1)
-                for cols, copy, r in gathers:
-                    copy()
+                for b, (cols, copy, span) in enumerate(gathers):
+                    copy()  # the blocks' parts are added in block order
+                    part_gu = _front(buffers[2], (rows, o)) if b else gu[xi]
                     if rows >= o:
-                        np.matmul(cols, gm.T, out=gu[xi, r])
+                        np.matmul(cols, gm[:, span].T, out=part_gu)
                     else:
-                        gu[xi, r] = (gm @ cols.T).T
+                        part_gu[...] = (gm[:, span] @ cols.T).T
+                    if b:
+                        gu[xi] += part_gu
             if p:
                 added[p - 1].wait()
             gu_t[...] += gu
@@ -605,7 +603,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
             added[p].set()
 
     deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
-    gw_t = np.matmul(gt.T.astype(wd.dtype), gu_t.reshape(alpha, -1)).reshape(k, -1, c, o)
+    gw_t = np.matmul(gt.T.astype(wd.dtype), gu_t.reshape(alpha, -1)).reshape(kl, -1, c, o)
     gw = gw_t.transpose(3, 2, 1, 0).reshape(wd.shape)
     gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None

@@ -65,6 +65,27 @@ def test_overflowing_learning_rate_is_one_stderr_line_and_no_out_dir(scene, tmp_
     assert not out.exists()
 
 
+def test_cube_value_overflowing_the_band_statistics_is_one_data_format_line(tmp_path):
+    # one finite float32 value of 3e38 overflows the band's float32 std; the
+    # process prints one ERR:data-format: line naming the band, and neither
+    # numpy's overflow warning nor a non-finite error from the stem conv
+    data = tmp_path / "scene"
+    assert main(["gen", "--seed", "1", "--height", "24", "--width", "24",
+                 "--out", str(data)]) == 0
+    raw = np.fromfile(data / "cube.raw", dtype="<f4")
+    raw[0] = 3e38  # band 0 of pixel (0, 0)
+    raw.tofile(data / "cube.raw")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": 1}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "spectralca.cli", "train", "--data",
+                           str(data), "--config", str(config), "--out", str(tmp_path / "run")],
+                          capture_output=True, env=env, timeout=120)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert len(lines) == 1 and lines[0].startswith("ERR:data-format: band 0 "), lines
+
+
 def test_negative_epochs_is_one_err_line(scene, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": -1}}))

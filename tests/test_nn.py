@@ -233,24 +233,26 @@ TILED_LAYERS = {**EDGE_LAYERS, **{f"multi_chunk_{name}": layer
 def test_conv_cut_into_tiles_matches_bruteforce(name, chunking, workers, monkeypatch):
     # two workers and no work floor: a call over several chunks runs them on
     # the workers, and one sample per chunk gathers its columns one output
-    # row (forward) or one first-axis tap (weight gradient) at a time
+    # row at a time, in the forward and the weight gradient alike
     monkeypatch.setattr(nn, "_JOB_MACS", 0)
     workers(2)
     _check_conv_against_bruteforce(*TILED_LAYERS[name])
 
 
-# --- the Winograd last axis: F(4, 3) and the direct correlation -----------
+# --- the Winograd last axis: F(4, 3), and F(1, 1), the direct correlation -
 
 
 @pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("extent", [1, 2, 3, 5, 7, 33])
 @BOTH_CHUNKINGS
 def test_winograd_last_axis_matches_bruteforce(m, extent, chunking, workers, monkeypatch):
-    # F(4, 3) and the direct correlation, chosen through the row count of
-    # the columns from which F(4, 3) runs, on last axes whose last window
-    # of 4 outputs is partly padding unless the extent is a multiple of 4;
-    # on the workers with no work floor. Conv3D has C <= O, so its input
-    # gradient goes over g; Conv2D has C > O
+    # F(4, 3), and the direct correlation as F(1, 1) over a trailing unit
+    # axis, chosen through the row count of the columns from which F(4, 3)
+    # runs: F(4, 3) on last axes whose last window of 4 outputs is partly
+    # padding unless the extent is a multiple of 4, the direct correlation
+    # on the same extents, its columns holding every tap; on the workers
+    # with no work floor. Conv3D has C <= O, so its input gradient goes
+    # over g; Conv2D has C > O
     monkeypatch.setattr(nn, "_WINOGRAD_K", 0 if m == 4 else 10 ** 9)
     monkeypatch.setattr(nn, "_JOB_MACS", 0)
     workers(2)
@@ -322,6 +324,53 @@ def test_float32_spectral_conv_is_within_64_eps_of_float64():
     for single, double in pairs:
         scale = np.abs(double).max()
         assert np.abs(single - double).max() < 64 * eps * scale
+
+
+def _shifted_reference(x, w, b, g):
+    """(out, gx, gw) of the same-padded cross-correlation of x with w plus
+    b, and its gradients for the output gradient g: one einsum per kernel
+    tap over the input shifted by it, a window of a sliding_window_view of
+    the padded input. conv_reference's loops are too slow at model shapes."""
+    spatial = x.shape[2:]
+    pad = (w.shape[2] - 1) // 2
+    axes = tuple(range(2, x.ndim))
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * len(spatial))
+    shifted = np.lib.stride_tricks.sliding_window_view(xp, spatial, axis=axes)
+    out = np.broadcast_to(b.reshape((1, -1) + (1,) * len(spatial)), g.shape).copy()
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for tap in np.ndindex(*w.shape[2:]):
+        xs, wt = shifted[(slice(None),) * 2 + tap], w[(slice(None),) * 2 + tap]
+        out += np.einsum("oc,bc...->bo...", wt, xs, optimize=True)
+        gw[(slice(None),) * 2 + tap] = np.einsum("bo...,bc...->oc", g, xs, optimize=True)
+        window = tuple(slice(i, i + e) for i, e in zip(tap, spatial))
+        gxp[(slice(None),) * 2 + window] += np.einsum("oc,bo...->bc...", wt, g, optimize=True)
+    return out, gxp[(slice(None),) * 2 + tuple(slice(pad, pad + e) for e in spatial)], gw
+
+
+@pytest.mark.parametrize("build, shape", [
+    (lambda r: Conv3D(1, 64, 3, r), (32, 1, 9, 9, 32)),  # the stem
+    (lambda r: Conv2D(64, 96, r), (32, 64, 9, 9)),  # CFG32's spatial conv
+    (lambda r: Conv3D(32, 32, 3, r), (32, 32, 9, 9, 32)),
+], ids=["stem", "spatial_conv", "conv3d_c32"])
+def test_model_direct_convs_match_shifted_reference_at_batch_32(build, shape):
+    # the direct correlation at the model's batch under the module's own
+    # _CHUNK_BYTES, in float64, where the spatial conv's chunks hold
+    # several samples: a multi-sample chunk gathered in more than one block
+    # of rows would write its outputs out of place
+    rng = np.random.default_rng(96)
+    w = build(rng).astype(np.float64).weight.data
+    x = rng.standard_normal(shape)
+    b = rng.standard_normal(w.shape[0])
+    g = rng.standard_normal((shape[0], w.shape[0]) + shape[2:])
+    assert nn._conv_geometry(x, w)[-1] == 1
+    parts = nn._conv_geometry(x, w)[3]
+    assert (len(parts) < shape[0]) == (len(shape) == 4)  # several samples per chunk
+    got = (nn._conv_forward(x, w, b),) + nn._conv_backward(g.copy(), x, w)[:2]
+    for name, one, want in zip(("forward", "input gradient", "weight gradient"), got,
+                               _shifted_reference(x, w, b, g)):
+        np.testing.assert_allclose(one, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                   err_msg=name)
 
 
 def _check_conv_against_bruteforce(build, shape):
@@ -520,10 +569,11 @@ def test_batchnorm_forward_transient_is_below_one_input():
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking, workers):
-    # a 3x3x3 conv at batch 2, one sample per chunk: the first chunk's
-    # direct-lowering columns would be 3.2 MB, as would the input gradient
-    # pass's; each chunk gathers a transform's columns a block at a time,
-    # and two workers hold one chunk's scratch each (4.1-4.2 MB in all)
+    # a 3x3x3 conv at batch 2, one sample per chunk: a chunk's columns over
+    # all 27 taps are 9.0 MB, as are the input gradient pass's; each chunk
+    # gathers them a block of output rows (1.0 MB) at a time, and two
+    # workers hold one chunk's scratch each (5.3 MB in all forward, 6.0 MB
+    # backward)
     workers(2)
     rng = np.random.default_rng(88)
     x = rng.standard_normal((2, 32, 9, 9, 32)).astype(np.float32)
