@@ -201,33 +201,35 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
 # numpy releases the GIL inside BLAS and its copy loops, so the jobs of a
 # chunked loop (a conv's batch chunks, BatchNorm's batch chunks) run on every
 # core the process may use. The pool is built by the first map that needs
-# it. With more than one worker, OpenBLAS is pinned to one thread before the
-# first conv module runs or the pool is built, whichever comes first: each
-# worker's GEMM then runs on one core rather than every worker's on all of
-# them, and a conv whose jobs run on the caller (the stem) runs its GEMMs on
-# one thread too. _WORKERS counts the cores this process may run on (all of
-# them where the platform cannot say).
+# it. Before the first conv module runs or the pool is built, the process is
+# tuned once: freed memory stays in the heap (trainer.keep_freed_memory), and
+# with more than one worker OpenBLAS is pinned to one thread, so each
+# worker's GEMM runs on one core rather than on all, and a conv run on the
+# caller (the stem) runs its GEMMs on one thread too. _WORKERS counts the
+# cores this process may run on (all of them where the platform cannot say).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool: ThreadPoolExecutor | None = None
 _in_worker = threading.local()
-_blas_pinned = False
+_tuned = False
 
 
-def _pin_blas() -> None:
-    """With more than one worker, pin OpenBLAS to one thread, once."""
-    global _blas_pinned
-    if _WORKERS > 1 and not _blas_pinned:
-        from .trainer import set_blas_threads  # trainer imports this module
+def _tune_process() -> None:
+    """Once: keep freed memory in the heap; with several workers, one BLAS thread."""
+    global _tuned
+    if not _tuned:
+        from .trainer import keep_freed_memory, set_blas_threads  # trainer imports this module
 
-        set_blas_threads(1)
-        _blas_pinned = True
+        keep_freed_memory()
+        if _WORKERS > 1:
+            set_blas_threads(1)
+        _tuned = True
 
 
 def _executor() -> ThreadPoolExecutor:
     global _pool
     if _pool is None:
-        _pin_blas()
+        _tune_process()
         _pool = ThreadPoolExecutor(_WORKERS, "spectralca", _in_worker.__setattr__,
                                    ("active", True))
     return _pool
@@ -663,7 +665,7 @@ class _Conv(Module):
                              f"got {x.shape}")
         if pool is not None and bn is None:
             raise ValueError("pool needs the BatchNorm that computes the mean")
-        _pin_blas()
+        _tune_process()
         if bn is None:
             return _conv_op(self.op, x, self.weight, self.bias)
         xd, wd, bd = x.data, self.weight.data, self.bias.data

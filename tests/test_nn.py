@@ -1,3 +1,4 @@
+import platform
 import sys
 import threading
 import time
@@ -586,6 +587,23 @@ def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking, wo
         g = rng.standard_normal(x.shape).astype(np.float32)
         transient = _transient_bytes(nn._conv_backward, g, x, w)
     assert transient < 2 * chunk_cols, transient
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's malloc")
+def test_conv_scratch_is_not_faulted_in_afresh_on_each_call():
+    # glibc hands a freed block of 128 KB or more back to the OS unless told
+    # to keep it (trainer.keep_freed_memory, applied by the first conv module
+    # call); the stem's batch-1 scratch was then faulted in page by page on
+    # every call, some 480 faults
+    resource = pytest.importorskip("resource")
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((1, 1, 9, 9, 32)).astype(np.float32))
+    conv = Conv3D(1, 64, 3, rng)
+    conv(x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        conv(x)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 30
 
 
 # --- one worker or two: the same bits --------------------------------------
