@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -55,6 +56,7 @@ _ERROR_CODES: list[tuple[type, str]] = [
     (DataFormatError, "data-format"),
     (SplitError, "split"),
     (NonFiniteError, "non-finite"),
+    (RuntimeWarning, "non-finite"),  # numpy's overflow and invalid-value warnings
     (ShapeError, "shape"),
     (FileNotFoundError, "not-found"),
     (json.JSONDecodeError, "config-parse"),
@@ -327,8 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        status = args.func(args)
+        with warnings.catch_warnings():
+            # an overflow that a finite scene or checkpoint can still cause
+            # deep in the model is an error, raised in any thread, not a
+            # warning printed beside the outcome
+            warnings.simplefilter("error", RuntimeWarning)
+            args = build_parser().parse_args(argv)
+            status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status
     except BrokenPipeError:

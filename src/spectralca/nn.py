@@ -16,8 +16,7 @@ retains a boolean keep-mask.
 Every chunked loop, here and in attention, slices its items with _chunks
 under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
 statistics and sigmoid, forward and backward, are taken a batch chunk at a
-time (in an eval pass over a conv, _WORKERS chunks at a time), so its
-temporaries are chunk-sized. Convolutions are same-padded
+time, so its temporaries are chunk-sized. Convolutions are same-padded
 cross-correlations (no kernel flip), stride 1, lowered by im2col with a
 Winograd last axis: per batch chunk, F(m, k) (Lavin & Gray,
 arXiv:1509.09308) turns windows of m + k - 1 inputs of the last axis into
@@ -30,37 +29,32 @@ nothing of the forward but its input: the weight gradient gathers the
 columns again, chunk by chunk, and the input gradient is the same lowering
 applied with the flipped kernel.
 
-The conv loops and BatchNorm's passes over x run their jobs on a pool of
-one thread per usable core (_map): numpy releases the GIL inside BLAS and
-its copy loops, so the loops outside the GEMM kernel split across threads
-(Smith et al., IPDPS 2014), and OpenBLAS is pinned to one thread before
-the first conv module runs. A conv call over several batch chunks runs one
-job per chunk on the workers when each holds _JOB_MACS of GEMM work; a
-call over one chunk, or over chunks of less work, runs in turn on the
-caller: a single-patch predict was no faster with its one chunk split
-over two threads, the idle pool thread being slow to start, and
-whole-chunk jobs of the stem and the 2D conv were slower on two threads
-than on one. So that an eval forward reaches the workers too, BatchNorm
-reads its conv source _WORKERS chunks per call (one with one worker). No
-GEMM is split between jobs, so each output element is the same dot
-product summed in the same order at any worker count; the weight
-gradient's per-chunk parts and BatchNorm's float64 channel sums are added
-in chunk order. Outputs are bit-identical at any worker count. Each
+The conv loops and every BatchNorm pass run their jobs on a pool of one
+thread per usable core (_map; Smith et al., IPDPS 2014). A conv call over
+several batch chunks runs one job per chunk when each holds _JOB_MACS of
+GEMM work, and otherwise runs its chunks in turn; a BatchNorm pass runs
+one job per batch chunk, and a job over a conv source runs its chunk's
+conv inline, as a map nested in a worker does, so in eval every conv
+reaches the workers. No GEMM is split between jobs, so each output element
+is the same dot product summed in the same order at any worker count; the
+weight gradient's per-chunk parts and BatchNorm's float64 channel sums are
+added in chunk order. Outputs are bit-identical at any worker count. Each
 running job works in scratch made before the loop's first job, its
-outputs included, so a loop's memory depends neither on how its jobs
+outputs included (a BatchNorm job over a source makes its own once its
+chunk is regenerated), so a loop's memory depends neither on how its jobs
 interleave nor on the batch. A conv job writes its chunk's output only
 once every earlier chunk's input has been read: the input gradient may be
 written over the front of its own g.
 
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
-that computes the conv over a batch slice. In an eval forward with no
-active tape the conv records nothing and builds no output: the op reads
-_WORKERS conv chunks at a time from the source while they are in cache,
-so neither full output is built. Training, and eval under a tape, record
-the conv once over the whole batch. Either way BatchNorm, the activation and the mean have one
-implementation each: the BatchNorm op pools its activation a chunk at a
-time when given the axes.
+that computes the conv over a batch slice, its weights lowered once. In
+an eval forward with no active tape the conv records nothing and builds no
+output: each of the op's jobs reads its chunk from the source and
+normalizes it while it is in cache. Training, and eval under a tape,
+record the conv once over the whole batch. Either way BatchNorm, the
+activation and the mean have one implementation each: the BatchNorm op
+pools its activation a chunk at a time when given the axes.
 
 Training holds one full-size gradient per activation where it can: the
 BatchNorm op's backward writes over its upstream gradient, or with pool
@@ -181,10 +175,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # and each CFG32 cross-attention one query block. A conv gathers a chunk's
 # columns of one transform a block of output rows at a time within the
 # budget too (_blocks): the spectral conv's 1.49 MB per sample in two
-# blocks. A BatchNorm pass over x runs its chunks on the workers, as a conv
-# runs its chunks, with scratch for one chunk per worker. An eval pass over
-# a conv source reads _WORKERS chunks per call, one per worker, so its conv
-# output and BatchNorm temporaries are _WORKERS chunks long.
+# blocks. Every BatchNorm pass runs one job per chunk, so its temporaries
+# and its conv source's output are one chunk per worker.
 _CHUNK_BYTES = 1e6
 
 
@@ -205,7 +197,7 @@ def _chunks(n: int, item_bytes: float) -> list[slice]:
 # tuned once: freed memory stays in the heap (trainer.keep_freed_memory), and
 # with more than one worker OpenBLAS is pinned to one thread, so each
 # worker's GEMM runs on one core rather than on all, and a conv run on the
-# caller (the stem) runs its GEMMs on one thread too. _WORKERS counts the
+# caller runs its GEMMs on one thread too. _WORKERS counts the
 # cores this process may run on (all of them where the platform cannot say).
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -243,9 +235,10 @@ def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = Fal
     would wait on the workers it occupies), the jobs run in turn on the
     caller.
 
-    `scratch` makes one job's working buffers. On the pool, a set is made
-    for each worker before any job runs, and each job borrows a set that no
-    running job holds: the map's memory is then the same however its jobs
+    `scratch` makes one job's working buffers, or returns None for jobs
+    that make their own as they go. On the pool, a set is made for each
+    worker before any job runs, and each job borrows a set that no running
+    job holds: the map's memory is then the same however its jobs
     interleave. The sets are freed when the map ends. Inline, fn gets None
     and makes its own temporaries as it goes, as the jobs run in turn."""
     jobs = list(jobs)
@@ -373,9 +366,18 @@ def _blocks(n: int, item_bytes: float) -> list[slice]:
     return [slice(n * i // q, n * (i + 1) // q) for i in range(q)]
 
 
-def _terms(matrix: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Per row, the (column, coefficient) of each nonzero entry."""
-    return [[(j, coef) for j, coef in enumerate(row) if coef] for row in matrix.tolist()]
+def _lowering(m: int):
+    """(G, alpha, inputs, products, scaled, summed) of F(m, k): the terms,
+    (index, coefficient) of each nonzero entry, of each row of Bᵀ and each
+    column of Aᵀ, and whether a term is scaled by other than ±1
+    (_add_scaled's temporary) and a product is more than an output's whole
+    term (its buffer). F(1, 1) has neither: those buffers are empty."""
+    bt, g, at = _TRANSFORMS[m]
+    inputs, products = ([[(j, coef) for j, coef in enumerate(row) if coef]
+                         for row in matrix.tolist()] for matrix in (bt, at.T))
+    scaled = any(abs(coef) != 1 for terms in inputs + products for _, coef in terms)
+    summed = any(len(terms) > 1 or terms[0][1] != 1 for terms in products)
+    return g, len(bt), inputs, products, scaled, summed
 
 
 def _tap_weights(wd: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -453,21 +455,20 @@ def _combine(terms, arrays, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, u: np.ndarray | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
     bd [O], one job per batch chunk, written into `out` when given, else
     into a new [B,O,*S] array. `out` may lie over xd (the input gradient's,
     over g) as long as each chunk's output ends before the next chunk's
     input starts: a job writes its chunk once every earlier chunk's input
-    has been read."""
+    has been read. `u`, when given, is _tap_weights of the geometry's wd and
+    G, lowered once by a caller that runs the conv over many batch slices."""
     o = wd.shape[0]
     out = np.empty((xd.shape[0], o) + xd.shape[2:], dtype=xd.dtype) if out is None else out
     xd, wd, k, parts, parallel, m = _conv_geometry(xd, wd)
     spatial, c, pad = xd.shape[2:], xd.shape[1], (k - 1) // 2
-    bt, g, at = _TRANSFORMS[m]
-    alpha = len(bt)
-    inputs, products = _terms(bt), _terms(at.T)
-    u = _tap_weights(wd, g)
+    g, alpha, inputs, products, scaled, summed = _lowering(m)
+    u = _tap_weights(wd, g) if u is None else u
     outs = out.reshape(out.shape[:2] + spatial)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
     t = -(-spatial[-1] // m)
@@ -481,9 +482,9 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
     def scratch():  # a chunk's windows and a temporary; one transform
         # padded, a block's columns and product, and the outputs
         return [np.empty(size, dtype=xd.dtype) for size in (
-            alpha * window, max(window, o * block),
+            alpha * window, scaled * max(window, o * block),
             c * n * prod(e + 2 * pad for e in spatial[:-1]) * t,
-            u.shape[2] * block, o * block, m * o * n * spatial[0] * row)]
+            u.shape[2] * block, summed * o * block, m * o * n * spatial[0] * row)]
 
     def chunk(p, buffers):
         part = parts[p]
@@ -544,9 +545,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     xv, wv, k, parts, parallel, m = _conv_geometry(xd, wd)
     spatial, pad = xv.shape[2:], (k - 1) // 2
     gv = g.reshape(g.shape[:2] + spatial)
-    bt, gt, at = _TRANSFORMS[m]
-    alpha = len(bt)
-    inputs, outputs = _terms(bt), _terms(at.T)
+    gt, alpha, inputs, outputs, scaled, summed = _lowering(m)
     c, o, kl = xd.shape[1], wd.shape[0], wv.shape[-1]
     rows = c * k ** (len(spatial) - 1)
     t = -(-spatial[-1] // m)
@@ -557,11 +556,11 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     gu_t = np.zeros((alpha, rows, o), dtype=wd.dtype)
     added = [threading.Event() for _ in parts]  # set once a chunk's part is added
 
-    def scratch():  # a chunk's windows, one transform of the m phases of g
-        # and a temporary; one transform padded, a block's columns, the
-        # phases, and the chunk's part of the gradient
+    def scratch():  # a chunk's windows, a sum of g's phases, a temporary; one
+        # transform padded, a block's columns, the phases and the chunk's part
         return [np.empty(size, dtype=xd.dtype) for size in (
-            alpha * c * ncols, o * ncols, max(c * ncols, o * ncols, rows * o),
+            alpha * c * ncols, summed * o * ncols,
+            max(scaled * max(c, o) * ncols, (len(blocks) > 1) * rows * o),
             c * n * t * prod(e + 2 * pad for e in spatial[:-1]),
             rows * n * max(r.stop - r.start for r in blocks) * row, m * o * ncols,
             alpha * rows * o)]
@@ -655,11 +654,10 @@ class _Conv(Module):
         given: its output, or with `pool` that output's mean over the pool
         axes. In an eval forward with no active tape nothing is recorded:
         bn reads the conv from `regenerate`, the checked conv over a batch
-        slice of _WORKERS of its chunks, one per worker, and
-        gets a zero-stride stand-in for the whole output. Otherwise the conv
-        is recorded over the whole batch, and when x takes no gradient (the
-        stem's patches) bn's backward regenerates the output, which is freed
-        once bn's forward returns."""
+        slice, one chunk per bn job, and gets a zero-stride stand-in for the
+        whole output. Otherwise the conv is recorded over the whole batch,
+        and when x takes no gradient (the stem's patches) bn's backward
+        regenerates the output, which is freed once bn's forward returns."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
@@ -669,17 +667,22 @@ class _Conv(Module):
         if bn is None:
             return _conv_op(self.op, x, self.weight, self.bias)
         xd, wd, bd = x.data, self.weight.data, self.bias.data
+        if training or active_tape() is not None:
+            y = _conv_op(self.op, x, self.weight, self.bias)
+            if x.requires_grad:
+                return bn(y, training, pool)
+        else:
+            y = Tensor(np.broadcast_to(xd.dtype.type(0),
+                                       (len(xd), self.out_channels) + xd.shape[2:]))
+        _, wv, *_, m = _conv_geometry(xd, wd)
+        u = _tap_weights(wv, _TRANSFORMS[m][1])  # lowered once for all of bn's jobs
 
         def regenerate(part):
-            y = _conv_forward(xd[part], wd, bd)
+            y = _conv_forward(xd[part], wd, bd, u=u)
             _ensure_finite(y, self.op, (x, self.weight, self.bias))
             return y
 
-        if not training and active_tape() is None:
-            shape = (len(xd), self.out_channels) + xd.shape[2:]
-            return bn(Tensor(np.broadcast_to(xd.dtype.type(0), shape)), False, pool, regenerate)
-        y = _conv_op(self.op, x, self.weight, self.bias)
-        return bn(y, training, pool, None if x.requires_grad else regenerate)
+        return bn(y, training, pool, regenerate)
 
 
 class Conv2D(_Conv):
@@ -721,12 +724,10 @@ class BatchNorm(Module):
     Besides its output, the forward allocates only batch-chunk
     temporaries, each chunk about _CHUNK_BYTES of input (at least one
     sample): the training variance sums squares of the centred input in
-    float64, and the map, activation and pool run a chunk at a time. A pass
-    over x runs its chunks on the workers (_map), in scratch of one or two
-    chunks per worker, and adds its sums in chunk order; a pass over a
-    source runs in turn on the caller, a chunk per source call in backward
-    and, in eval mode, _WORKERS chunks per call and per temporary, so that
-    the source (the conv) can run them on the workers. The op
+    float64, and the map, activation and pool run a chunk at a time. Every
+    pass runs one job per chunk on the workers (_map), adds its sums in
+    chunk order, and works in scratch of one or two chunks per worker, made
+    before a pass over x and by each job of a pass over the source. The op
     retains its pre-normalization input x and per-channel vectors. Given a
     `source`, a function of a batch slice that returns x.data[slice] anew
     (in _Conv, the conv itself), it retains the source instead of x, and
@@ -773,14 +774,12 @@ class BatchNorm(Module):
         spare = xd if source is None and x.cell is not None else None
         chunk_size = xd[:1].size * max((p.stop - p.start for p in chunks), default=0)
 
-        def each(fn, buffers: int, from_source: bool = source is not None, parts=chunks):
-            # fn over `parts`, the chunks unless grouped, with `buffers`
-            # chunk-sized scratch arrays: a pass over x runs on the workers;
-            # one over the source runs in turn and makes its temporaries once
-            # each part is regenerated, when the source call, which maps its
-            # own chunks, has freed its own
-            return _map(fn, parts, lambda: [np.empty(chunk_size, dtype) for _ in range(buffers)],
-                        inline=from_source)
+        def each(fn, buffers: int, from_source: bool = source is not None):
+            # fn over the chunks, one job each, with `buffers` chunk-sized
+            # arrays made before a pass over x; over the source, a job makes
+            # its own (None)
+            return _map(fn, chunks, lambda: None if from_source else
+                        [np.empty(chunk_size, dtype) for _ in range(buffers)])
 
         def tmp(buffers, i, shape):  # scratch i in `shape`, or None: a new array
             return None if buffers is None else _front(buffers[i], shape)
@@ -812,7 +811,7 @@ class BatchNorm(Module):
         def normalize(part, buffers):
             xp = xd[part] if training else rows(part)
             z = np.multiply(xp, scale, out=tmp(buffers, 0, xp.shape) if pooled else out[part])
-            del xp  # a regenerated chunk is freed before the next is built
+            del xp  # a regenerated chunk is freed before the sigmoid is made
             z += shift
             if activation == "relu":
                 np.maximum(z, 0.0, out=z)
@@ -821,13 +820,8 @@ class BatchNorm(Module):
             if pooled:
                 out[part] = z.mean(axis=pool)
 
-        # an eval pass over a source reads _WORKERS chunks per source call,
-        # so the conv has a chunk per worker to run on the workers
-        reading = source is not None and not training
-        step = _WORKERS if reading else 1
-        groups = [slice(chunks[i].start, chunks[min(i + step, len(chunks)) - 1].stop)
-                  for i in range(0, len(chunks), step)]
-        deque(each(normalize, pooled + (activation == "silu"), reading, groups), maxlen=0)
+        regenerated = source is not None and not training
+        deque(each(normalize, pooled + (activation == "silu"), regenerated), maxlen=0)
         # both checked before the running estimates move: a rejected batch
         # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
@@ -903,8 +897,11 @@ class LayerNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"layernorm expects last extent {self.dim}, got {x.shape}")
-        mu = x.data.mean(axis=-1, keepdims=True)
-        var = x.data.var(axis=-1, keepdims=True)
+        # finite x can overflow var, which would give an output of beta alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = x.data.mean(axis=-1, keepdims=True)
+            var = x.data.var(axis=-1, keepdims=True)
+        _ensure_finite(var, "layernorm", (x, self.gamma, self.beta))
         inv = 1.0 / np.sqrt(var + NORM_EPS)
         xhat = (x.data - mu) * inv
         out = self.gamma.data * xhat + self.beta.data

@@ -205,10 +205,11 @@ class TestEvalStream:
         # CFG32 at batch 16: the full projector held its [16,64,9,9,32]
         # output beside its input, the stem's output (10.6 MB each, 23.1 MB
         # peak); the pooled one never builds it, and the peak is the
-        # spectral stream's: the stem's output plus a source call of two
-        # one-sample conv chunks, one per worker, and their BatchNorm
-        # temporaries (21.56 MB; 17.11 MB at one worker, where a call reads
-        # one chunk)
+        # spectral stream's: the stem's output plus two of the spectral
+        # BatchNorm's jobs, one per worker, each holding one one-sample
+        # conv chunk and its temporaries, beside the conv weights lowered
+        # once for both (21.56 MB; 17.11 MB at one worker, where one job
+        # runs at a time)
         workers(2)
         model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
         patches = rand_patches(16, model.config)
@@ -222,12 +223,12 @@ class TestEvalStream:
         assert peak < 2 * stem_bytes + 1e6, peak / 1e6
 
     def test_depth2_eval_forward_memory_is_bounded(self, workers):
-        # CFG64 block2 at batch 16 peaked at 41.92 MB when every source call
-        # read one chunk. A source call of W chunks adds at most W - 1 more
-        # samples of block2's spectral conv output and of its BatchNorm's
+        # CFG64 block2 at batch 16 peaked at 41.92 MB when one source job
+        # ran at a time. Each further worker's job adds at most one more
+        # sample of block2's spectral conv output and of its BatchNorm's
         # two temporaries (the pooled activation and the sigmoid), 1.24 MB
         # each, so 45.65 MB at two workers; 43.44-44.06 MB was measured.
-        # The tile outputs queued ahead depend on timing, so this bounds the
+        # How the two jobs overlap depends on timing, so this bounds the
         # peak rather than pinning it.
         workers(2)
         model = PatchClassifier(ModelConfig(num_classes=4, depth=2), np.random.default_rng(0))
@@ -246,9 +247,8 @@ class TestEvalStream:
     def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking, workers,
                                                     monkeypatch):
         # one sample per chunk: every conv->BatchNorm pair calls BatchNorm's
-        # eval op once, which reads the conv's output from its source
-        # _WORKERS chunks at a time, the remainder last, and nothing is
-        # recorded
+        # eval op once, which reads the conv's output from its source one
+        # chunk per read at any worker count, and nothing is recorded
         calls, reads, nodes = [], [], []
         bn_call = nn.BatchNorm.__call__
 
@@ -264,64 +264,48 @@ class TestEvalStream:
         monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
         monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
         model = PatchClassifier(config, np.random.default_rng(0))
-        for count, sizes in ((1, [1] * 5), (2, [2, 2, 1])):
+        for count in (1, 2):
             workers(count)
             calls.clear()
             reads.clear()
             model(Tensor(rand_patches(5, config)))
-            assert calls == [False] * pairs and reads == sizes * pairs and not nodes, count
+            assert calls == [False] * pairs and reads == [1] * 5 * pairs and not nodes, count
 
-    @pytest.mark.parametrize("config, tiled", [
-        (ModelConfig(num_classes=4), ["block1.spectral_bn"]),
-        (ModelConfig(num_classes=4, depth=2), ["block1.spectral_bn", "mid_bn",
-                                                "block2.spectral_bn"]),
+    @pytest.mark.parametrize("config, streamed", [
+        (ModelConfig(num_classes=4), ["stem_bn", "block1.spatial_bn", "block1.spectral_bn"]),
+        (ModelConfig(num_classes=4, depth=2), ["stem_bn", "block1.spatial_bn",
+                                                "block1.spectral_bn", "mid_bn",
+                                                "block2.spatial_bn", "block2.spectral_bn"]),
     ], ids=["depth1", "depth2"])
-    def test_eval_conv_tiles_run_on_the_workers(self, config, tiled, workers, monkeypatch):
-        # under the module's own budgets, each source call of a spectral conv
-        # (and of the mid conv) reads two one-sample chunks at two workers,
-        # and the conv runs them off the caller; at one worker every job
-        # runs on the caller. The tiny configs' chunks fall below
-        # _JOB_MACS, so these are the published widths
+    def test_eval_conv_tiles_run_on_the_workers(self, config, streamed, chunking, workers,
+                                                monkeypatch):
+        # one sample per chunk at the published widths: at two workers
+        # every source read of every conv->BatchNorm pair, the conv chunk
+        # with its BatchNorm, runs off the caller, and at one worker every
+        # read runs on the caller
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         names = {id(m): path.rstrip(".") for path, m in model.named_modules()}
         patches = rand_patches(4, config)
-        reads, current = [], []  # per source call: (BatchNorm path, threads of its jobs)
-        bn_call, map_call = nn.BatchNorm.__call__, nn._map
+        reads = []  # per source read: (BatchNorm path, thread)
+        bn_call = nn.BatchNorm.__call__
 
         def bn_spy(bn, x, training, pool=None, source=None):
             def read(part):
-                reads.append((names[id(bn)], []))
-                current.append(reads[-1][1])
-                try:
-                    return source(part)
-                finally:
-                    current.pop()
+                reads.append((names[id(bn)], threading.get_ident()))
+                return source(part)
 
             return bn_call(bn, x, training, pool, read)
 
-        def map_spy(fn, jobs, scratch=None, inline=False):
-            threads = current[-1] if current else []
-
-            def run(job, *buffers):
-                threads.append(threading.get_ident())
-                return fn(job, *buffers)
-
-            return map_call(run, jobs, scratch, inline)
-
         monkeypatch.setattr(nn.BatchNorm, "__call__", bn_spy)
-        monkeypatch.setattr(nn, "_map", map_spy)
         caller = threading.get_ident()
         logits = {}
         for count in (1, 2):
             workers(count)
             reads.clear()
             logits[count] = model(Tensor(patches)).data
-            off_caller = [(path, sum(t != caller for t in threads)) for path, threads in reads]
-            if count == 1:
-                assert all(n == 0 for _, n in off_caller), off_caller
-            else:
-                runs = [n for path, n in off_caller if path in tiled]
-                assert len(runs) == 2 * len(tiled) and min(runs) >= 2, off_caller
+            assert sorted({path for path, _ in reads}) == sorted(streamed), reads
+            assert len(reads) == 4 * len(streamed), reads
+            assert all((thread != caller) == (count == 2) for _, thread in reads), (count, reads)
         assert np.array_equal(logits[1], logits[2])
 
 
@@ -508,6 +492,23 @@ def _training_step_state(config, patches):
                              np.arange(patches.shape[0]) % config.num_classes)
     tape.backward(loss)
     return [p.grad for p in model.parameters()] + [b for _, b in model.named_buffers()]
+
+
+@pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
+def test_training_step_is_bit_identical_at_any_worker_count(config, chunking, workers,
+                                                            monkeypatch):
+    # one sample per chunk and every conv chunk a job: the conv loops' jobs
+    # and every BatchNorm pass, the stem BN's regenerating backward passes
+    # included, run at 1, 2 and 4 workers
+    monkeypatch.setattr(nn, "_JOB_MACS", 0)
+    patches = Tensor(rand_patches(5, config))
+    states = {}
+    for count in (1, 2, 4):
+        workers(count)
+        states[count] = _training_step_state(config, patches)
+    for count in (2, 4):
+        assert len(states[count]) == len(states[1])
+        assert all(np.array_equal(a, b) for a, b in zip(states[1], states[count])), count
 
 
 @pytest.mark.parametrize("chunking", CHUNKINGS, indirect=True)

@@ -1,12 +1,17 @@
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralca import cli, nn
 from spectralca.classifier import ModelConfig, PatchClassifier, read_checkpoint, save_checkpoint
@@ -368,3 +373,78 @@ def test_gradcheck_passes_every_module(capsys):
         "tensor_ops", "nn_ops", "attention", "block_tiny", "classifier_tiny",
         "classifier_tiny_d2"]
     assert all(line.endswith(" ok") for line in lines)
+
+
+# the scene the property test corrupts: `gen --seed 3`, 8x8x4, two classes
+SCENE = {"height": 8, "width": 8, "bands": 4}
+
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory):
+    """A generated scene, a one-epoch TINY_RECIPE config and the checkpoint
+    it trains, in one directory that the property test also works in."""
+    root = tmp_path_factory.mktemp("corruptible")
+    assert main(["gen", "--seed", "3", *(f"--{k}={v}" for k, v in SCENE.items()),
+                 "--classes", "2", "--out", str(root / "scene")]) == 0
+    (root / "config.json").write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": 1}}))
+    assert main(["train", "--data", str(root / "scene"), "--config",
+                 str(root / "config.json"), "--out", str(root / "run")]) == 0
+    return root
+
+
+@st.composite
+def scene_corruptions(draw):
+    """(file, its bytes -> the corrupted bytes): one change to the scene."""
+    values = SCENE["height"] * SCENE["width"] * SCENE["bands"]
+    kind = draw(st.sampled_from(["extreme", "non-finite", "truncated", "header", "label"]))
+    if kind == "truncated":
+        size = draw(st.integers(0, 4 * values - 1))
+        return "cube.raw", lambda raw: raw[:size]
+    if kind == "header":
+        key = draw(st.sampled_from(sorted(SCENE)))
+        value = draw(st.integers(-2 ** 63, 2 ** 63).filter(lambda v: v != SCENE[key]))
+        line = f"{key} = {SCENE[key]}\n".encode()
+        return "cube.hdr", lambda text: text.replace(line, f"{key} = {value}\n".encode())
+    if kind == "label":
+        i = draw(st.integers(0, SCENE["height"] * SCENE["width"] - 1))
+        label = draw(st.integers(3, 2 ** 16 - 1)).to_bytes(2, "little")
+        return "labels.raw", lambda raw: raw[:2 * i] + label + raw[2 * i + 2:]
+    i = draw(st.integers(0, values - 1))
+    if kind == "extreme":
+        value = draw(st.floats(2.0 ** 50, float(np.finfo(np.float32).max), width=32))
+        value *= draw(st.sampled_from([1, -1]))
+    else:
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    entry = np.array(value, "<f4").tobytes()
+    return "cube.raw", lambda raw: raw[:4 * i] + entry + raw[4 * i + 4:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruption=scene_corruptions(), command=st.sampled_from(["train", "eval"]))
+def test_corrupted_scene_runs_or_is_one_err_line(corruptible, corruption, command):
+    # one extreme or non-finite cube value, a truncated cube, an
+    # out-of-range header dimension or a label past the scene's two
+    # classes: train and eval either succeed with finite metrics or print
+    # one ERR: line and nothing else
+    name, corrupt = corruption
+    scene, outs = corruptible / "corrupted", corruptible / "out"
+    for path in (scene, outs):
+        shutil.rmtree(path, ignore_errors=True)
+    out = outs / {"train": "run", "eval": "report.json"}[command]
+    outs.mkdir()
+    shutil.copytree(corruptible / "scene", scene)
+    (scene / name).write_bytes(corrupt((scene / name).read_bytes()))
+    argv = {"train": ["train", "--config", str(corruptible / "config.json")],
+            "eval": ["eval", "--model", str(corruptible / "run" / "checkpoint.bin")]}[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = main(argv + ["--data", str(scene), "--out", str(out)])
+    lines = stderr.getvalue().splitlines()
+    if status != 0:
+        assert status == 1 and stdout.getvalue() == "", status
+        assert len(lines) == 1 and lines[0].startswith("ERR:"), lines
+        return
+    assert lines == []
+    metrics = ([json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+               if command == "train" else [json.loads(out.read_text())])
+    assert metrics and all(np.isfinite(v).all() for m in metrics for v in m.values()), metrics

@@ -886,6 +886,13 @@ class TestLayerNorm:
         b = ln(Tensor(x + 13.5)).data
         np.testing.assert_allclose(a, b, atol=1e-5)
 
+    def test_overflowing_variance_is_an_error_not_beta(self):
+        # finite float32 tokens whose squares overflow: an infinite variance
+        # would scale every token to 0 and return beta with no error
+        ln = LayerNorm(2)
+        with pytest.raises(NonFiniteError, match="by layernorm"):
+            ln(Tensor(np.array([[-3e19, 3e19]], dtype=np.float32)))
+
 
 class TestSilu:
     def test_zero_fixed_point(self):
