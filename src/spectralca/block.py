@@ -167,8 +167,11 @@ class SpectralCABlock(Module):
     def spatial_path(self, x: Tensor, training: bool) -> Tensor:
         """Band-mean -> Conv2D -> BN -> SiLU -> H*W tokens -> LayerNorm."""
         _check_input(x, self.config.channels)
-        b, _, hh, ww, _ = x.shape
-        flat = T.mean_axis(x, 4)  # [B,C,H,W]
+        return self._spatial_tokens(T.mean_axis(x, 4), training)
+
+    def _spatial_tokens(self, flat: Tensor, training: bool) -> Tensor:
+        """The spatial path after its band-mean flat [B,C,H,W]."""
+        b, _, hh, ww = flat.shape
         feat = self.spatial_conv(flat, self.spatial_bn, training)
         tokens = T.transpose(T.reshape(feat, (b, self.config.dim, hh * ww)), (0, 2, 1))
         return self.spatial_token_norm(tokens)  # [B, H*W, d]
@@ -192,12 +195,16 @@ class SpectralCABlock(Module):
         its mean over H, W and D, [B,C], from StreamProjector.pooled, which
         never builds the cube. The pool form also records the mean of x."""
         rate = self.config.dropout_rate
-        # spatial_path checks the input shape before any work is done
-        spatial = self.spatial_path(x, training)
-        # backward replays newest first, so the spectral conv's gradient is
-        # the first to reach x and is adopted; this mean's and the spatial
-        # path's band-mean's broadcast gradients then add into it in place
-        x_mean = T.mean_axis(x, (2, 3, 4)) if pool else None
+        _check_input(x, self.config.channels)  # before any work is done
+        flat = T.mean_axis(x, 4)  # the spatial path's band-mean, [B,C,H,W]
+        spatial = self._spatial_tokens(flat, training)
+        # x's mean over H, W and D is flat's over H and W, which reads and
+        # backpropagates 1/D of x's bytes. Backward replays newest first, so
+        # the spectral conv's gradient is the first to reach x and is
+        # adopted; the band-mean's broadcast gradient, which carries this
+        # mean's, then adds into it in place
+        x_mean = T.mean_axis(flat, (2, 3)) if pool else None
+        del flat  # an eval forward holds it nowhere else
         spectral = self.spectral_path(x, training)
         att1, att2 = self.cross(spatial, spectral)
 

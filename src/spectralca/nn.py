@@ -20,14 +20,17 @@ time, so its temporaries are chunk-sized. Convolutions are same-padded
 cross-correlations (no kernel flip), stride 1, lowered by im2col with a
 Winograd last axis: per batch chunk, F(m, k) (Lavin & Gray,
 arXiv:1509.09308) turns windows of m + k - 1 inputs of the last axis into
-as many transforms, whose columns over the taps of the other axes are
-gathered and multiplied one at a time: F(4, 3) where those columns have
-_WINOGRAD_K rows (the spectral and mid convs), halving the GEMMs' work on
-32 bands, and elsewhere F(1, 1) over a trailing unit axis, the direct
-correlation as one transform whose columns hold every tap. Backward keeps
-nothing of the forward but its input: the weight gradient gathers the
-columns again, chunk by chunk, and the input gradient is the same lowering
-applied with the flipped kernel.
+as many transforms, Bᵀ applied as one matmul per row of the first spatial
+axis. Then, one block of output rows at a time, each transform's columns
+over the taps of the other axes are gathered and multiplied into stacked
+products, and Aᵀ, one more matmul, turns those into the block's outputs.
+F(4, 3) runs where those columns have _WINOGRAD_K rows (the spectral and
+mid convs), halving the GEMMs' work on 32 bands, and elsewhere F(1, 1) over
+a trailing unit axis, the direct correlation as one transform whose
+columns hold every tap. Backward keeps nothing of the forward but its
+input: the weight gradient makes the transforms and gathers the columns
+again, chunk by chunk, and the input gradient is the same lowering applied
+with the flipped kernel.
 
 The conv loops and every BatchNorm pass run their jobs on a pool of one
 thread per usable core (_map; Smith et al., IPDPS 2014). A conv call over
@@ -36,15 +39,15 @@ GEMM work, and otherwise runs its chunks in turn; a BatchNorm pass runs
 one job per batch chunk, and a job over a conv source runs its chunk's
 conv inline, as a map nested in a worker does, so in eval every conv
 reaches the workers. No GEMM is split between jobs, so each output element
-is the same dot product summed in the same order at any worker count; the
-weight gradient's per-chunk parts and BatchNorm's float64 channel sums are
-added in chunk order. Outputs are bit-identical at any worker count. Each
-running job works in scratch made before the loop's first job, its
-outputs included (a BatchNorm job over a source makes its own once its
-chunk is regenerated), so a loop's memory depends neither on how its jobs
-interleave nor on the batch. A conv job writes its chunk's output only
-once every earlier chunk's input has been read: the input gradient may be
-written over the front of its own g.
+is the same dot product summed in the same order at any worker count; a
+conv's per-chunk weight and bias gradients and BatchNorm's float64 channel
+sums are added in chunk order. Outputs are bit-identical at any worker
+count. Each running job works in scratch made before the loop's first
+job, its outputs included (a BatchNorm job over a source makes its own
+once its chunk is regenerated), so a loop's memory depends neither on how
+its jobs interleave nor on the batch. A conv job writes its chunk's output
+only once every earlier chunk's input has been read: the input gradient
+may be written over the front of its own g.
 
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
@@ -282,27 +285,37 @@ def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = Fal
 # arXiv:1509.09308). The columns gather every tap over the leading spatial
 # axes. Along the last axis the k taps are the minimal filtering algorithm
 # F(m, k), which gives m outputs of a k-tap correlation from a window d of
-# alpha = m + k - 1 inputs as Aᵀ[(G w) ⊙ (Bᵀ d)]: the input is cut into
-# windows m apart, Bᵀ turns them into alpha transforms, and the columns of
-# each transform are gathered and multiplied by its weights G w, one
-# transform at a time; Aᵀ adds the alpha products into the m outputs. The
-# GEMMs' N is alpha * ceil(D/m) per row of the last axis. The direct
-# correlation is F(1, 1) over a trailing unit axis of the input and the
-# kernel: Bᵀ = G = Aᵀ = [[1]], every spatial axis is a leading one, and the
-# one transform's columns hold all k^d taps. Column rows are ordered
-# tap-major (row = leading_tap * C + c) and the weights are permuted to
-# match.
+# alpha = m + k - 1 inputs as Aᵀ[(G w) ⊙ (Bᵀ d)]. The GEMMs' N is alpha *
+# ceil(D/m) per row of the last axis. The direct correlation is F(1, 1)
+# over a trailing unit axis of the input and the kernel: Bᵀ = G = Aᵀ =
+# [[1]], every spatial axis is a leading one, and the one transform's
+# columns hold all k^d taps. Column rows are ordered tap-major (row =
+# leading_tap * C + c) and the weights are permuted to match.
 #
-# The weight gradient takes the output gradient back through Aᵀ and
-# multiplies it by each transform's columns, gathered again rather than kept
-# from forward (202 MB for the spectral conv at batch 32 before F(4, 3);
-# forward plus backward took 1.31-1.40 s kept and 1.24-1.45 s re-gathered,
-# 2-core Xeon, one thread); Gᵀ is applied once, to the sum over the chunks.
-# Both directions gather a transform's columns a block of output rows at a
-# time (_blocks), and the weight gradient adds its blocks' products in
-# block order. The transforms of the input, the products and the output
-# gradient are elementwise sums in a fixed order, so no element depends on
-# how the batch is cut.
+# Each transform is a small matrix product (Jia et al., PPoPP 2018). A job
+# first makes its chunk's transforms (_transforms), laid out with the first
+# spatial axis outermost and zero-padded, [S0 + 2 pad, alpha, C, n, ...]:
+# the windows of a block of rows at a time, m apart along the last axis, and
+# then Bᵀ as one matmul per row, all alpha transforms at once. It then runs
+# one pipeline per block of output rows (_blocks): each transform's columns
+# over the block's rows and halo are gathered (_gather, one strided copy)
+# and its GEMM writes into the block's stacked [alpha, O, block] products;
+# Aᵀ is one matmul over those, and the block's [m, O, block] outputs go
+# straight into its rows of the output. F(1, 1) runs the same loop, its Bᵀ
+# and Aᵀ, [[1]], skipped: its windows are its transforms, its products its
+# outputs (_apply). In a one-sample spectral forward, one thread, the
+# windows and transforms took 0.57 ms in place; one matmul per transform
+# and block, which reads every window alpha times and makes the halo rows
+# again, 1.18 ms; elementwise sums over the rows of Bᵀ, 1.39 ms.
+#
+# The weight gradient runs transform by transform over the same transforms
+# of a chunk: the product gradient is one matmul by a column of Aᵀ over the
+# output gradient's m phases, and it multiplies each block's columns,
+# gathered again rather than kept from forward (202 MB for the spectral
+# conv at batch 32 before F(4, 3); forward plus backward took 1.31-1.40 s
+# kept and 1.24-1.45 s re-gathered, 2-core Xeon, one thread). The blocks'
+# parts are added in block order, and Gᵀ is applied once, to the sum over
+# the chunks. No element depends on how the batch is cut.
 #
 # F(4, 3) runs where the columns over the leading taps have at least
 # _WINOGRAD_K rows (the GEMMs' K). Over fewer rows the GEMMs are cheap and
@@ -358,26 +371,12 @@ def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
 
 def _blocks(n: int, item_bytes: float) -> list[slice]:
     """range(n) in the fewest near-equal slices whose items, of item_bytes
-    each, fit _CHUNK_BYTES, down to one item each. A conv gathers one
-    transform's columns a block of output rows of the first axis at a time,
-    in the forward and the weight gradient alike. Only a one-sample chunk
-    has more than one block, since a chunk of several fits the budget."""
+    each, fit _CHUNK_BYTES, down to one item each. A conv runs its pipeline
+    a block of output rows of the first axis at a time, an item being a
+    row's columns and stacked products, in the forward and the weight
+    gradient alike."""
     q = min(n, max(1, -(-int(n * item_bytes) // int(_CHUNK_BYTES))))
     return [slice(n * i // q, n * (i + 1) // q) for i in range(q)]
-
-
-def _lowering(m: int):
-    """(G, alpha, inputs, products, scaled, summed) of F(m, k): the terms,
-    (index, coefficient) of each nonzero entry, of each row of Bᵀ and each
-    column of Aᵀ, and whether a term is scaled by other than ±1
-    (_add_scaled's temporary) and a product is more than an output's whole
-    term (its buffer). F(1, 1) has neither: those buffers are empty."""
-    bt, g, at = _TRANSFORMS[m]
-    inputs, products = ([[(j, coef) for j, coef in enumerate(row) if coef]
-                         for row in matrix.tolist()] for matrix in (bt, at.T))
-    scaled = any(abs(coef) != 1 for terms in inputs + products for _, coef in terms)
-    summed = any(len(terms) > 1 or terms[0][1] != 1 for terms in products)
-    return g, len(bt), inputs, products, scaled, summed
 
 
 def _tap_weights(wd: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -394,139 +393,126 @@ def _front(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[:prod(shape)].reshape(shape)
 
 
-def _windows(x_chunk: np.ndarray, m: int, alpha: int, pad: int, buffer: np.ndarray) -> np.ndarray:
-    """Inputs 0 to alpha-1 of every window of x_chunk [n,C,*S], [alpha, C,
-    n, *S[:-1], ceil(S[-1]/m)] in the front of `buffer`: input nu of window
-    t is the input at m*t + nu - pad along the last axis, zero outside it."""
+def _transforms(x_chunk: np.ndarray, m: int, bt: np.ndarray, pad: int, groups,
+                buffer: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Bᵀ of every window of x_chunk [n,C,*S]: [S[0] + 2 pad, alpha, C, n,
+    *(S[1:-1] + 2 pad), ceil(S[-1]/m)] in the front of `buffer`, zero in the
+    `pad` entries at each end of the spatial axes but the last. Input nu of
+    window t is the input at m*t + nu - (alpha-m)/2 along the last axis,
+    zero outside it. The windows of each group of rows of the first axis
+    are made in the front of `spare`, then transformed by one matmul per
+    row; F(1, 1)'s, whose Bᵀ is [[1]], are made in place."""
     n, c, *spatial = x_chunk.shape
-    d, t = spatial[-1], -(-spatial[-1] // m)
-    xw = _front(buffer, (alpha, c, n, *spatial[:-1], t))
-    for nu, out in enumerate(xw):
-        t0, t1 = max(0, -(-(pad - nu) // m)), min(t, -(-(d + pad - nu) // m))
-        out[..., :t0] = out[..., t1:] = 0
-        out[..., t0:t1] = np.swapaxes(x_chunk[..., m * t0 + nu - pad::m][..., :t1 - t0], 0, 1)
-    return xw
-
-
-def _padded(shape, pad: int, buffer: np.ndarray):
-    """(v, inside): zeros of `shape` with the axes between the first two and
-    the last padded by `pad`, in the front of `buffer`, and the view of v
-    inside the padding."""
-    v = _front(buffer, (*shape[:2], *(e + 2 * pad for e in shape[2:-1]), shape[-1]))
-    v.fill(0)
-    return v, v[(slice(None),) * 2 + tuple(slice(pad, pad + e) for e in shape[2:-1])]
+    alpha = len(bt)
+    d, t, shift = spatial[-1], -(-spatial[-1] // m), (alpha - m) // 2
+    shape = (alpha, c, n, *(e + 2 * pad for e in spatial[1:-1]), t)
+    xt = _front(buffer, (spatial[0] + 2 * pad,) + shape)
+    xt[:pad] = xt[pad + spatial[0]:] = 0
+    source = np.swapaxes(x_chunk, 0, 2)  # [S0, C, n, *S[1:]]
+    for r in groups:
+        rows = xt[r.start + pad:r.stop + pad]
+        windows = rows if alpha == 1 else _front(spare, rows.shape)
+        for axis in range(4, windows.ndim - 1):
+            windows[(slice(None),) * axis + (slice(0, pad),)] = 0
+            windows[(slice(None),) * axis + (slice(windows.shape[axis] - pad, None),)] = 0
+        inside = windows[(slice(None),) * 4 + tuple(slice(pad, pad + e) for e in spatial[1:-1])]
+        for nu in range(alpha):
+            t0, t1 = max(0, -(-(shift - nu) // m)), min(t, -(-(d + shift - nu) // m))
+            out = inside[:, nu]
+            out[..., :t0] = out[..., t1:] = 0
+            out[..., t0:t1] = source[r, ..., m * t0 + nu - shift::m][..., :t1 - t0]
+        if alpha > 1:
+            np.matmul(bt, windows.reshape(len(rows), alpha, -1),
+                      out=rows.reshape(len(rows), alpha, -1))
+    return xt
 
 
 def _gather(v: np.ndarray, k: int, buffer: np.ndarray):
-    """(cols, copy) for v [C, n, *(lead + k-1), L]: cols [k^len(lead) * C,
-    n * prod(lead) * L] in the front of `buffer`, and a function that
-    copies into it, in one call, every tap over the leading axes, each with
-    the last axis whole, from a strided view of v that holds each tap's
-    window."""
-    c, n, *extents, last = v.shape
-    lead = tuple(e - (k - 1) for e in extents)
-    steps = v.strides[2:-1]
+    """(cols, copy) for transforms v [lead[0] + k-1, alpha, C, n, *(lead[1:]
+    + k-1), L]: cols [k^len(lead) * C, lead[0] * n * prod(lead[1:]) * L] in
+    the front of `buffer`, and a function that copies into it, in one call,
+    every tap of transform xi over the leading axes, each with the last
+    axis whole, from a strided view of v that holds each tap's window."""
+    first, alpha, c, n, *extents, last = v.shape
+    lead = tuple(e - (k - 1) for e in (first, *extents))
+    steps = v.strides[:1] + v.strides[4:-1]
     taps = np.lib.stride_tricks.as_strided(
-        v, (k,) * len(lead) + (c, n) + lead + (last,),
-        steps + v.strides[:2] + steps + v.strides[-1:], writeable=False)
+        v, (alpha,) + (k,) * len(lead) + (c, n) + lead + (last,),
+        v.strides[1:2] + steps + v.strides[2:4] + steps + v.strides[-1:], writeable=False)
     cols = _front(buffer, (k ** len(lead) * c, n * prod(lead) * last))
-    dest = cols.reshape(taps.shape)
-    return cols, lambda: np.copyto(dest, taps)
+    dest = cols.reshape(taps.shape[1:])
+    return cols, lambda xi: np.copyto(dest, taps[xi])
 
 
-def _add_scaled(acc: np.ndarray, a: np.ndarray, coef: float, tmp: np.ndarray):
-    """acc += coef * a; a coefficient other than 1 and -1 multiplies a into
-    the front of the flat buffer tmp first."""
-    if coef == 1:
-        acc += a
-    elif coef == -1:
-        acc -= a
-    else:
-        acc += np.multiply(a, coef, out=_front(tmp, a.shape))
-
-
-def _combine(terms, arrays, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The sum of coef * arrays[j] over `terms`, (j, coef) pairs, added in
-    order into `out`, which is returned; tmp is _add_scaled's."""
-    np.multiply(arrays[terms[0][0]], terms[0][1], out=out)
-    for j, coef in terms[1:]:
-        _add_scaled(out, arrays[j], coef, tmp)
-    return out
+def _apply(matrix: np.ndarray, stacked: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """matrix [r, a] @ stacked [a, N], [r, N] in the front of `buffer`; or
+    stacked itself when matrix is 1x1: F(1, 1)'s Aᵀ is [[1]], and its
+    product would only copy the products, one more pass over the output
+    (0.66 MB a sample of the stem)."""
+    if matrix.size == 1:
+        return stacked
+    return np.matmul(matrix, stacked, out=_front(buffer, (len(matrix), stacked.shape[1])))
 
 
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
                   out: np.ndarray | None = None, u: np.ndarray | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
     bd [O], one job per batch chunk, written into `out` when given, else
-    into a new [B,O,*S] array. `out` may lie over xd (the input gradient's,
-    over g) as long as each chunk's output ends before the next chunk's
-    input starts: a job writes its chunk once every earlier chunk's input
-    has been read. `u`, when given, is _tap_weights of the geometry's wd and
-    G, lowered once by a caller that runs the conv over many batch slices."""
+    into a new [B,O,*S] array. A job makes its chunk's transforms, then runs
+    the lowering one block of output rows at a time, writing each block's
+    outputs into `out` as soon as they are made. `out` may lie over xd (the
+    input gradient's, over g) as long as each chunk's output ends before
+    the next chunk's input starts: a job writes its first block once every
+    earlier chunk's transforms are made. `u`, when given, is _tap_weights of
+    the geometry's wd and G, lowered once by a caller that runs the conv
+    over many batch slices."""
     o = wd.shape[0]
     out = np.empty((xd.shape[0], o) + xd.shape[2:], dtype=xd.dtype) if out is None else out
     xd, wd, k, parts, parallel, m = _conv_geometry(xd, wd)
     spatial, c, pad = xd.shape[2:], xd.shape[1], (k - 1) // 2
-    g, alpha, inputs, products, scaled, summed = _lowering(m)
+    bt, g, at = (a.astype(xd.dtype) for a in _TRANSFORMS[m])
+    alpha = len(bt)
     u = _tap_weights(wd, g) if u is None else u
     outs = out.reshape(out.shape[:2] + spatial)
     bias = bd.reshape((1, o) + (1,) * len(spatial))
     t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
     row = prod(spatial[1:-1]) * t  # columns per sample and row of the first axis
-    blocks = _blocks(spatial[0], u.shape[2] * n * row * xd.itemsize)
-    block = n * max(r.stop - r.start for r in blocks) * row
-    window = c * n * spatial[0] * row
+    padded = c * n * prod(e + 2 * pad for e in spatial[1:-1]) * t  # a transform's row
+    blocks = _blocks(spatial[0], (u.shape[2] + alpha * o) * n * row * xd.itemsize)
+    most = max(r.stop - r.start for r in blocks)
+    block = n * most * row
     read = [threading.Event() for _ in parts]  # set once a chunk's input is read
 
-    def scratch():  # a chunk's windows and a temporary; one transform
-        # padded, a block's columns and product, and the outputs
+    def scratch():  # a chunk's transforms; a block's columns (or, while
+        # the transforms are made, its windows), stacked products and outputs
         return [np.empty(size, dtype=xd.dtype) for size in (
-            alpha * window, scaled * max(window, o * block),
-            c * n * prod(e + 2 * pad for e in spatial[:-1]) * t,
-            u.shape[2] * block, summed * o * block, m * o * n * spatial[0] * row)]
+            (spatial[0] + 2 * pad) * alpha * padded,
+            max(u.shape[2] * block, (alpha > 1) * most * alpha * padded),
+            alpha * o * block, (alpha > 1) * m * o * block)]
 
     def chunk(p, buffers):
         part = parts[p]
         size = part.stop - part.start
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
-            v, inside = _padded((c, size) + spatial[:-1] + (t,), pad, buffers[2])
-            y = _front(buffers[5], (m, o, size * spatial[0] * row))
-            # per block of rows: its columns, their gather and its span of
-            # the chunk's columns (with several blocks, the chunk is one sample)
-            gathers = [(*_gather(v[:, :, r.start:r.stop + 2 * pad], k, buffers[3]),
-                        slice(r.start * size * row, r.stop * size * row)) for r in blocks]
-            written = set()
-            xw = _windows(xd[part], m, alpha, (alpha - m) // 2, buffers[0])
-            for xi in range(alpha):
-                _combine(inputs[xi], xw, inside, buffers[1])
-                terms = products[xi]
-                # a product that is all of an output's first term is made there
-                into = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
-                into = None if into in written else into
-                for cols, copy, span in gathers:
-                    copy()
-                    yb = y[:, :, span]
-                    if into is not None:
-                        np.matmul(u[xi], cols, out=yb[into])
-                        continue
-                    product_ = np.matmul(u[xi], cols, out=_front(buffers[4], yb.shape[1:]))
-                    for i, coef in terms:
-                        if i in written:
-                            _add_scaled(yb[i], product_, coef, buffers[1])
-                        else:
-                            np.multiply(product_, coef, out=yb[i])
-                written.update(i for i, _ in terms)
+            xt = _transforms(xd[part], m, bt, pad, blocks, buffers[0], buffers[1])
         finally:
             read[p].set()
         for earlier in read[:p]:
             earlier.wait()
-        y = y.reshape((m, o, size) + spatial[:-1] + (t,))
-        dest = outs[part]
-        for i in range(m):  # output i of window t lies at m*t + i
-            dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
-        dest += bias
+        for r in blocks:
+            cols, copy = _gather(xt[r.start:r.stop + 2 * pad], k, buffers[1])
+            products = _front(buffers[2], (alpha, o, cols.shape[1]))
+            for xi in range(alpha):
+                copy(xi)
+                np.matmul(u[xi], cols, out=products[xi])
+            y = _apply(at, products.reshape(alpha, -1), buffers[3])
+            y = y.reshape((m, o, size, r.stop - r.start) + spatial[1:-1] + (t,))
+            dest = outs[part][:, :, r]
+            for i in range(m):  # output i of window t lies at m*t + i
+                dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
+            dest += bias
 
     deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
     return out
@@ -535,85 +521,90 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
                    need_gx: bool = True):
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
-    and bias. The weight gradient re-gathers the columns, one job per batch
-    chunk, and each job adds its chunk's part once the previous chunk's is
-    added; the input gradient is the forward with the flipped,
-    channel-swapped kernel. With C <= O and a C-contiguous, writeable g, it
-    is written over the front of g's buffer once the others are taken: each
-    chunk's rows end before the next chunk's g starts.
+    and bias, one job per batch chunk. A job runs the weight gradient's
+    transforms in turn over its chunk, gathering the columns again a block
+    of rows at a time, and sums its chunk's bias gradient; it adds both
+    once the previous chunk's are added. The input gradient is the forward
+    with the flipped, channel-swapped kernel. With C <= O and a
+    C-contiguous, writeable g, it is written over the front of g's buffer
+    once the others are taken: each chunk's rows end before the next
+    chunk's g starts.
     """
     xv, wv, k, parts, parallel, m = _conv_geometry(xd, wd)
     spatial, pad = xv.shape[2:], (k - 1) // 2
     gv = g.reshape(g.shape[:2] + spatial)
-    gt, alpha, inputs, outputs, scaled, summed = _lowering(m)
+    bt, gt, at = (a.astype(xd.dtype) for a in _TRANSFORMS[m])
+    alpha = len(bt)
     c, o, kl = xd.shape[1], wd.shape[0], wv.shape[-1]
     rows = c * k ** (len(spatial) - 1)
     t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
     row = prod(spatial[1:-1]) * t
+    padded = c * n * prod(e + 2 * pad for e in spatial[1:-1]) * t
     ncols = n * spatial[0] * row
-    blocks = _blocks(spatial[0], rows * n * row * xd.itemsize)  # as the forward's
+    blocks = _blocks(spatial[0], (rows + alpha * o) * n * row * xd.itemsize)  # the forward's
+    most = max(r.stop - r.start for r in blocks)
     gu_t = np.zeros((alpha, rows, o), dtype=wd.dtype)
+    gb = np.zeros(o)
     added = [threading.Event() for _ in parts]  # set once a chunk's part is added
 
-    def scratch():  # a chunk's windows, a sum of g's phases, a temporary; one
-        # transform padded, a block's columns, the phases and the chunk's part
+    def scratch():  # as the forward's, a chunk's transforms and a block's
+        # columns or windows; g's phases and a product gradient; the chunk's
+        # part and a block's
         return [np.empty(size, dtype=xd.dtype) for size in (
-            alpha * c * ncols, summed * o * ncols,
-            max(scaled * max(c, o) * ncols, (len(blocks) > 1) * rows * o),
-            c * n * t * prod(e + 2 * pad for e in spatial[:-1]),
-            rows * n * max(r.stop - r.start for r in blocks) * row, m * o * ncols,
-            alpha * rows * o)]
+            (spatial[0] + 2 * pad) * alpha * padded,
+            max(rows * n * most * row, (alpha > 1) * most * alpha * padded),
+            m * o * ncols, (alpha > 1) * o * ncols, alpha * rows * o,
+            (len(blocks) > 1) * rows * o)]
 
     def chunk(p, buffers):
         part = parts[p]
         size = part.stop - part.start
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
-            v, inside = _padded((c, size) + spatial[:-1] + (t,), pad, buffers[3])
-            gathers = [(*_gather(v[:, :, r.start:r.stop + 2 * pad], k, buffers[4]),
-                        slice(r.start * size * row, r.stop * size * row)) for r in blocks]
-            xw = _windows(xv[part], m, alpha, (alpha - m) // 2, buffers[0])
-            # phase i of window t of g is its output at m*t + i, zero past the end
-            gy = _windows(gv[part], m, m, 0, buffers[5])
+            xt = _transforms(xv[part], m, bt, pad, blocks, buffers[0], buffers[1])
+            gathers = [(r, *_gather(xt[r.start:r.stop + 2 * pad], k, buffers[1]))
+                       for r in blocks]
+            phases = _front(buffers[2], (m, o, size) + spatial[:-1] + (t,))
+            for i, phase in enumerate(phases):  # phase i of window t is g at m*t + i
+                count = len(range(i, spatial[-1], m))
+                phase[..., :count] = np.swapaxes(gv[part][..., i::m], 0, 1)
+                phase[..., count:] = 0
             # per-transform gradients, the GEMM's output [rows, O] or [O, rows],
             # whichever has more rows: [rows, O] ran faster for the spectral
             # conv (576 rows, O = 96), [O, rows] for the stem (27 rows, O = 64)
-            gu = _front(buffers[6], (alpha, rows, o))
+            gu = _front(buffers[4], (alpha, rows, o))
             for xi in range(alpha):
-                # as in the forward; each product's gradient is a sum over
-                # the phases, or a phase itself when it is one taken once
-                _combine(inputs[xi], xw, inside, buffers[2])
-                terms = outputs[xi]
-                gm = gy[terms[0][0]] if len(terms) == 1 and terms[0][1] == 1 else _combine(
-                    terms, gy, _front(buffers[1], gy.shape[1:]), buffers[2])
-                gm = gm.reshape(o, -1)
-                for b, (cols, copy, span) in enumerate(gathers):
-                    copy()  # the blocks' parts are added in block order
-                    part_gu = _front(buffers[2], (rows, o)) if b else gu[xi]
+                gm = _apply(at[:, xi:xi + 1].T, phases.reshape(m, -1), buffers[3])
+                gm = gm.reshape(o, size, spatial[0], -1)
+                for b, (r, cols, copy) in enumerate(gathers):
+                    copy(xi)  # the blocks' parts are added in block order
+                    gm_r = gm[:, :, r].reshape(o, -1)
+                    part_gu = _front(buffers[5], (rows, o)) if b else gu[xi]
                     if rows >= o:
-                        np.matmul(cols, gm[:, span].T, out=part_gu)
+                        np.matmul(cols, gm_r.T, out=part_gu)
                     else:
-                        part_gu[...] = (gm[:, span] @ cols.T).T
+                        part_gu[...] = (gm_r @ cols.T).T
                     if b:
                         gu[xi] += part_gu
+            sums = _channel_sums(g[part])
             if p:
                 added[p - 1].wait()
             gu_t[...] += gu
+            gb[...] += sums
         finally:
             added[p].set()
 
     deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
-    gw_t = np.matmul(gt.T.astype(wd.dtype), gu_t.reshape(alpha, -1)).reshape(kl, -1, c, o)
+    gw_t = np.matmul(gt.T, gu_t.reshape(alpha, -1)).reshape(kl, -1, c, o)
     gw = gw_t.transpose(3, 2, 1, 0).reshape(wd.shape)
-    gb = g.sum(axis=(0,) + tuple(range(2, g.ndim)))
     gx = None
     if need_gx:
         flipped = np.flip(wd, axis=tuple(range(2, wd.ndim))).swapaxes(0, 1)
         in_place = c <= o and g.flags.c_contiguous and g.flags.writeable
         out = g.reshape(-1)[:xd.size].reshape(xd.shape) if in_place else None
         gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype), out)
-    return gx, gw, gb
+    return gx, gw, gb.astype(g.dtype)
 
 
 def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:

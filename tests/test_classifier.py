@@ -428,9 +428,10 @@ def test_training_step_backward_holds_one_full_size_gradient(chunking, monkeypat
              if peak - peak_small >= sample_bytes}
     assert not grown, grown
     # the spectral BN pools its own output: the only recorded means are the
-    # block input's, its band-mean and the residual's mean
+    # block input's band-mean and, for the residual, that band-mean's mean
+    # over H and W (replayed newest first)
     means = [shape for op, shape, _ in large if op == "mean_axis"]
-    assert means == [(4, 64, 9, 9, 32)] * 2, means
+    assert means == [(4, 64, 9, 9), (4, 64, 9, 9, 32)], means
 
 
 def test_training_step_skips_the_patches_gradient(monkeypatch):

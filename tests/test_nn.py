@@ -265,6 +265,24 @@ def test_winograd_last_axis_matches_bruteforce(m, extent, chunking, workers, mon
 
 
 @pytest.mark.parametrize("m", [1, 4])
+def test_transforms_give_the_correlation_and_its_weight_gradient(m):
+    # the lowering's matrices are BLAS operands, applied by matmul: in
+    # float64, Aᵀ[(G w) ⊙ (Bᵀ d)] is the k-tap correlation of each window d
+    # of m + k - 1 inputs with w, and its weight gradient for an output
+    # gradient y is Gᵀ[(Bᵀ d) ⊙ (A y)], the rule _conv_backward applies (A y
+    # from the phases, Gᵀ to the sum over the chunks)
+    bt, g, at = nn._TRANSFORMS[m]
+    alpha, k = g.shape
+    assert bt.shape == (alpha, alpha) and at.shape == (m, alpha) and alpha == m + k - 1
+    rng = np.random.default_rng(97)
+    d, w, y = (rng.standard_normal((50, e)) for e in (alpha, k, m))
+    direct = np.stack([(d[:, i:i + k] * w).sum(axis=1) for i in range(m)], axis=1)
+    np.testing.assert_allclose(((w @ g.T) * (d @ bt.T)) @ at.T, direct, rtol=0, atol=1e-12)
+    gw = np.stack([(y * d[:, j:j + m]).sum(axis=1) for j in range(k)], axis=1)
+    np.testing.assert_allclose(((d @ bt.T) * (y @ at)) @ g, gw, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 4])
 def test_conv_jobs_on_many_workers_with_fast_switches_match_one_worker(m, workers,
                                                                        monkeypatch):
     # more workers than cores, switching every microsecond, one sample per
@@ -451,13 +469,13 @@ def test_conv_transient_memory_does_not_grow_with_batch(workers):
 def test_spectral_conv_gathers_one_transform_of_columns_at_a_time():
     # one sample of the block's spectral conv, on the caller: its F(4, 3)
     # columns are 1.49 MB per transform, gathered one transform and one of
-    # two blocks of output rows at a time. Beside its output the forward
-    # holds the transformed weights (1.33 MB), the windows (1.0 MB), a
-    # transform (0.25 MB), a block's columns (0.83 MB) and product, a
-    # temporary and the outputs before they are written (4.8 MB in all);
-    # the direct correlation's columns took 6.3 MB (9.13 MB at batch 2,
-    # 8.13 MB at batch 1), and a second transform's columns in flight
-    # would add 1.49 MB
+    # three blocks of output rows at a time. Beside its output the forward
+    # holds the transformed weights (1.33 MB), the chunk's padded
+    # transforms (1.49 MB), a block's columns (0.50 MB, where its windows,
+    # 0.41 MB, are made first), stacked products (0.50 MB) and outputs
+    # (0.33 MB): 4.2 MB in all; the direct correlation's columns took
+    # 6.3 MB (9.13 MB at batch 2, 8.13 MB at batch 1), and a second
+    # transform's columns in flight would add 1.49 MB
     rng = np.random.default_rng(89)
     x = rng.standard_normal((1, 64, 9, 9, 32)).astype(np.float32)
     w = (0.01 * rng.standard_normal((96, 64, 3, 3, 3))).astype(np.float32)
@@ -573,7 +591,7 @@ def test_conv_frees_each_chunk_before_gathering_the_next(direction, chunking, wo
     # a 3x3x3 conv at batch 2, one sample per chunk: a chunk's columns over
     # all 27 taps are 9.0 MB, as are the input gradient pass's; each chunk
     # gathers them a block of output rows (1.0 MB) at a time, and two
-    # workers hold one chunk's scratch each (5.3 MB in all forward, 6.0 MB
+    # workers hold one chunk's scratch each (3.5 MB in all forward, 4.2 MB
     # backward)
     workers(2)
     rng = np.random.default_rng(88)
