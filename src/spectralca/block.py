@@ -132,7 +132,10 @@ class StreamProjector(Module):
         weight, bias = self.weight, self.bias
         w_s, w_p = self._split()
         s_mean, p_mean = spatial.data.mean(axis=1), spectral.data.mean(axis=1)  # [B,d]
-        out = x_mean.data + s_mean @ w_s.T + p_mean @ w_p.T + bias.data
+        # a matrix-vector product per sample, as in Linear: no row depends
+        # on the batch around it
+        out = (x_mean.data + (s_mean[:, None] @ w_s.T)[:, 0]
+               + (p_mean[:, None] @ w_p.T)[:, 0] + bias.data)
 
         def backward(g):
             gs = np.empty(s_shape, g.dtype)

@@ -9,6 +9,18 @@ inputs without building the [B,C,H,W,D] output, in training and in eval
 alike. A first block that feeds the mid convolution returns its full
 output.
 
+An eval forward with no active tape cuts a batch into chunks of the
+samples whose widest token activation, the last block's FFN hidden
+[H*W, 2*dim], fits nn's chunk budget (16 samples of CFG32 on 9x9 patches,
+12 of CFG64), and runs each chunk through the whole model as one job of
+nn's pool; inside a job every chunked loop runs in turn on its worker. The
+chunk size reads only the config and the batch, and no row of any product
+depends on the rows beside it (Linear and the pooled projector multiply
+each sample alone), so the logits are bit-identical at any worker count
+and to a whole-batch forward. Training and taped forwards run the whole
+batch at once: BatchNorm's batch statistics, dropout's draws and the tape
+never reach a worker.
+
 Checkpoint format (byte-exact):
   magic "SCK1" | u64 LE manifest byte length | manifest JSON (UTF-8,
   sorted keys) | blob of little-endian float32 values.
@@ -32,8 +44,8 @@ import numpy as np
 
 from . import tensor as T
 from .block import CFG32, CFG64, SpectralCABlock, SpectralCAConfig
-from .nn import BatchNorm, Conv3D, Linear, Module, softmax_inplace
-from .tensor import Tensor
+from .nn import BatchNorm, Conv3D, Linear, Module, _chunks, _map, softmax_inplace
+from .tensor import Tensor, active_tape
 
 
 class CheckpointError(ValueError):
@@ -122,6 +134,11 @@ class PatchClassifier(Module):
             pass
 
     def __call__(self, patches: Tensor, training: bool = False, rng=None) -> Tensor:
+        """Logits [B, num_classes] for patches [B,1,H,W,D]. An eval forward
+        with no active tape over more than one chunk (see the module
+        docstring) runs each chunk through the whole model as one pool job
+        and concatenates the chunks' logits in order; training and taped
+        forwards run the whole batch at once."""
         cfg = self.config
         expected = (1, cfg.patch_size, cfg.patch_size, cfg.bands)
         if patches.ndim != 5 or patches.shape[1:] != expected:
@@ -129,6 +146,19 @@ class PatchClassifier(Module):
                 f"expected patches [B,1,{cfg.patch_size},{cfg.patch_size},{cfg.bands}], "
                 f"got {patches.shape}"
             )
+        if not training and active_tape() is None:
+            last = cfg.block1 if cfg.depth == 1 else cfg.block2
+            data = patches.data
+            parts = _chunks(len(data), cfg.patch_size ** 2 * 2 * last.dim * data.itemsize)
+            if len(parts) > 1:
+                logits = _map(lambda part: self._forward(Tensor(data[part]), False, None).data,
+                              parts)
+                return Tensor(np.concatenate(list(logits)))
+            del parts  # not held through the forward
+        return self._forward(patches, training, rng)
+
+    def _forward(self, patches: Tensor, training: bool, rng) -> Tensor:
+        cfg = self.config
         x = self.stem(patches, self.stem_bn, training)
         # the last block returns its output's mean over H, W and D, [B, C]
         x = self.block1(x, training, rng, pool=cfg.depth == 1)
@@ -139,14 +169,15 @@ class PatchClassifier(Module):
 
     def predict_proba(self, patches: np.ndarray) -> np.ndarray:
         """Eval-mode class probabilities, [N, num_classes], rows sum to 1,
-        from one forward over the whole batch given; scene-sized input is
-        cut into batches by the caller, as `pseudo_label_select` does."""
+        from one eval forward over the batch given, which runs its chunks
+        on the pool; scene-sized input is cut into batches by the caller,
+        as `pseudo_label_select` does."""
         return softmax_inplace(self(Tensor(np.asarray(patches)), training=False).data)
 
     def predict(self, patches: np.ndarray) -> np.ndarray:
-        """Eval-mode argmax class indices (0-based), from one forward over
-        the whole batch given; send scene-sized input through
-        `trainer.predict_set`, which batches it."""
+        """Eval-mode argmax class indices (0-based), from one eval forward
+        over the batch given, which runs its chunks on the pool; send
+        scene-sized input through `trainer.predict_set`, which batches it."""
         return self(Tensor(np.asarray(patches)), training=False).data.argmax(axis=1)
 
 

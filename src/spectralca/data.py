@@ -23,6 +23,11 @@ class DataFormatError(ValueError):
     """Malformed header or inconsistent raw payload."""
 
 
+# the largest standardized value `split` accepts: its square is float32's
+# largest finite value
+_STANDARDIZED_BOUND = float(np.sqrt(np.finfo(np.float32).max))
+
+
 @dataclass
 class Hypercube:
     """H x W x D reflectance cube, band axis last, float32."""
@@ -315,9 +320,11 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     labeled entries partition into train/test/pool and the pool entries'
     labels are hidden (useful for self-training experiments on fully
     labeled scenes). All three outputs are standardized per band with the
-    mean and standard deviation of the train pixels alone; a band whose
-    statistics or standardized values overflow float32 raises
-    DataFormatError.
+    mean and standard deviation of the train pixels alone. A band whose
+    statistics overflow float32, or that holds a standardized value beyond
+    ±sqrt(float32 max), about ±1.84e19, raises DataFormatError naming it:
+    the square of such a value, which the model's variances take,
+    overflows float32.
     """
     if not 0.0 < train_fraction <= 1.0:
         raise ValueError(f"train fraction {train_fraction} outside (0, 1]")
@@ -359,15 +366,19 @@ def split(patchset: PatchSet, train_fraction: float, seed: int,
     train_pixels = core[patchset.coords[train_sel, 0], patchset.coords[train_sel, 1], :]
     # a finite cube can still overflow float32 here (a value of 3e38 squared
     # in the std, or divided by a small std); an overflow leaves an inf or
-    # NaN in a band's statistics or values, so each band is checked
+    # NaN in a band's statistics or values, so each band is checked, its
+    # values against the bound, which an inf or a NaN fails too
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_pixels.mean(axis=0)
         std = np.maximum(train_pixels.std(axis=0), 1e-8)
-        padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype)
-    finite = np.isfinite(mean) & np.isfinite(std) & np.isfinite(padded_norm).all(axis=(0, 1))
-    if not finite.all():
-        raise DataFormatError(f"band {np.flatnonzero(~finite)[0]} overflows float32 when "
-                              "standardized with the train pixels' mean and std")
+        padded_norm = ((patchset.padded - mean) / std).astype(patchset.padded.dtype,
+                                                               copy=False)
+        bounded = (np.abs(padded_norm) <= _STANDARDIZED_BOUND).all(axis=(0, 1))
+    valid = np.isfinite(mean) & np.isfinite(std) & bounded
+    if not valid.all():
+        raise DataFormatError(f"band {np.flatnonzero(~valid)[0]} overflows float32 or exceeds "
+                              f"±{_STANDARDIZED_BOUND:.3g} when standardized with the train "
+                              "pixels' mean and std")
 
     def build(sel: np.ndarray, hide_labels: bool = False) -> PatchSet:
         order = sel[np.argsort(sel)]  # raster-scan order

@@ -33,21 +33,23 @@ again, chunk by chunk, and the input gradient is the same lowering applied
 with the flipped kernel.
 
 The conv loops and every BatchNorm pass run their jobs on a pool of one
-thread per usable core (_map; Smith et al., IPDPS 2014). A conv call over
-several batch chunks runs one job per chunk when each holds _JOB_MACS of
-GEMM work, and otherwise runs its chunks in turn; a BatchNorm pass runs
-one job per batch chunk, and a job over a conv source runs its chunk's
-conv inline, as a map nested in a worker does, so in eval every conv
-reaches the workers. No GEMM is split between jobs, so each output element
-is the same dot product summed in the same order at any worker count; a
-conv's per-chunk weight and bias gradients and BatchNorm's float64 channel
-sums are added in chunk order. Outputs are bit-identical at any worker
-count. Each running job works in scratch made before the loop's first
-job, its outputs included (a BatchNorm job over a source makes its own
-once its chunk is regenerated), so a loop's memory depends neither on how
-its jobs interleave nor on the batch. A conv job writes its chunk's output
-only once every earlier chunk's input has been read: the input gradient
-may be written over the front of its own g.
+thread per usable core (_map; Smith et al., IPDPS 2014): a conv call over
+several batch chunks and every BatchNorm pass run one job per batch chunk.
+A map called from a worker runs its jobs in turn on that worker, so the
+outermost loop with enough work takes the pool: a BatchNorm job over a
+conv source runs its chunk's conv inline, and an eval forward of the
+classifier over several batch chunks runs each chunk through the whole
+model as one job (classifier.PatchClassifier), its convs, BatchNorms,
+attention, LayerNorms and head alike. No GEMM is split between jobs, so
+each output element is the same dot product summed in the same order at
+any worker count; a conv's per-chunk weight and bias gradients and
+BatchNorm's float64 channel sums are added in chunk order. Outputs are
+bit-identical at any worker count. Each running job works in scratch made
+before the loop's first job, its outputs included (a BatchNorm job over a
+source makes its own once its chunk is regenerated), so a loop's memory
+depends neither on how its jobs interleave nor on the batch. A conv job
+writes its chunk's output only once every earlier chunk's input has been
+read: the input gradient may be written over the front of its own g.
 
 A conv module called with the BatchNorm that follows it (and, for the
 spectral path, the axes to average over) hands the BatchNorm op a source
@@ -163,23 +165,27 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # (every tap over the leading axes, per input of the last axis padded: for
 # the direct correlation, its whole columns), BatchNorm's batch (training
 # variance, SiLU, backward) by one sample's input, attention's queries by
-# one query row's [B, 1, Nk] scores. The budget is sized to cache rather
-# than to a memory ceiling: a chunk is still cached when the next pass over
-# it reads it, and the temporaries stop growing with the batch. Each loop
-# was swept on its own (2-core Xeon, 2 MB L2 per core, one BLAS thread,
-# CFG32 on 9x9x32 patches) and 1e6 is at, or within noise of, the best
-# value for each: conv, 1e6 to 5e6 within noise of each other, eval
-# forward at batch 64 17% and a batch-32 training step 8% faster than 2e7;
-# BatchNorm, one sample per chunk ran the spectral backward in 81-114 ms
-# of a training step, two samples in 108-118 ms and the whole batch in
+# one query row's [B, 1, Nk] scores, and the classifier's eval batch by one
+# sample's widest token activation, the last block's FFN hidden. The budget
+# is sized to cache rather than to a memory ceiling: a chunk is still cached
+# when the next pass over it reads it, and the temporaries stop growing with
+# the batch. Each loop was swept on its own (2-core Xeon, 2 MB L2 per core,
+# one BLAS thread, CFG32 on 9x9x32 patches) and 1e6 is at, or within noise
+# of, the best value for each: conv, 1e6 to 5e6 within noise of each other,
+# eval forward at batch 64 17% and a batch-32 training step 8% faster than
+# 2e7; BatchNorm, one sample per chunk ran the spectral backward in 81-114
+# ms of a training step, two samples in 108-118 ms and the whole batch in
 # 139-198 ms; attention, the baseline's batch-2 eval forward within noise
-# from 1e6 to 1e7 and slower at 5e5 and 4e7. At 1e6 the stem, the spectral
-# conv and the spectral BN run one sample per chunk, the 2D conv 4 samples,
-# and each CFG32 cross-attention one query block. A conv gathers a chunk's
-# columns of one transform a block of output rows at a time within the
-# budget too (_blocks): the spectral conv's 1.49 MB per sample in two
-# blocks. Every BatchNorm pass runs one job per chunk, so its temporaries
-# and its conv source's output are one chunk per worker.
+# from 1e6 to 1e7 and slower at 5e5 and 4e7; the classifier's eval chunk, a
+# CFG32 batch-64 forward on two workers in 8, 16 (the budget's) and 32
+# samples per job, 348, 327 and 325 ms (medians of 6 processes of 15
+# forwards). At 1e6 the stem, the spectral conv and the spectral BN run one
+# sample per chunk, the 2D conv 4 samples, and each CFG32 cross-attention
+# one query block. A conv gathers a chunk's columns of one transform a block
+# of output rows at a time within the budget too (_blocks): the spectral
+# conv's 2.99 MB of columns and stacked products per sample in three blocks.
+# Every BatchNorm pass runs one job per chunk, so its temporaries and its
+# conv source's output are one chunk per worker.
 _CHUNK_BYTES = 1e6
 
 
@@ -230,13 +236,12 @@ def _executor() -> ThreadPoolExecutor:
     return _pool
 
 
-def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = False):
+def _map(fn: Callable, jobs, scratch: Callable | None = None):
     """fn(job), or with `scratch` fn(job, buffers), for each job, yielded in
     job order. At most _WORKERS jobs run at once and one more waits queued,
-    so no worker idles while the caller handles a result. When `inline`,
-    with one worker or one job, or when called from a worker (a nested map
-    would wait on the workers it occupies), the jobs run in turn on the
-    caller.
+    so no worker idles while the caller handles a result. With one worker
+    or one job, or when called from a worker (a nested map would wait on
+    the workers it occupies), the jobs run in turn on the caller.
 
     `scratch` makes one job's working buffers, or returns None for jobs
     that make their own as they go. On the pool, a set is made for each
@@ -245,7 +250,7 @@ def _map(fn: Callable, jobs, scratch: Callable | None = None, inline: bool = Fal
     interleave. The sets are freed when the map ends. Inline, fn gets None
     and makes its own temporaries as it goes, as the jobs run in turn."""
     jobs = list(jobs)
-    if inline or _WORKERS == 1 or len(jobs) < 2 or getattr(_in_worker, "active", False):
+    if _WORKERS == 1 or len(jobs) < 2 or getattr(_in_worker, "active", False):
         yield from (fn(job) if scratch is None else fn(job, None) for job in jobs)
         return
     run = fn
@@ -339,23 +344,23 @@ _TRANSFORMS = {1: (np.ones((1, 1)),) * 3, 4: (
               [0, 1, -1, 8, -8, 1]], float))}
 
 # A call over several batch chunks runs them on the workers, one job per
-# chunk, when each chunk's GEMMs hold _JOB_MACS multiply-adds or more: the
-# spectral and mid convs' one-sample chunks hold 2e8 and more, while
-# whole-chunk jobs of the stem (5e6) and the 2D conv (2e7) ran no faster on
-# two threads than on one. No GEMM is split between jobs, so each output
-# element is the same dot product summed in the same order at any worker
-# count.
-_JOB_MACS = 5e7
+# chunk. No GEMM is split between jobs, so each output element is the same
+# dot product summed in the same order at any worker count. Calls whose
+# chunks hold few multiply-adds gain too, batch 32 on 9x9x32 patches, in
+# turn against two workers (2-core Xeon, one BLAS thread, medians over 7
+# alternating processes of 15 calls each): the stem's forward (5e6 a
+# chunk) 10.9 -> 8.9 ms (faster in 5 of 7), its weight gradient 13.6 ->
+# 11.0 ms, the 2D conv's forward (2e7 a chunk) 4.9 -> 3.4 ms and its
+# backward 11.4 -> 8.6 ms (each faster in 7 of 7).
 
 
 def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
-    """(xd, wd, k, parts, parallel, m): m = 4, F(4, 3) along the last axis,
-    when k is 3 and the columns over the leading taps have _WINOGRAD_K rows
-    or more, else m = 1, F(1, 1) over a trailing unit axis added to the
+    """(xd, wd, k, parts, m): m = 4, F(4, 3) along the last axis, when k
+    is 3 and the columns over the leading taps have _WINOGRAD_K rows or
+    more, else m = 1, F(1, 1) over a trailing unit axis added to the
     returned xd and wd, so that every tap is a leading one; k, the kernel
-    over the leading axes; the batch slices, sized by one sample's columns
-    and accumulator per input of the last axis padded; and whether they run
-    on the workers."""
+    over the leading axes; and the batch slices, sized by one sample's
+    columns and accumulator per input of the last axis padded."""
     o, c, k = wd.shape[:3]
     m = 4 if k == 3 and c * k ** (wd.ndim - 3) >= _WINOGRAD_K else 1
     if m == 1:
@@ -364,9 +369,7 @@ def _conv_geometry(xd: np.ndarray, wd: np.ndarray):
     rows = c * k ** (len(spatial) - 1)
     lead = prod(spatial[:-1])
     parts = _chunks(xd.shape[0], (rows + o) * lead * (spatial[-1] + kl - 1) * xd.itemsize)
-    n = min((p.stop - p.start for p in parts), default=0)
-    macs = (m + kl - 1) * o * rows * n * lead * -(-spatial[-1] // m)
-    return xd, wd, k, parts, _WORKERS > 1 and len(parts) > 1 and macs >= _JOB_MACS, m
+    return xd, wd, k, parts, m
 
 
 def _blocks(n: int, item_bytes: float) -> list[slice]:
@@ -454,27 +457,27 @@ def _apply(matrix: np.ndarray, stacked: np.ndarray, buffer: np.ndarray) -> np.nd
     return np.matmul(matrix, stacked, out=_front(buffer, (len(matrix), stacked.shape[1])))
 
 
-def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
                   out: np.ndarray | None = None, u: np.ndarray | None = None) -> np.ndarray:
-    """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus
-    bd [O], one job per batch chunk, written into `out` when given, else
-    into a new [B,O,*S] array. A job makes its chunk's transforms, then runs
-    the lowering one block of output rows at a time, writing each block's
-    outputs into `out` as soon as they are made. `out` may lie over xd (the
-    input gradient's, over g) as long as each chunk's output ends before
-    the next chunk's input starts: a job writes its first block once every
-    earlier chunk's transforms are made. `u`, when given, is _tap_weights of
-    the geometry's wd and G, lowered once by a caller that runs the conv
-    over many batch slices."""
+    """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus bd
+    [O], or no bias when bd is None, one job per batch chunk, written into
+    `out` when given, else into a new [B,O,*S] array. A job makes its
+    chunk's transforms, then runs the lowering one block of output rows at a
+    time, writing each block's outputs into `out` as soon as they are made.
+    `out` may lie over xd (the input gradient's, over g) as long as each
+    chunk's output ends before the next chunk's input starts: a job writes
+    its first block once every earlier chunk's transforms are made. `u`,
+    when given, is _tap_weights of the geometry's wd and G, lowered once by
+    a caller that runs the conv over many batch slices."""
     o = wd.shape[0]
     out = np.empty((xd.shape[0], o) + xd.shape[2:], dtype=xd.dtype) if out is None else out
-    xd, wd, k, parts, parallel, m = _conv_geometry(xd, wd)
+    xd, wd, k, parts, m = _conv_geometry(xd, wd)
     spatial, c, pad = xd.shape[2:], xd.shape[1], (k - 1) // 2
     bt, g, at = (a.astype(xd.dtype) for a in _TRANSFORMS[m])
     alpha = len(bt)
     u = _tap_weights(wd, g) if u is None else u
     outs = out.reshape(out.shape[:2] + spatial)
-    bias = bd.reshape((1, o) + (1,) * len(spatial))
+    bias = None if bd is None else bd.reshape((1, o) + (1,) * len(spatial))
     t = -(-spatial[-1] // m)
     n = max((p.stop - p.start for p in parts), default=0)
     row = prod(spatial[1:-1]) * t  # columns per sample and row of the first axis
@@ -512,9 +515,10 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray,
             dest = outs[part][:, :, r]
             for i in range(m):  # output i of window t lies at m*t + i
                 dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
-            dest += bias
+            if bias is not None:
+                dest += bias
 
-    deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
+    deque(_map(chunk, range(len(parts)), scratch), maxlen=0)
     return out
 
 
@@ -530,7 +534,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
     once the others are taken: each chunk's rows end before the next
     chunk's g starts.
     """
-    xv, wv, k, parts, parallel, m = _conv_geometry(xd, wd)
+    xv, wv, k, parts, m = _conv_geometry(xd, wd)
     spatial, pad = xv.shape[2:], (k - 1) // 2
     gv = g.reshape(g.shape[:2] + spatial)
     bt, gt, at = (a.astype(xd.dtype) for a in _TRANSFORMS[m])
@@ -595,7 +599,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
         finally:
             added[p].set()
 
-    deque(_map(chunk, range(len(parts)), scratch, inline=not parallel), maxlen=0)
+    deque(_map(chunk, range(len(parts)), scratch), maxlen=0)
     gw_t = np.matmul(gt.T, gu_t.reshape(alpha, -1)).reshape(kl, -1, c, o)
     gw = gw_t.transpose(3, 2, 1, 0).reshape(wd.shape)
     gx = None
@@ -603,7 +607,7 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
         flipped = np.flip(wd, axis=tuple(range(2, wd.ndim))).swapaxes(0, 1)
         in_place = c <= o and g.flags.c_contiguous and g.flags.writeable
         out = g.reshape(-1)[:xd.size].reshape(xd.shape) if in_place else None
-        gx = _conv_forward(g, flipped, np.zeros(c, dtype=g.dtype), out)
+        gx = _conv_forward(g, flipped, None, out)
     return gx, gw, gb.astype(g.dtype)
 
 
@@ -926,9 +930,16 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ShapeError(f"linear expects last extent {self.in_features}, got {x.shape}")
-        out = x.data @ self.weight.data.T + self.bias.data
         xd, w, b = x.data, self.weight, self.bias
         k = self.in_features
+        # one product per sample, over a [B, N, k] input's [N, k] rows or a
+        # [B, k] input's one row (a matrix-vector product), so that a
+        # sample's output does not depend on the batch around it, as it
+        # would under BLAS's blocking of one [B, k] @ [k, out] product
+        if xd.ndim > 2:
+            out = xd @ w.data.T + b.data
+        else:
+            out = (xd[..., None, :] @ w.data.T)[..., 0, :] + b.data
 
         def backward(g):
             gx = g @ w.data

@@ -138,6 +138,20 @@ def test_non_finite_error_names_the_layer():
             assert str(exc.value) == f"non-finite values produced by {produced}", path
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_error_in_a_chunk_job_names_the_layer(chunking, workers):
+    # one sample per chunk on two workers: the eval forward runs each of
+    # the three samples as a job, and a job's error reaches the caller as
+    # the whole batch's does
+    workers(2)
+    for path, index, value, produced in NON_FINITE_CASES:
+        model = tiny_model()
+        reduce(getattr, path.split("."), model).data[index] = value
+        with pytest.raises(NonFiniteError) as exc:
+            model(Tensor(rand_patches(3)))
+        assert str(exc.value) == f"non-finite values produced by {produced}", path
+
+
 def _with_running_statistics(model, seed=3):
     """Random BatchNorm statistics and affine, and a random head, so that
     every eval-mode term is non-trivial."""
@@ -157,22 +171,42 @@ TINY_DEPTH2 = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=2, stem_ch
                           block2=SpectralCAConfig(channels=6, dim=8, heads=2, dropout_rate=0.0))
 
 
+def _one_model_chunk(monkeypatch):
+    """The model's eval forward runs its whole batch as one chunk, with no
+    chunk job, whatever nn._CHUNK_BYTES: under one sample per chunk every
+    conv->BatchNorm pair then streams several chunks of its source through
+    BatchNorm's own pool jobs."""
+    monkeypatch.setattr(classifier, "_chunks", lambda n, item_bytes: [slice(0, n)])
+
+
+@pytest.fixture
+def one_model_chunk(monkeypatch):
+    _one_model_chunk(monkeypatch)
+
+
 class TestEvalStream:
     @pytest.mark.parametrize("chunking", CHUNKINGS, ids=["budget", "one_sample_per_chunk"],
                              indirect=True)
     @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
-    def test_bit_identical_to_the_recorded_ops(self, config, chunking):
-        # the recorded eval path, taken under a tape, is the oracle
+    def test_bit_identical_to_the_recorded_ops(self, config, chunking, monkeypatch):
+        # the recorded eval path, taken under a tape, is the oracle of the
+        # stream over the whole batch as one model chunk and of the model's
+        # own chunking (one sample per chunk job under one_sample_per_chunk)
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         patches = rand_patches(5, config)
-        streamed = (model(Tensor(patches)).data, model.predict_proba(patches),
-                    model.predict(patches))
         with Tape() as tape:
             recorded = (model(Tensor(patches), training=False).data,
                         model.predict_proba(patches), model.predict(patches))
         assert {"conv3d", "batchnorm", "mean_axis"} <= {n.op for n in tape.nodes}
-        for a, b in zip(streamed, recorded):
-            assert np.array_equal(a, b)
+        chunked = (model(Tensor(patches)).data, model.predict_proba(patches),
+                   model.predict(patches))
+        with monkeypatch.context() as m:
+            _one_model_chunk(m)
+            whole = (model(Tensor(patches)).data, model.predict_proba(patches),
+                     model.predict(patches))
+        for streamed in (whole, chunked):
+            for a, b in zip(streamed, recorded):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
     def test_no_samples_give_no_logits(self, config):
@@ -222,7 +256,7 @@ class TestEvalStream:
             tracemalloc.stop()
         assert peak < 2 * stem_bytes + 1e6, peak / 1e6
 
-    def test_depth2_eval_forward_memory_is_bounded(self, workers):
+    def test_depth2_eval_forward_memory_is_bounded(self, workers, one_model_chunk):
         # CFG64 block2 at batch 16 peaked at 41.92 MB when one source job
         # ran at a time. Each further worker's job adds at most one more
         # sample of block2's spectral conv output and of its BatchNorm's
@@ -245,10 +279,11 @@ class TestEvalStream:
     @pytest.mark.parametrize("config, pairs", [(TINY_MODEL, 3), (TINY_DEPTH2, 6)],
                              ids=["depth1", "depth2"])
     def test_each_conv_chunk_goes_through_batchnorm(self, config, pairs, chunking, workers,
-                                                    monkeypatch):
-        # one sample per chunk: every conv->BatchNorm pair calls BatchNorm's
-        # eval op once, which reads the conv's output from its source one
-        # chunk per read at any worker count, and nothing is recorded
+                                                    one_model_chunk, monkeypatch):
+        # one sample per chunk in one model chunk: every conv->BatchNorm
+        # pair calls BatchNorm's eval op once, which reads the conv's output
+        # from its source one chunk per read at any worker count, and
+        # nothing is recorded
         calls, reads, nodes = [], [], []
         bn_call = nn.BatchNorm.__call__
 
@@ -278,11 +313,12 @@ class TestEvalStream:
                                                 "block2.spatial_bn", "block2.spectral_bn"]),
     ], ids=["depth1", "depth2"])
     def test_eval_conv_tiles_run_on_the_workers(self, config, streamed, chunking, workers,
-                                                monkeypatch):
-        # one sample per chunk at the published widths: at two workers
-        # every source read of every conv->BatchNorm pair, the conv chunk
-        # with its BatchNorm, runs off the caller, and at one worker every
-        # read runs on the caller
+                                                one_model_chunk, monkeypatch):
+        # one sample per chunk at the published widths, in one model chunk,
+        # so no chunk job runs the forward: at two workers every source read
+        # of every conv->BatchNorm pair, the conv chunk with its BatchNorm,
+        # runs off the caller in BatchNorm's own jobs, and at one worker
+        # every read runs on the caller
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         names = {id(m): path.rstrip(".") for path, m in model.named_modules()}
         patches = rand_patches(4, config)
@@ -308,6 +344,110 @@ class TestEvalStream:
             assert all((thread != caller) == (count == 2) for _, thread in reads), (count, reads)
         assert np.array_equal(logits[1], logits[2])
 
+
+# the published configs on 9x9x32 patches, and the samples per chunk of
+# their eval forwards: those whose last block's FFN hidden [81, 2 dim]
+# fits nn._CHUNK_BYTES
+EVAL_CHUNKS = pytest.mark.parametrize("config, size", [
+    (ModelConfig(num_classes=4), 16), (ModelConfig(num_classes=4, depth=2), 12),
+], ids=["depth1", "depth2"])
+
+
+class TestEvalChunks:
+    """An eval forward with no active tape over more than one chunk runs
+    each chunk through the whole model as one pool job; three samples more
+    than a chunk make two jobs."""
+
+    @EVAL_CHUNKS
+    def test_chunk_jobs_are_bit_identical_at_one_and_two_workers(self, config, size, workers,
+                                                                monkeypatch):
+        # at two workers every chunk's job runs off the caller, at one
+        # worker on it, and the logits do not move
+        model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+        patches = rand_patches(size + 3, config)
+        jobs = []  # per chunk job: (its samples, thread)
+        call = classifier._map
+
+        def spy(fn, parts):
+            def job(part):
+                jobs.append((part, threading.get_ident()))
+                return fn(part)
+
+            return call(job, parts)
+
+        monkeypatch.setattr(classifier, "_map", spy)
+        caller = threading.get_ident()
+        logits = {}
+        for count in (1, 2):
+            workers(count)
+            jobs.clear()
+            logits[count] = model(Tensor(patches)).data
+            assert [part for part, _ in jobs] == [slice(0, size), slice(size, size + 3)], jobs
+            assert all((thread != caller) == (count == 2) for _, thread in jobs), (count, jobs)
+        assert np.array_equal(logits[1], logits[2])
+
+    @EVAL_CHUNKS
+    def test_logits_are_the_chunks_forwards_concatenated(self, config, size):
+        # each chunk's forward on its own runs one chunk, with no job
+        model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+        patches = rand_patches(size + 3, config)
+        chunks = [model(Tensor(patches[:size])).data, model(Tensor(patches[size:])).data]
+        assert np.array_equal(model(Tensor(patches)).data, np.concatenate(chunks))
+
+    @EVAL_CHUNKS
+    def test_training_and_taped_forwards_run_the_whole_batch(self, config, size, workers,
+                                                             monkeypatch):
+        # no chunk job, and every BatchNorm is called once, over the whole
+        # batch: in training, the running statistics move once, by the
+        # whole batch's statistics
+        workers(2)
+        model = PatchClassifier(config, np.random.default_rng(0))
+        patches = Tensor(rand_patches(size + 3, config))
+        calls = []  # per BatchNorm call: (training, its input's batch)
+        bn_call = nn.BatchNorm.__call__
+
+        def spy(bn, x, training, pool=None, source=None):
+            calls.append((training, x.shape[0]))
+            return bn_call(bn, x, training, pool, source)
+
+        def no_jobs(fn, parts):
+            raise AssertionError(f"chunk jobs {parts}")
+
+        monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
+        monkeypatch.setattr(classifier, "_map", no_jobs)
+        norms = 1 + 2 * config.depth + (config.depth == 2)
+        stem = nn._conv_forward(patches.data, model.stem.weight.data, model.stem.bias.data)
+        model(patches, training=True, rng=np.random.default_rng(2))
+        assert calls == [(True, size + 3)] * norms, calls
+        m = nn.BN_MOMENTUM
+        np.testing.assert_allclose(model.stem_bn.running_mean,
+                                   m * stem.mean(axis=(0, 2, 3, 4)), rtol=1e-6, atol=0)
+        np.testing.assert_allclose(model.stem_bn.running_var,
+                                   (1 - m) + m * stem.var(axis=(0, 2, 3, 4)), rtol=1e-6, atol=0)
+        calls.clear()
+        with Tape():
+            model(patches, training=False)
+        assert calls == [(False, size + 3)] * norms, calls
+
+    def test_batch64_eval_peak_memory(self, workers):
+        # CFG32 at batch 64, four chunks of 16: each running job holds its
+        # chunk's stem output (10.6 MB) and the spectral stream of one
+        # one-sample conv chunk with its scratch, about 6 MB (16.61 MB
+        # measured at one worker). At two workers two jobs run at once
+        # (33.18 MB measured); the whole batch as one forward peaked at
+        # 58.07 MB at either count
+        model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
+        patches = rand_patches(64, model.config)
+        chunk_stem_bytes = 16 * 64 * 9 * 9 * 32 * 4
+        for count in (1, 2):
+            workers(count)
+            tracemalloc.start()
+            try:
+                model(Tensor(patches))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < count * (chunk_stem_bytes + 7e6), (count, peak / 1e6)
 
 def test_first_eval_forward_runs_every_batchnorm_on_one_blas_thread():
     # a fresh process with two workers forced and OpenBLAS at its default
@@ -496,12 +636,10 @@ def _training_step_state(config, patches):
 
 
 @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
-def test_training_step_is_bit_identical_at_any_worker_count(config, chunking, workers,
-                                                            monkeypatch):
+def test_training_step_is_bit_identical_at_any_worker_count(config, chunking, workers):
     # one sample per chunk and every conv chunk a job: the conv loops' jobs
     # and every BatchNorm pass, the stem BN's regenerating backward passes
     # included, run at 1, 2 and 4 workers
-    monkeypatch.setattr(nn, "_JOB_MACS", 0)
     patches = Tensor(rand_patches(5, config))
     states = {}
     for count in (1, 2, 4):

@@ -419,6 +419,27 @@ def scene_corruptions(draw):
     return "cube.raw", lambda raw: raw[:4 * i] + entry + raw[4 * i + 4:]
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_huge_standardized_test_pixel_is_one_data_format_line(corruptible, tmp_path, command):
+    # a finite cube value of 5.5e19 in a test pixel (entry 85: band 1 of
+    # pixel 21) standardizes beyond the bound whose square overflows
+    # float32: split names the band in one ERR:data-format: line, where the
+    # model would fail with a non-finite error naming neither band nor pixel
+    scene = tmp_path / "scene"
+    shutil.copytree(corruptible / "scene", scene)
+    raw = np.fromfile(scene / "cube.raw", dtype="<f4")
+    raw[85] = 5.5e19
+    raw.tofile(scene / "cube.raw")
+    argv = {"train": ["train", "--config", str(corruptible / "config.json")],
+            "eval": ["eval", "--model", str(corruptible / "run" / "checkpoint.bin")]}[command]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = main(argv + ["--data", str(scene), "--out", str(tmp_path / "out")])
+    lines = stderr.getvalue().splitlines()
+    assert status == 1 and stdout.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("ERR:data-format: band 1 "), lines
+
+
 @settings(max_examples=300, deadline=None)
 @given(corruption=scene_corruptions(), command=st.sampled_from(["train", "eval"]))
 def test_corrupted_scene_runs_or_is_one_err_line(corruptible, corruption, command):

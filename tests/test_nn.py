@@ -231,11 +231,10 @@ TILED_LAYERS = {**EDGE_LAYERS, **{f"multi_chunk_{name}": layer
 
 @pytest.mark.parametrize("name", list(TILED_LAYERS))
 @BOTH_CHUNKINGS
-def test_conv_cut_into_tiles_matches_bruteforce(name, chunking, workers, monkeypatch):
-    # two workers and no work floor: a call over several chunks runs them on
-    # the workers, and one sample per chunk gathers its columns one output
-    # row at a time, in the forward and the weight gradient alike
-    monkeypatch.setattr(nn, "_JOB_MACS", 0)
+def test_conv_cut_into_tiles_matches_bruteforce(name, chunking, workers):
+    # two workers: a call over several chunks runs them on the workers, and
+    # one sample per chunk gathers its columns one output row at a time, in
+    # the forward and the weight gradient alike
     workers(2)
     _check_conv_against_bruteforce(*TILED_LAYERS[name])
 
@@ -251,17 +250,28 @@ def test_winograd_last_axis_matches_bruteforce(m, extent, chunking, workers, mon
     # axis, chosen through the row count of the columns from which F(4, 3)
     # runs: F(4, 3) on last axes whose last window of 4 outputs is partly
     # padding unless the extent is a multiple of 4, the direct correlation
-    # on the same extents, its columns holding every tap; on the workers
-    # with no work floor. Conv3D has C <= O, so its input gradient goes
-    # over g; Conv2D has C > O
+    # on the same extents, its columns holding every tap; on the workers.
+    # Conv3D has C <= O, so its input gradient goes over g; Conv2D has C > O
     monkeypatch.setattr(nn, "_WINOGRAD_K", 0 if m == 4 else 10 ** 9)
-    monkeypatch.setattr(nn, "_JOB_MACS", 0)
     workers(2)
     for build, shape in ((lambda r: Conv3D(2, 3, 3, r).astype(np.float64), (3, 2, 2, 2, extent)),
                          (lambda r: Conv2D(3, 2, r).astype(np.float64), (3, 3, 3, extent))):
         w = build(np.random.default_rng(0)).weight.data
         assert nn._conv_geometry(np.empty(shape), w)[-1] == m
         _check_conv_against_bruteforce(build, shape)
+
+
+def test_input_gradient_is_the_flipped_correlation_with_no_bias():
+    # the input gradient adds no bias, not even a zero one: equal to the
+    # flipped kernel's correlation plus a zero bias, as x + 0.0 is to x
+    rng = np.random.default_rng(96)
+    x = rng.standard_normal((2, 4, 5, 5, 6)).astype(np.float32)
+    w = rng.standard_normal((3, 4, 3, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((2, 3, 5, 5, 6)).astype(np.float32)
+    flipped = np.flip(w, axis=(2, 3, 4)).swapaxes(0, 1)
+    gx = nn._conv_backward(g.copy(), x, w)[0]
+    assert np.array_equal(gx, nn._conv_forward(g, flipped, np.zeros(4, np.float32)))
+    assert np.array_equal(gx, nn._conv_forward(g, flipped, None))
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -290,7 +300,6 @@ def test_conv_jobs_on_many_workers_with_fast_switches_match_one_worker(m, worker
     # chunk has read its g, or a chunk's part of the weight gradient added
     # out of chunk order, would show as a difference from one worker
     monkeypatch.setattr(nn, "_WINOGRAD_K", 0 if m == 4 else 10 ** 9)
-    monkeypatch.setattr(nn, "_JOB_MACS", 0)
     monkeypatch.setattr(nn, "_CHUNK_BYTES", 1)
     rng = np.random.default_rng(94)
     x = rng.standard_normal((6, 3, 3, 2, 9)).astype(np.float32)
@@ -717,7 +726,7 @@ def test_conv_is_bitwise_equal_at_one_and_two_workers(chunking, workers):
     results = []
     for count in (1, 2):
         workers(count)
-        assert nn._conv_geometry(x, w)[4] == (count == 2)  # on the workers
+        assert len(nn._conv_geometry(x, w)[3]) == 2  # on the workers at two
         _, gw, gb = nn._conv_backward(g.copy(), x, w, need_gx=False)
         results.append((nn._conv_forward(x, w, b), gw, gb))
     for one, two in zip(*results):
@@ -738,7 +747,7 @@ def test_in_place_input_gradient_is_bitwise_equal_at_one_and_two_workers(chunkin
     grads = []
     for count in (1, 2):
         workers(count)
-        assert nn._conv_geometry(g, flipped)[4] == (count == 2)  # on the workers
+        assert len(nn._conv_geometry(g, flipped)[3]) == 3  # on the workers at two
         handed = g.copy()
         gx = nn._conv_backward(handed, x, w)[0]
         assert np.shares_memory(gx, handed)
@@ -972,6 +981,18 @@ class TestLinear:
         layer = Linear(96, 96, RNG)
         x = Tensor(np.zeros((32, 81, 96), dtype=np.float32))
         assert layer(x).shape == (32, 81, 96)
+
+    def test_each_row_of_a_batch_is_its_own_product(self):
+        # a [B, k] input (the head's) is multiplied a row at a time, so a
+        # row's output is the same in any batch; BLAS rounds one [B, k] @
+        # [k, out] product differently as B changes
+        rng = np.random.default_rng(0)
+        layer = Linear(96, 64, rng)
+        layer.bias.data[:] = rng.standard_normal(64)
+        x = rng.standard_normal((33, 96)).astype(np.float32)
+        whole = layer(Tensor(x)).data
+        for i in range(33):
+            assert np.array_equal(whole[i], layer(Tensor(x[i:i + 1])).data[0]), i
 
 
 class TestDropout:
