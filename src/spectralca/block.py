@@ -196,7 +196,14 @@ class SpectralCABlock(Module):
                  pool: bool = False) -> Tensor:
         """The block's [B,C,H,W,D] output for x [B,C,H,W,D]; with `pool`,
         its mean over H, W and D, [B,C], from StreamProjector.pooled, which
-        never builds the cube. The pool form also records the mean of x."""
+        never builds the cube. The pool form also records the mean of x.
+
+        When x can be regenerated (the stem BN's training output), the
+        block releases it after its last forward read, the spectral conv
+        with `pool` and the projector without: the spectral conv's weight
+        gradient reads it back a chunk at a time. Deleting a local name
+        would free nothing, since the caller holds x until the call
+        returns."""
         rate = self.config.dropout_rate
         _check_input(x, self.config.channels)  # before any work is done
         flat = T.mean_axis(x, 4)  # the spatial path's band-mean, [B,C,H,W]
@@ -209,6 +216,8 @@ class SpectralCABlock(Module):
         x_mean = T.mean_axis(flat, (2, 3)) if pool else None
         del flat  # an eval forward holds it nowhere else
         spectral = self.spectral_path(x, training)
+        if pool:
+            x.release()
         att1, att2 = self.cross(spatial, spectral)
 
         spatial = T.add(spatial, dropout(att1, rate, training, rng))
@@ -218,7 +227,9 @@ class SpectralCABlock(Module):
 
         if pool:
             return self.projector.pooled(x_mean, spatial, spectral)
-        return self.projector(x, spatial, spectral)
+        out = self.projector(x, spatial, spectral)
+        x.release()
+        return out
 
 
 class BaselineViTBlock(Module):

@@ -10,8 +10,15 @@ recomputes the rest, SiLU's derivative always by _silu_slope. When the
 BatchNorm's input is a conv over an input that takes no gradient (the
 stem's, over the patches), it retains not even that: its backward
 regenerates each batch chunk of the conv's output from the conv's input
-(In-Place ABN's trade of recompute for memory, arXiv:1712.02616). Dropout
-retains a boolean keep-mask.
+(In-Place ABN's trade of recompute for memory, arXiv:1712.02616). In
+training its own output is then regenerable too (selective
+recomputation, Chen et al., arXiv:1604.06174): the op gives it a
+regenerator (Tensor.regenerate), the conv over a batch slice and then
+the normalization with the forward's scale and shift, bit for bit. A conv
+over such an output (the block's spectral conv) keeps the regenerator
+rather than the array, and its weight gradient reads its input through it
+a chunk per job; the block releases the array after its last forward read
+(Tensor.release). Dropout retains a boolean keep-mask.
 
 Every chunked loop, here and in attention, slices its items with _chunks
 under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
@@ -28,9 +35,9 @@ F(4, 3) runs where those columns have _WINOGRAD_K rows (the spectral and
 mid convs), halving the GEMMs' work on 32 bands, and elsewhere F(1, 1) over
 a trailing unit axis, the direct correlation as one transform whose
 columns hold every tap. Backward keeps nothing of the forward but its
-input: the weight gradient makes the transforms and gathers the columns
-again, chunk by chunk, and the input gradient is the same lowering applied
-with the flipped kernel.
+input, or the input's regenerator: the weight gradient makes the
+transforms and gathers the columns again, chunk by chunk, and the input
+gradient is the same lowering applied with the flipped kernel.
 
 The conv loops and every BatchNorm pass run their jobs on a pool of one
 thread per usable core (_map; Smith et al., IPDPS 2014): a conv call over
@@ -66,6 +73,11 @@ BatchNorm op's backward writes over its upstream gradient, or with pool
 over its input, the conv's output (into a new array when that output is
 regenerated rather than kept); a conv's input gradient overwrites the
 front of its output gradient when the conv has no more input channels.
+It holds no regenerable activation past its last forward read: the stem
+BN's output, the block's input (21.2 MB of a CFG32 batch-32 step, which
+set the step's peak at the end of the block's forward), is released once
+the spectral conv has read it, and the weight gradient pays one more
+one-sample stem conv and ReLU per sample.
 """
 
 from __future__ import annotations
@@ -86,6 +98,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     _ensure_finite,
+    _stand_in,
     active_tape,
     record_op,
 )
@@ -523,17 +536,22 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
 
 
 def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
-                   need_gx: bool = True):
+                   need_gx: bool = True,
+                   read: Callable[[slice], np.ndarray] | None = None):
     """Gradients of _conv_forward wrt input (None unless need_gx), weight
-    and bias, one job per batch chunk. A job runs the weight gradient's
-    transforms in turn over its chunk, gathering the columns again a block
-    of rows at a time, and sums its chunk's bias gradient; it adds both
-    once the previous chunk's are added. The input gradient is the forward
-    with the flipped, channel-swapped kernel. With C <= O and a
-    C-contiguous, writeable g, it is written over the front of g's buffer
-    once the others are taken: each chunk's rows end before the next
-    chunk's g starts.
+    and bias, one job per batch chunk. A job reads its chunk of the input
+    from `read`, when given a function of a batch slice that returns
+    xd[slice] anew (a released input's regenerator; xd then serves only
+    for its shape and dtype and may be a stand-in), else from xd itself.
+    It runs the weight gradient's transforms in turn over its chunk,
+    gathering the columns again a block of rows at a time, and sums its
+    chunk's bias gradient; it adds both once the previous chunk's are
+    added. The input gradient is the forward with the flipped,
+    channel-swapped kernel. With C <= O and a C-contiguous, writeable g,
+    it is written over the front of g's buffer once the others are taken:
+    each chunk's rows end before the next chunk's g starts.
     """
+    read = read or xd.__getitem__
     xv, wv, k, parts, m = _conv_geometry(xd, wd)
     spatial, pad = xv.shape[2:], (k - 1) // 2
     gv = g.reshape(g.shape[:2] + spatial)
@@ -566,7 +584,8 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
         size = part.stop - part.start
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
-            xt = _transforms(xv[part], m, bt, pad, blocks, buffers[0], buffers[1])
+            xt = _transforms(read(part).reshape((size, c) + spatial), m, bt, pad, blocks,
+                             buffers[0], buffers[1])
             gathers = [(r, *_gather(xt[r.start:r.stop + 2 * pad], k, buffers[1]))
                        for r in blocks]
             phases = _front(buffers[2], (m, o, size) + spatial[:-1] + (t,))
@@ -613,10 +632,13 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
 
 def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     out = _conv_forward(x.data, weight.data, bias.data)
-    xd, wd, need_gx = x.data, weight.data, x.requires_grad
+    # an input with a regenerator is read back through it, a chunk per
+    # job, and its array is not kept: x's last forward reader releases it
+    read, wd, need_gx = x.regenerate, weight.data, x.requires_grad
+    xd = x.data if read is None else _stand_in(x.shape, x.dtype)
 
     def backward(g):
-        return _conv_backward(g, xd, wd, need_gx)
+        return _conv_backward(g, xd, wd, need_gx, read)
 
     return record_op(opname, (x, weight, bias), out, backward)
 
@@ -652,7 +674,8 @@ class _Conv(Module):
         slice, one chunk per bn job, and gets a zero-stride stand-in for the
         whole output. Otherwise the conv is recorded over the whole batch,
         and when x takes no gradient (the stem's patches) bn's backward
-        regenerates the output, which is freed once bn's forward returns."""
+        regenerates the output, which is freed once bn's forward returns;
+        in training bn's own output then has a regenerator."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
@@ -667,8 +690,7 @@ class _Conv(Module):
             if x.requires_grad:
                 return bn(y, training, pool)
         else:
-            y = Tensor(np.broadcast_to(xd.dtype.type(0),
-                                       (len(xd), self.out_channels) + xd.shape[2:]))
+            y = Tensor(_stand_in((len(xd), self.out_channels) + xd.shape[2:], xd.dtype))
         _, wv, *_, m = _conv_geometry(xd, wd)
         u = _tap_weights(wv, _TRANSFORMS[m][1])  # lowered once for all of bn's jobs
 
@@ -727,7 +749,10 @@ class BatchNorm(Module):
     `source`, a function of a batch slice that returns x.data[slice] anew
     (in _Conv, the conv itself), it retains the source instead of x, and
     eval mode reads every chunk of x from it, so x serves only for its
-    shape and dtype and may be a zero-stride view.
+    shape and dtype and may be a zero-stride view. In training and without
+    `pool`, the output then gets a regenerator, act(source(part) * scale +
+    shift) with the forward's scale and shift, which gives out[part]
+    bit for bit, so its last forward reader may release it.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
     in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
@@ -803,15 +828,18 @@ class BatchNorm(Module):
         out = np.empty(tuple(e for i, e in enumerate(shape) if not pooled or i not in pool),
                        dtype)
 
+        def activate(z, buffers):  # act(z), in z
+            if activation == "relu":
+                return np.maximum(z, 0.0, out=z)
+            z *= _sigmoid(z, tmp(buffers, -1, z.shape))
+            return z
+
         def normalize(part, buffers):
             xp = xd[part] if training else rows(part)
             z = np.multiply(xp, scale, out=tmp(buffers, 0, xp.shape) if pooled else out[part])
             del xp  # a regenerated chunk is freed before the sigmoid is made
             z += shift
-            if activation == "relu":
-                np.maximum(z, 0.0, out=z)
-            else:
-                z *= _sigmoid(z, tmp(buffers, -1, z.shape))
+            activate(z, buffers)
             if pooled:
                 out[part] = z.mean(axis=pool)
 
@@ -876,8 +904,17 @@ class BatchNorm(Module):
             deque(each(input_grad, 1 + pooled), maxlen=0)
             return gx, g_gamma.astype(dtype), g_beta.astype(dtype)
 
-        return record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
-                         check_finite=False)
+        y = record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
+                      check_finite=False)
+        if training and source is not None and not pooled:
+            def regenerate(part):  # y.data[part] anew, by the forward's own steps
+                z = source(part)
+                z *= scale
+                z += shift
+                return activate(z, None)
+
+            y.regenerate = regenerate
+        return y
 
 
 class LayerNorm(Module):

@@ -56,10 +56,23 @@ def _ensure_finite(data: np.ndarray, op: str, inputs: Sequence[Tensor]) -> None:
         raise NonFiniteError(f"non-finite values produced by {op}{where}")
 
 
-class Tensor:
-    """A dense N-dimensional value. Immutable by convention after creation."""
+def _stand_in(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A read-only zero-stride array of zeros in `shape` and `dtype`: a
+    value's shape and dtype without its bytes."""
+    return np.broadcast_to(np.dtype(dtype).type(0), shape)
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "cell")
+
+class Tensor:
+    """A dense N-dimensional value. Immutable by convention after creation,
+    with one exception: a tensor whose `regenerate` is set, a function of
+    a batch slice that returns data[slice] anew (a training BatchNorm over
+    a source sets it, see nn.BatchNorm), may be released by its last
+    forward reader. `release` then swaps its data for a stand-in, and
+    later readers, the backward rules that kept `regenerate` rather than
+    the array, read it a batch chunk at a time. No other tensor is ever
+    released."""
+
+    __slots__ = ("data", "requires_grad", "grad", "name", "cell", "regenerate")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data)
@@ -70,6 +83,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
         self.cell: GradCell | None = None  # set by record_op when recorded
+        self.regenerate: Callable[[slice], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -86,6 +100,13 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    def release(self) -> None:
+        """With `regenerate` set, swap data for a stand-in of its shape and
+        dtype, freeing the array once no one else holds it; otherwise do
+        nothing. Only the tensor's last forward reader calls it."""
+        if self.regenerate is not None:
+            self.data = _stand_in(self.shape, self.dtype)
 
     def zero_grad(self) -> None:
         if self.grad is None:

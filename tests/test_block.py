@@ -144,6 +144,21 @@ class TestBlockForward:
         for name, p in block.named_parameters():
             assert np.abs(p.grad).max() > 0.0, f"no gradient reached {name}"
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["full", "pooled"])
+    @pytest.mark.parametrize("requires_grad", [False, True], ids=["tensor", "leaf"])
+    def test_input_without_a_regenerator_keeps_its_data(self, pool, requires_grad):
+        # only a tensor with a regenerator (the stem BN's training output in
+        # the classifier) is released: a block called directly, in training
+        # under a tape and through backward, leaves its input's array alone
+        block = tiny_block()
+        data = np.random.default_rng(10).standard_normal((2, 2, 3, 3, 4)).astype(np.float32)
+        x = Tensor(data, requires_grad=requires_grad)
+        with Tape() as tape:
+            loss = probe_loss(block(x, training=True, pool=pool))
+        assert x.regenerate is None and x.data is data and data.flags.writeable
+        tape.backward(loss)
+        assert x.data is data
+
     def test_channel_mismatch_rejected(self):
         block = tiny_block()
         with pytest.raises(T.ShapeError):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from spectralca import classifier, nn
 from spectralca import tensor as T
-from spectralca.block import SpectralCAConfig
+from spectralca.block import SpectralCABlock, SpectralCAConfig
 from spectralca.classifier import (
     CheckpointError,
     ModelConfig,
@@ -600,13 +600,15 @@ def test_training_step_skips_the_patches_gradient(monkeypatch):
 
 def test_training_forward_holds_no_stem_conv_output():
     # CFG32 on 9x9x32 patches: after a training forward the tape holds, per
-    # sample, the block input (the stem BN's output, kept by the spectral
-    # conv), the spectral conv's output (kept by its BN) and under 1 MB of
+    # sample, the spectral conv's output (kept by its BN) and under 1 MB of
     # smaller arrays. The stem BN regenerates the stem conv's output in
     # backward, so its 0.66 MB per sample is not held: batch 2 to 4 grew the
-    # live bytes by 6.05 MB with it held and by 4.52 MB without
+    # live bytes by 6.05 MB with it held and by 4.52 MB without. The block
+    # input (the stem BN's output, 0.66 MB per sample) is released after
+    # the spectral conv's forward and read back through its regenerator:
+    # 3.18 MB with it released
     model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
-    block_input, spectral_output = (ch * 9 * 9 * 32 * 4 for ch in (64, 96))
+    spectral_output = 96 * 9 * 9 * 32 * 4
     live = {}
     for batch in (2, 4):
         patches = Tensor(rand_patches(batch, model.config))
@@ -620,7 +622,77 @@ def test_training_forward_holds_no_stem_conv_output():
             tracemalloc.stop()
         del tape
     grown = live[4] - live[2]
-    assert grown < 2 * (block_input + spectral_output + 1e6), grown / 1e6
+    assert grown < 2 * (spectral_output + 1e6), grown / 1e6
+
+
+@pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
+def test_training_forward_releases_the_block_input(config, monkeypatch):
+    # block1's input, the stem BN's training output, is released after its
+    # last forward read (the spectral conv at depth 1, the full projector at
+    # depth 2): its data is a read-only zero-stride stand-in of its shape,
+    # and its regenerator gives back the array bit for bit. Block2's input,
+    # the mid BN's output, has none and keeps its data; so does an eval
+    # forward's block input
+    model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
+    patches = Tensor(rand_patches(5, config))
+    inputs = []  # per block call: its input and the array it held then
+    call = SpectralCABlock.__call__
+
+    def spy(block, x, *args, **kwargs):
+        inputs.append((x, x.data))
+        return call(block, x, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralCABlock, "__call__", spy)
+    with Tape() as tape:
+        loss = cross_entropy(model(patches, training=True, rng=np.random.default_rng(2)),
+                             np.arange(5) % config.num_classes)
+    assert len(inputs) == config.depth
+    (x, data), *rest = inputs
+    assert x.data is not data and x.data.shape == data.shape and x.data.dtype == data.dtype
+    assert not x.data.flags.writeable and not any(x.data.strides)
+    assert np.array_equal(x.regenerate(slice(0, 5)), data)
+    for x, data in rest:
+        assert x.regenerate is None and x.data is data
+    tape.backward(loss)
+    inputs.clear()
+    model(patches)
+    assert len(inputs) == config.depth
+    assert all(x.regenerate is None and x.data is data for x, data in inputs)
+
+
+def _training_step_peak(model, patches):
+    """The tracemalloc peak of one training step of `model` on `patches`,
+    forward and backward, above the bytes live before it."""
+    labels = np.arange(len(patches.data)) % model.config.num_classes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = cross_entropy(model(patches, training=True, rng=np.random.default_rng(2)),
+                                 labels)
+        tape.backward(loss)
+        del tape, loss
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_peak_falls_by_the_released_block_input(monkeypatch):
+    # CFG32 depth 1 at batch 32 on 9x9x32: the block input, the stem BN's
+    # 21.2 MB output, is held by the model's forward until block1 returns,
+    # and the peak was set at the end of block1's forward (76.9 MB, beside
+    # the spectral conv's output and the token activations). Released
+    # after the spectral conv, the peak falls to that conv's own forward,
+    # where the input must be alive (64.0 MB, 12.9 MB lower). The released
+    # step runs first, so one-time allocations count against it
+    model = PatchClassifier(ModelConfig(num_classes=8), np.random.default_rng(0))
+    patches = Tensor(rand_patches(32, model.config))
+    block_input = 32 * 64 * 9 * 9 * 32 * 4
+    released = _training_step_peak(model, patches)
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "release", lambda self: None)
+        kept = _training_step_peak(model, patches)
+    assert kept - released > 0.5 * block_input, (kept / 1e6, released / 1e6)
 
 
 def _training_step_state(config, patches):
