@@ -199,11 +199,13 @@ class SpectralCABlock(Module):
         never builds the cube. The pool form also records the mean of x.
 
         When x can be regenerated (the stem BN's training output), the
-        block releases it after its last forward read, the spectral conv
-        with `pool` and the projector without: the spectral conv's weight
-        gradient reads it back a chunk at a time. Deleting a local name
+        block releases it after the last forward read of its whole array,
+        the band-mean with `pool` and the projector without: the spectral
+        conv's forward, when it comes after the release, and its weight
+        gradient read it back a chunk at a time. Deleting a local name
         would free nothing, since the caller holds x until the call
-        returns."""
+        returns. The cross-attention outputs are dropped once added, since
+        this frame would otherwise hold them until it returns."""
         rate = self.config.dropout_rate
         _check_input(x, self.config.channels)  # before any work is done
         flat = T.mean_axis(x, 4)  # the spatial path's band-mean, [B,C,H,W]
@@ -215,14 +217,16 @@ class SpectralCABlock(Module):
         # mean's, then adds into it in place
         x_mean = T.mean_axis(flat, (2, 3)) if pool else None
         del flat  # an eval forward holds it nowhere else
-        spectral = self.spectral_path(x, training)
         if pool:
             x.release()
+        spectral = self.spectral_path(x, training)
         att1, att2 = self.cross(spatial, spectral)
 
         spatial = T.add(spatial, dropout(att1, rate, training, rng))
+        del att1
         spatial = T.add(spatial, self.spatial_ffn(self.spatial_ffn_norm(spatial), training, rng))
         spectral = T.add(spectral, dropout(att2, rate, training, rng))
+        del att2
         spectral = T.add(spectral, self.spectral_ffn(self.spectral_ffn_norm(spectral), training, rng))
 
         if pool:

@@ -14,11 +14,12 @@ regenerates each batch chunk of the conv's output from the conv's input
 training its own output is then regenerable too (selective
 recomputation, Chen et al., arXiv:1604.06174): the op gives it a
 regenerator (Tensor.regenerate), the conv over a batch slice and then
-the normalization with the forward's scale and shift, bit for bit. A conv
-over such an output (the block's spectral conv) keeps the regenerator
-rather than the array, and its weight gradient reads its input through it
-a chunk per job; the block releases the array after its last forward read
-(Tensor.release). Dropout retains a boolean keep-mask.
+the normalization with the forward's scale and shift, bit for bit. The
+block releases that output after the last forward read of its whole array
+(Tensor.release), and a conv over it (the block's spectral conv) keeps the
+regenerator rather than the array: its weight gradient, and its forward
+when it runs after the release, read the input through it a chunk per job.
+Dropout retains a boolean keep-mask.
 
 Every chunked loop, here and in attention, slices its items with _chunks
 under the one byte budget _CHUNK_BYTES, sized to cache. BatchNorm's
@@ -73,11 +74,13 @@ BatchNorm op's backward writes over its upstream gradient, or with pool
 over its input, the conv's output (into a new array when that output is
 regenerated rather than kept); a conv's input gradient overwrites the
 front of its output gradient when the conv has no more input channels.
-It holds no regenerable activation past its last forward read: the stem
-BN's output, the block's input (21.2 MB of a CFG32 batch-32 step, which
-set the step's peak at the end of the block's forward), is released once
-the spectral conv has read it, and the weight gradient pays one more
-one-sample stem conv and ReLU per sample.
+It holds no regenerable activation past the last forward read of its
+whole array: the stem BN's output, the block's input (21.2 MB of a CFG32
+batch-32 step, which set the step's peak at the end of the block's
+forward, and then in the spectral conv's forward), is released at depth 1
+once the band-mean has read it. The spectral conv's forward and its
+weight gradient then read it through its regenerator, each paying one
+more one-sample stem conv and ReLU per sample.
 """
 
 from __future__ import annotations
@@ -471,17 +474,23 @@ def _apply(matrix: np.ndarray, stacked: np.ndarray, buffer: np.ndarray) -> np.nd
 
 
 def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
-                  out: np.ndarray | None = None, u: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, u: np.ndarray | None = None,
+                  read: Callable[[slice], np.ndarray] | None = None) -> np.ndarray:
     """Same-padded cross-correlation of xd [B,C,*S] with wd [O,C,*K] plus bd
     [O], or no bias when bd is None, one job per batch chunk, written into
-    `out` when given, else into a new [B,O,*S] array. A job makes its
-    chunk's transforms, then runs the lowering one block of output rows at a
-    time, writing each block's outputs into `out` as soon as they are made.
-    `out` may lie over xd (the input gradient's, over g) as long as each
-    chunk's output ends before the next chunk's input starts: a job writes
-    its first block once every earlier chunk's transforms are made. `u`,
-    when given, is _tap_weights of the geometry's wd and G, lowered once by
-    a caller that runs the conv over many batch slices."""
+    `out` when given, else into a new [B,O,*S] array. A job reads its chunk
+    of the input from `read`, when given a function of a batch slice that
+    returns xd[slice] anew (a released input's regenerator; xd then serves
+    only for its shape and dtype and may be a stand-in), else from xd
+    itself. It makes its chunk's transforms, then runs the lowering one
+    block of output rows at a time, writing each block's outputs, bias
+    added, into `out` as soon as they are made. `out` may lie over xd (the
+    input gradient's, over g) as long as each chunk's output ends before
+    the next chunk's input starts: a job writes its first block once every
+    earlier chunk's transforms are made. `u`, when given, is _tap_weights
+    of the geometry's wd and G, lowered once by a caller that runs the conv
+    over many batch slices."""
+    read = read or xd.__getitem__
     o = wd.shape[0]
     out = np.empty((xd.shape[0], o) + xd.shape[2:], dtype=xd.dtype) if out is None else out
     xd, wd, k, parts, m = _conv_geometry(xd, wd)
@@ -498,7 +507,7 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
     blocks = _blocks(spatial[0], (u.shape[2] + alpha * o) * n * row * xd.itemsize)
     most = max(r.stop - r.start for r in blocks)
     block = n * most * row
-    read = [threading.Event() for _ in parts]  # set once a chunk's input is read
+    taken = [threading.Event() for _ in parts]  # set once a chunk's input is read
 
     def scratch():  # a chunk's transforms; a block's columns (or, while
         # the transforms are made, its windows), stacked products and outputs
@@ -512,10 +521,11 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
         size = part.stop - part.start
         try:
             buffers = buffers or scratch()  # run on the caller: its own scratch
-            xt = _transforms(xd[part], m, bt, pad, blocks, buffers[0], buffers[1])
+            xt = _transforms(read(part).reshape((size, c) + spatial), m, bt, pad, blocks,
+                             buffers[0], buffers[1])
         finally:
-            read[p].set()
-        for earlier in read[:p]:
+            taken[p].set()
+        for earlier in taken[:p]:
             earlier.wait()
         for r in blocks:
             cols, copy = _gather(xt[r.start:r.stop + 2 * pad], k, buffers[1])
@@ -527,9 +537,11 @@ def _conv_forward(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None,
             y = y.reshape((m, o, size, r.stop - r.start) + spatial[1:-1] + (t,))
             dest = outs[part][:, :, r]
             for i in range(m):  # output i of window t lies at m*t + i
-                dest[..., i::m] = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
-            if bias is not None:
-                dest += bias
+                phase = np.swapaxes(y[i], 0, 1)[..., :len(range(i, spatial[-1], m))]
+                if bias is None:
+                    dest[..., i::m] = phase
+                else:
+                    np.add(phase, bias, out=dest[..., i::m])
 
     deque(_map(chunk, range(len(parts)), scratch), maxlen=0)
     return out
@@ -631,10 +643,13 @@ def _conv_backward(g: np.ndarray, xd: np.ndarray, wd: np.ndarray,
 
 
 def _conv_op(opname: str, x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    out = _conv_forward(x.data, weight.data, bias.data)
-    # an input with a regenerator is read back through it, a chunk per
-    # job, and its array is not kept: x's last forward reader releases it
+    """The recorded conv of x. An input with a regenerator is read back
+    through it, a chunk per job: by the forward once x has been released
+    (the block's spectral conv over the stem BN's output), and always by
+    the backward, which keeps a stand-in rather than the array, since x's
+    last forward reader releases it."""
     read, wd, need_gx = x.regenerate, weight.data, x.requires_grad
+    out = _conv_forward(x.data, wd, bias.data, read=read if x.released else None)
     xd = x.data if read is None else _stand_in(x.shape, x.dtype)
 
     def backward(g):
@@ -752,7 +767,8 @@ class BatchNorm(Module):
     shape and dtype and may be a zero-stride view. In training and without
     `pool`, the output then gets a regenerator, act(source(part) * scale +
     shift) with the forward's scale and shift, which gives out[part]
-    bit for bit, so its last forward reader may release it.
+    bit for bit, so the last forward reader of its whole array may
+    release it.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
     in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
@@ -1053,7 +1069,9 @@ def dropout(x: Tensor, rate: float, training: bool,
     Identity when not training or rate == 0 (the input tensor is returned
     unchanged, so the tape stays connected at no cost). Retains only the
     boolean keep-mask, a quarter of a float32 mask's bytes; the forward and
-    backward each rebuild the scaled mask from it and backward overwrites g.
+    backward each multiply by it and then by the one scalar 1/(1-rate), the
+    scaled mask's products bit for bit without building it, and backward
+    overwrites g.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
@@ -1063,15 +1081,13 @@ def dropout(x: Tensor, rate: float, training: bool,
         raise ValueError("training-mode dropout needs a seeded rng")
     keep = 1.0 - rate
     kept = rng.random(x.shape) >= rate
-    dtype = x.dtype
-
-    def mask():
-        return kept.astype(dtype) / keep
-
-    out = x.data * mask()
+    scale = np.ones((), x.dtype) / keep
+    out = x.data * kept
+    out *= scale
 
     def backward(g):
-        g *= mask()
+        g *= kept
+        g *= scale
         return (g,)
 
     return record_op("dropout", (x,), out, backward)

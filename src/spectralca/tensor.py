@@ -66,10 +66,10 @@ class Tensor:
     """A dense N-dimensional value. Immutable by convention after creation,
     with one exception: a tensor whose `regenerate` is set, a function of
     a batch slice that returns data[slice] anew (a training BatchNorm over
-    a source sets it, see nn.BatchNorm), may be released by its last
-    forward reader. `release` then swaps its data for a stand-in, and
-    later readers, the backward rules that kept `regenerate` rather than
-    the array, read it a batch chunk at a time. No other tensor is ever
+    a source sets it, see nn.BatchNorm), may be released by the last
+    forward reader of its whole array. `release` then swaps its data for a
+    stand-in, and later readers, forward or backward, read it through
+    `regenerate` a batch chunk at a time. No other tensor is ever
     released."""
 
     __slots__ = ("data", "requires_grad", "grad", "name", "cell", "regenerate")
@@ -104,9 +104,15 @@ class Tensor:
     def release(self) -> None:
         """With `regenerate` set, swap data for a stand-in of its shape and
         dtype, freeing the array once no one else holds it; otherwise do
-        nothing. Only the tensor's last forward reader calls it."""
+        nothing. Only the last forward reader of the whole array calls it."""
         if self.regenerate is not None:
             self.data = _stand_in(self.shape, self.dtype)
+
+    @property
+    def released(self) -> bool:
+        """Whether `release` has swapped data for a stand-in: a reader must
+        then read data through `regenerate`."""
+        return self.regenerate is not None and not any(self.data.strides)
 
     def zero_grad(self) -> None:
         if self.grad is None:

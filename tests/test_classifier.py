@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from spectralca import classifier, nn
 from spectralca import tensor as T
-from spectralca.block import SpectralCABlock, SpectralCAConfig
+from spectralca.block import SpectralCABlock, SpectralCAConfig, StreamProjector
 from spectralca.classifier import (
     CheckpointError,
     ModelConfig,
@@ -605,8 +605,8 @@ def test_training_forward_holds_no_stem_conv_output():
     # backward, so its 0.66 MB per sample is not held: batch 2 to 4 grew the
     # live bytes by 6.05 MB with it held and by 4.52 MB without. The block
     # input (the stem BN's output, 0.66 MB per sample) is released after
-    # the spectral conv's forward and read back through its regenerator:
-    # 3.18 MB with it released
+    # the band-mean and read back through its regenerator: 3.18 MB with it
+    # released
     model = PatchClassifier(ModelConfig(num_classes=4), np.random.default_rng(0))
     spectral_output = 96 * 9 * 9 * 32 * 4
     live = {}
@@ -627,32 +627,54 @@ def test_training_forward_holds_no_stem_conv_output():
 
 @pytest.mark.parametrize("config", [TINY_MODEL, TINY_DEPTH2], ids=["depth1", "depth2"])
 def test_training_forward_releases_the_block_input(config, monkeypatch):
-    # block1's input, the stem BN's training output, is released after its
-    # last forward read (the spectral conv at depth 1, the full projector at
-    # depth 2): its data is a read-only zero-stride stand-in of its shape,
-    # and its regenerator gives back the array bit for bit. Block2's input,
-    # the mid BN's output, has none and keeps its data; so does an eval
-    # forward's block input
+    # block1's input, the stem BN's training output, is released after the
+    # last forward read of its whole array (the band-mean at depth 1, the
+    # full projector at depth 2): its data is a read-only zero-stride
+    # stand-in of its shape, and its regenerator gives back the array bit
+    # for bit. At depth 1 the spectral conv's forward comes after the
+    # release and reads it through the regenerator; at depth 2 that forward
+    # and the projector read the array. Block2's input, the mid BN's
+    # output, has none and keeps its data; so does an eval forward's block
+    # input
     model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
     patches = Tensor(rand_patches(5, config))
     inputs = []  # per block call: its input and the array it held then
-    call = SpectralCABlock.__call__
+    spectral = []  # per forward of block1's spectral conv: its xd and read
+    projected = []  # per full projector call: the data of its x
+    call, conv, project = (SpectralCABlock.__call__, nn._conv_forward,
+                           StreamProjector.__call__)
 
     def spy(block, x, *args, **kwargs):
         inputs.append((x, x.data))
         return call(block, x, *args, **kwargs)
 
+    def conv_spy(xd, wd, *args, **kwargs):
+        if wd is model.block1.spectral_conv.weight.data:
+            spectral.append((xd, kwargs.get("read")))
+        return conv(xd, wd, *args, **kwargs)
+
+    def project_spy(projector, x, *args):
+        projected.append(x.data)
+        return project(projector, x, *args)
+
     monkeypatch.setattr(SpectralCABlock, "__call__", spy)
+    monkeypatch.setattr(nn, "_conv_forward", conv_spy)
+    monkeypatch.setattr(StreamProjector, "__call__", project_spy)
     with Tape() as tape:
         loss = cross_entropy(model(patches, training=True, rng=np.random.default_rng(2)),
                              np.arange(5) % config.num_classes)
     assert len(inputs) == config.depth
     (x, data), *rest = inputs
     assert x.data is not data and x.data.shape == data.shape and x.data.dtype == data.dtype
-    assert not x.data.flags.writeable and not any(x.data.strides)
+    assert not x.data.flags.writeable and not any(x.data.strides) and x.released
     assert np.array_equal(x.regenerate(slice(0, 5)), data)
+    [(xd, read)] = spectral
+    if config.depth == 1:
+        assert read is x.regenerate and not any(xd.strides) and not projected
+    else:
+        assert read is None and xd is data and projected[0] is data
     for x, data in rest:
-        assert x.regenerate is None and x.data is data
+        assert x.regenerate is None and x.data is data and not x.released
     tape.backward(loss)
     inputs.clear()
     model(patches)
@@ -682,9 +704,12 @@ def test_training_step_peak_falls_by_the_released_block_input(monkeypatch):
     # 21.2 MB output, is held by the model's forward until block1 returns,
     # and the peak was set at the end of block1's forward (76.9 MB, beside
     # the spectral conv's output and the token activations). Released
-    # after the spectral conv, the peak falls to that conv's own forward,
-    # where the input must be alive (64.0 MB, 12.9 MB lower). The released
-    # step runs first, so one-time allocations count against it
+    # after the band-mean, with the spectral conv's forward reading it
+    # through its regenerator, the whole input is never alive beside that
+    # conv's output: the peak falls to the end of the token path and the
+    # start of its backward, the spectral conv's retained output plus the
+    # token activations (54.4 MB, 22.5 MB lower). The released step runs
+    # first, so one-time allocations count against it
     model = PatchClassifier(ModelConfig(num_classes=8), np.random.default_rng(0))
     patches = Tensor(rand_patches(32, model.config))
     block_input = 32 * 64 * 9 * 9 * 32 * 4
@@ -692,7 +717,7 @@ def test_training_step_peak_falls_by_the_released_block_input(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(Tensor, "release", lambda self: None)
         kept = _training_step_peak(model, patches)
-    assert kept - released > 0.5 * block_input, (kept / 1e6, released / 1e6)
+    assert kept - released > 0.9 * block_input, (kept / 1e6, released / 1e6)
 
 
 def _training_step_state(config, patches):

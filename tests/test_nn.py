@@ -857,6 +857,32 @@ class TestRegenerator:
 
     @pytest.mark.parametrize("channels, out", [(64, 96), (1, 64)], ids=["spectral", "stem"])
     @BOTH_CHUNKINGS
+    def test_conv_forward_through_it_gives_the_array_bits(self, channels, out, chunking,
+                                                          workers):
+        # the F(4, 3) and the F(1, 1) lowering at batch 3: reading each
+        # chunk once from a regenerator, with a stand-in for the input,
+        # gives the output of reading the array bit for bit, at 1 and 2
+        # workers
+        rng = np.random.default_rng(99)
+        x = rng.standard_normal((3, channels, 9, 9, 32)).astype(np.float32)
+        w = (0.05 * rng.standard_normal((out, channels, 3, 3, 3))).astype(np.float32)
+        b = rng.standard_normal(out).astype(np.float32)
+        expected = nn._conv_forward(x, w, b)
+        parts = [(p.start, p.stop) for p in nn._conv_geometry(x, w)[3]]
+        for count in (1, 2):
+            workers(count)
+            reads = []
+
+            def read(part):
+                reads.append((part.start, part.stop))
+                return x[part].copy()
+
+            got = nn._conv_forward(T._stand_in(x.shape, x.dtype), w, b, read=read)
+            assert sorted(reads) == parts
+            np.testing.assert_array_equal(expected, got)
+
+    @pytest.mark.parametrize("channels, out", [(64, 96), (1, 64)], ids=["spectral", "stem"])
+    @BOTH_CHUNKINGS
     def test_conv_backward_through_it_gives_the_array_bits(self, channels, out, chunking,
                                                            workers):
         # the F(4, 3) and the F(1, 1) lowering at batch 3: reading each
