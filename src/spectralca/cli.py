@@ -59,6 +59,7 @@ _ERROR_CODES: list[tuple[type, str]] = [
     (RuntimeWarning, "non-finite"),  # numpy's overflow and invalid-value warnings
     (ShapeError, "shape"),
     (FileNotFoundError, "not-found"),
+    (OSError, "io"),  # any other failed read or write of a path
     (json.JSONDecodeError, "config-parse"),
     (ConfigError, "config-parse"),
     (ValueError, "invalid-argument"),

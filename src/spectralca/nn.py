@@ -8,17 +8,17 @@ BatchNorm and the activation after it (ReLU or SiLU) are one op, the only
 place ReLU exists. That op and silu retain only their input; backward
 recomputes the rest, SiLU's derivative always by _silu_slope. When the
 BatchNorm's input is a conv over an input that takes no gradient (the
-stem's, over the patches), it retains not even that: its backward
-regenerates each batch chunk of the conv's output from the conv's input
-(In-Place ABN's trade of recompute for memory, arXiv:1712.02616). In
-training its own output is then regenerable too (selective
-recomputation, Chen et al., arXiv:1604.06174): the op gives it a
-regenerator (Tensor.regenerate), the conv over a batch slice and then
-the normalization with the forward's scale and shift, bit for bit. The
-block releases that output after the last forward read of its whole array
-(Tensor.release), and a conv over it (the block's spectral conv) keeps the
-regenerator rather than the array: its weight gradient, and its forward
-when it runs after the release, read the input through it a chunk per job.
+stem's, over the patches), it retains not even that: the conv gives its
+output a regenerator (Tensor.regenerate), the conv over a batch slice,
+through which the op's backward regenerates each batch chunk (In-Place
+ABN's trade of recompute for memory, arXiv:1712.02616). In training its
+own output is regenerable too (selective recomputation, Chen et al.,
+arXiv:1604.06174), by the conv's regenerator and the forward's scale and
+shift, bit for bit. The block releases that output after the last forward
+read of its whole array (Tensor.release). One rule reads a regenerable
+input, in the conv op (the block's spectral conv) and in BatchNorm alike:
+the forward reads through the regenerator, a chunk per job, once the
+input is released, else the array; backward always reads through it.
 Dropout retains a boolean keep-mask.
 
 Every chunked loop, here and in attention, slices its items with _chunks
@@ -44,8 +44,8 @@ The conv loops and every BatchNorm pass run their jobs on a pool of one
 thread per usable core (_map; Smith et al., IPDPS 2014): a conv call over
 several batch chunks and every BatchNorm pass run one job per batch chunk.
 A map called from a worker runs its jobs in turn on that worker, so the
-outermost loop with enough work takes the pool: a BatchNorm job over a
-conv source runs its chunk's conv inline, and an eval forward of the
+outermost loop with enough work takes the pool: a BatchNorm job that
+regenerates a chunk runs its conv inline, and an eval forward of the
 classifier over several batch chunks runs each chunk through the whole
 model as one job (classifier.PatchClassifier), its convs, BatchNorms,
 attention, LayerNorms and head alike. No GEMM is split between jobs, so
@@ -53,21 +53,22 @@ each output element is the same dot product summed in the same order at
 any worker count; a conv's per-chunk weight and bias gradients and
 BatchNorm's float64 channel sums are added in chunk order. Outputs are
 bit-identical at any worker count. Each running job works in scratch made
-before the loop's first job, its outputs included (a BatchNorm job over a
-source makes its own once its chunk is regenerated), so a loop's memory
+before the loop's first job, its outputs included (a BatchNorm job that
+regenerates a chunk makes its own for it), so a loop's memory
 depends neither on how its jobs interleave nor on the batch. A conv job
 writes its chunk's output only once every earlier chunk's input has been
 read: the input gradient may be written over the front of its own g.
 
 A conv module called with the BatchNorm that follows it (and, for the
-spectral path, the axes to average over) hands the BatchNorm op a source
-that computes the conv over a batch slice, its weights lowered once. In
-an eval forward with no active tape the conv records nothing and builds no
-output: each of the op's jobs reads its chunk from the source and
-normalizes it while it is in cache. Training, and eval under a tape,
-record the conv once over the whole batch. Either way BatchNorm, the
-activation and the mean have one implementation each: the BatchNorm op
-pools its activation a chunk at a time when given the axes.
+spectral path, the axes to average over) calls the BatchNorm op once. In
+an eval forward with no active tape the conv records nothing and builds
+no output: its output is a stand-in, released from the start, whose
+regenerator computes the conv over a batch slice, its weights lowered
+once, so each of the op's jobs computes its chunk and normalizes it while
+it is in cache. Training, and eval under a tape, record the conv once
+over the whole batch. Either way BatchNorm, the activation and the mean
+have one implementation each: the BatchNorm op pools its activation a
+chunk at a time when given the axes.
 
 Training holds one full-size gradient per activation where it can: the
 BatchNorm op's backward writes over its upstream gradient, or with pool
@@ -200,8 +201,8 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 # one query block. A conv gathers a chunk's columns of one transform a block
 # of output rows at a time within the budget too (_blocks): the spectral
 # conv's 2.99 MB of columns and stacked products per sample in three blocks.
-# Every BatchNorm pass runs one job per chunk, so its temporaries and its
-# conv source's output are one chunk per worker.
+# Every BatchNorm pass runs one job per chunk, so its temporaries and a
+# regenerated chunk of its input are one chunk per worker.
 _CHUNK_BYTES = 1e6
 
 
@@ -684,37 +685,34 @@ class _Conv(Module):
                  pool: tuple[int, ...] | None = None) -> Tensor:
         """The convolution of x, then bn(., training, pool) when bn is
         given: its output, or with `pool` that output's mean over the pool
-        axes. In an eval forward with no active tape nothing is recorded:
-        bn reads the conv from `regenerate`, the checked conv over a batch
-        slice, one chunk per bn job, and gets a zero-stride stand-in for the
-        whole output. Otherwise the conv is recorded over the whole batch,
-        and when x takes no gradient (the stem's patches) bn's backward
-        regenerates the output, which is freed once bn's forward returns;
-        in training bn's own output then has a regenerator."""
+        axes. The conv is recorded over the whole batch without bn, in
+        training and under an active tape, and is otherwise a zero-stride
+        stand-in. With bn, unless it is recorded over an input that takes a
+        gradient, the output gets a regenerator, the checked conv over a
+        batch slice: bn reads a stand-in through it a chunk per job, and a
+        recorded output (the stem's) in backward, freeing it once bn's
+        forward returns; in training bn's own output then has one."""
         if x.ndim != 2 + self.spatial_dims or x.shape[1] != self.in_channels:
             raise ShapeError(f"{self.op} expects [B,{self.in_channels},{self.axes}], "
                              f"got {x.shape}")
         if pool is not None and bn is None:
             raise ValueError("pool needs the BatchNorm that computes the mean")
         _tune_process()
-        if bn is None:
-            return _conv_op(self.op, x, self.weight, self.bias)
         xd, wd, bd = x.data, self.weight.data, self.bias.data
-        if training or active_tape() is not None:
-            y = _conv_op(self.op, x, self.weight, self.bias)
-            if x.requires_grad:
-                return bn(y, training, pool)
-        else:
-            y = Tensor(_stand_in((len(xd), self.out_channels) + xd.shape[2:], xd.dtype))
-        _, wv, *_, m = _conv_geometry(xd, wd)
-        u = _tap_weights(wv, _TRANSFORMS[m][1])  # lowered once for all of bn's jobs
+        recorded = bn is None or training or active_tape() is not None
+        y = (_conv_op(self.op, x, self.weight, self.bias) if recorded else
+             Tensor(_stand_in((len(xd), self.out_channels) + xd.shape[2:], xd.dtype)))
+        if bn is not None and not (recorded and x.requires_grad):
+            _, wv, *_, m = _conv_geometry(xd, wd)
+            u = _tap_weights(wv, _TRANSFORMS[m][1])  # lowered once for all of bn's reads
 
-        def regenerate(part):
-            y = _conv_forward(xd[part], wd, bd, u=u)
-            _ensure_finite(y, self.op, (x, self.weight, self.bias))
-            return y
+            def regenerate(part):
+                z = _conv_forward(xd[part], wd, bd, u=u)
+                _ensure_finite(z, self.op, (x, self.weight, self.bias))
+                return z
 
-        return bn(y, training, pool, regenerate)
+            y.regenerate = regenerate
+        return y if bn is None else bn(y, training, pool)
 
 
 class Conv2D(_Conv):
@@ -759,25 +757,25 @@ class BatchNorm(Module):
     float64, and the map, activation and pool run a chunk at a time. Every
     pass runs one job per chunk on the workers (_map), adds its sums in
     chunk order, and works in scratch of one or two chunks per worker, made
-    before a pass over x and by each job of a pass over the source. The op
-    retains its pre-normalization input x and per-channel vectors. Given a
-    `source`, a function of a batch slice that returns x.data[slice] anew
-    (in _Conv, the conv itself), it retains the source instead of x, and
-    eval mode reads every chunk of x from it, so x serves only for its
-    shape and dtype and may be a zero-stride view. In training and without
-    `pool`, the output then gets a regenerator, act(source(part) * scale +
-    shift) with the forward's scale and shift, which gives out[part]
-    bit for bit, so the last forward reader of its whole array may
-    release it.
+    before a pass over x and by each job of a pass that regenerates x. The
+    op retains its pre-normalization input x and per-channel vectors. An x
+    with a regenerator (Tensor.regenerate; in _Conv, the conv over a batch
+    slice) is read by the rule _conv_op uses: the forward reads it through
+    the regenerator once x is released (an eval conv's stand-in), and the
+    array otherwise, and backward always reads it through the regenerator,
+    retaining no array. In training and without `pool`, the output then
+    gets a regenerator, act(x.regenerate(part) * scale + shift) with the
+    forward's scale and shift, which gives out[part] bit for bit, so the
+    last forward reader of its whole array may release it.
     Backward recomputes z = x*scale + shift and the activation's
     derivative gz = g * act'(z), then applies the normalization's gradient
     in per-channel coefficient form, gx = scale*gz + b*(x - mu) + c, in two
     passes over the batch chunks, so its temporaries are chunk-sized; with
-    a source, each pass regenerates each chunk of x. It overwrites g with
+    a regenerator, each pass regenerates each chunk of x. It overwrites g with
     gz and then gx; with `pool`, g is the pooled gradient, the second pass
     recomputes gz, and gx overwrites x when x is a recorded op's output
     that the caller holds nowhere else (the conv's output, in _Conv), and
-    otherwise, a leaf or with a source, goes into a new array. The sum of
+    otherwise, a leaf or a regenerable x, goes into a new array. The sum of
     gz*(x - mu) is taken over centred x, so a large channel mean does not
     cancel.
     """
@@ -793,28 +791,27 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(channels, dtype=np.float32))
         self.register_buffer("running_var", np.ones(channels, dtype=np.float32))
 
-    def __call__(self, x: Tensor, training: bool, pool: tuple[int, ...] | None = None,
-                 source: Callable[[slice], np.ndarray] | None = None) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, pool: tuple[int, ...] | None = None) -> Tensor:
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(f"batchnorm expects channel extent {self.channels}, got {x.shape}")
         axes = (0,) + tuple(range(2, x.ndim))
         bshape = (1, self.channels) + (1,) * (x.ndim - 2)
         n = x.size // self.channels
-        xd, activation = x.data, self.activation
+        xd, activation, read = x.data, self.activation, x.regenerate
         shape, dtype = xd.shape, xd.dtype
         chunks = _chunks(len(xd), xd[:1].nbytes)
-        # eval and backward read x from x itself or from source; with pool,
-        # backward writes gx over x only when x is a recorded op's output
-        # that it reads (the conv's, in _Conv), never over a leaf's data
-        rows = source or xd.__getitem__
-        spare = xd if source is None and x.cell is not None else None
+        # x is read through its regenerator by the forward once released and
+        # by backward always; with pool, backward writes gx over x only when
+        # x is a recorded op's output it reads (the conv's), never a leaf's
+        rows = read or xd.__getitem__
+        spare = xd if read is None and x.cell is not None else None
         chunk_size = xd[:1].size * max((p.stop - p.start for p in chunks), default=0)
 
-        def each(fn, buffers: int, from_source: bool = source is not None):
+        def each(fn, buffers: int, own: bool = read is not None):
             # fn over the chunks, one job each, with `buffers` chunk-sized
-            # arrays made before a pass over x; over the source, a job makes
-            # its own (None)
-            return _map(fn, chunks, lambda: None if from_source else
+            # arrays made before a pass over x; through the regenerator
+            # (own), a job makes its own (None)
+            return _map(fn, chunks, lambda: None if own else
                         [np.empty(chunk_size, dtype) for _ in range(buffers)])
 
         def tmp(buffers, i, shape):  # scratch i in `shape`, or None: a new array
@@ -830,7 +827,7 @@ class BatchNorm(Module):
                 return _channel_sums(z, z)
 
             var = np.zeros(self.channels)
-            for sums in each(centred_squares, 1, from_source=False):
+            for sums in each(centred_squares, 1, own=False):
                 var += sums
             var /= n
         else:
@@ -850,8 +847,10 @@ class BatchNorm(Module):
             z *= _sigmoid(z, tmp(buffers, -1, z.shape))
             return z
 
+        released = x.released
+
         def normalize(part, buffers):
-            xp = xd[part] if training else rows(part)
+            xp = rows(part) if released else xd[part]
             z = np.multiply(xp, scale, out=tmp(buffers, 0, xp.shape) if pooled else out[part])
             del xp  # a regenerated chunk is freed before the sigmoid is made
             z += shift
@@ -859,8 +858,7 @@ class BatchNorm(Module):
             if pooled:
                 out[part] = z.mean(axis=pool)
 
-        regenerated = source is not None and not training
-        deque(each(normalize, pooled + (activation == "silu"), regenerated), maxlen=0)
+        deque(each(normalize, pooled + (activation == "silu"), released), maxlen=0)
         # both checked before the running estimates move: a rejected batch
         # leaves them as they were
         _ensure_finite(out, "batchnorm", (x, self.gamma, self.beta))
@@ -922,9 +920,9 @@ class BatchNorm(Module):
 
         y = record_op("batchnorm", (x, self.gamma, self.beta), out, backward,
                       check_finite=False)
-        if training and source is not None and not pooled:
+        if training and read is not None and not pooled:
             def regenerate(part):  # y.data[part] anew, by the forward's own steps
-                z = source(part)
+                z = read(part)
                 z *= scale
                 z += shift
                 return activate(z, None)

@@ -65,12 +65,12 @@ def _stand_in(shape: tuple[int, ...], dtype) -> np.ndarray:
 class Tensor:
     """A dense N-dimensional value. Immutable by convention after creation,
     with one exception: a tensor whose `regenerate` is set, a function of
-    a batch slice that returns data[slice] anew (a training BatchNorm over
-    a source sets it, see nn.BatchNorm), may be released by the last
-    forward reader of its whole array. `release` then swaps its data for a
-    stand-in, and later readers, forward or backward, read it through
-    `regenerate` a batch chunk at a time. No other tensor is ever
-    released."""
+    a batch slice that returns data[slice] anew (set by nn._Conv and
+    nn.BatchNorm on their outputs), may be released by the last forward
+    reader of its whole array. `release` then swaps its data for a
+    stand-in (an eval conv's output is one from the start), and later
+    readers, forward or backward, read it through `regenerate` a batch
+    chunk at a time. No other tensor is ever released."""
 
     __slots__ = ("data", "requires_grad", "grad", "name", "cell", "regenerate")
 
@@ -110,8 +110,8 @@ class Tensor:
 
     @property
     def released(self) -> bool:
-        """Whether `release` has swapped data for a stand-in: a reader must
-        then read data through `regenerate`."""
+        """Whether data is a stand-in, by `release` or from the start (an
+        eval conv's output): a reader must then read it through `regenerate`."""
         return self.regenerate is not None and not any(self.data.strides)
 
     def zero_grad(self) -> None:

@@ -174,8 +174,8 @@ TINY_DEPTH2 = ModelConfig(num_classes=3, patch_size=5, bands=8, depth=2, stem_ch
 def _one_model_chunk(monkeypatch):
     """The model's eval forward runs its whole batch as one chunk, with no
     chunk job, whatever nn._CHUNK_BYTES: under one sample per chunk every
-    conv->BatchNorm pair then streams several chunks of its source through
-    BatchNorm's own pool jobs."""
+    conv->BatchNorm pair then streams several chunks of the conv's output
+    through BatchNorm's own pool jobs."""
     monkeypatch.setattr(classifier, "_chunks", lambda n, item_bytes: [slice(0, n)])
 
 
@@ -257,7 +257,7 @@ class TestEvalStream:
         assert peak < 2 * stem_bytes + 1e6, peak / 1e6
 
     def test_depth2_eval_forward_memory_is_bounded(self, workers, one_model_chunk):
-        # CFG64 block2 at batch 16 peaked at 41.92 MB when one source job
+        # CFG64 block2 at batch 16 peaked at 41.92 MB when one regenerating job
         # ran at a time. Each further worker's job adds at most one more
         # sample of block2's spectral conv output and of its BatchNorm's
         # two temporaries (the pooled activation and the sigmoid), 1.24 MB
@@ -282,19 +282,21 @@ class TestEvalStream:
                                                     one_model_chunk, monkeypatch):
         # one sample per chunk in one model chunk: every conv->BatchNorm
         # pair calls BatchNorm's eval op once, which reads the conv's output
-        # from its source one chunk per read at any worker count, and
+        # through its regenerator one chunk per read at any worker count, and
         # nothing is recorded
         calls, reads, nodes = [], [], []
         bn_call = nn.BatchNorm.__call__
 
-        def spy(bn, x, training, pool=None, source=None):
+        def spy(bn, x, training, pool=None):
             calls.append(training)
+            regenerate = x.regenerate
 
             def counted(part):
                 reads.append(part.stop - part.start)
-                return source(part)
+                return regenerate(part)
 
-            return bn_call(bn, x, training, pool, counted)
+            x.regenerate = counted
+            return bn_call(bn, x, training, pool)
 
         monkeypatch.setattr(nn.BatchNorm, "__call__", spy)
         monkeypatch.setattr(T, "TapeNode", lambda *args: nodes.append(args))
@@ -315,22 +317,25 @@ class TestEvalStream:
     def test_eval_conv_tiles_run_on_the_workers(self, config, streamed, chunking, workers,
                                                 one_model_chunk, monkeypatch):
         # one sample per chunk at the published widths, in one model chunk,
-        # so no chunk job runs the forward: at two workers every source read
-        # of every conv->BatchNorm pair, the conv chunk with its BatchNorm,
+        # so no chunk job runs the forward: at two workers every regenerated
+        # read of every conv->BatchNorm pair, the conv chunk with its BatchNorm,
         # runs off the caller in BatchNorm's own jobs, and at one worker
         # every read runs on the caller
         model = _with_running_statistics(PatchClassifier(config, np.random.default_rng(0)))
         names = {id(m): path.rstrip(".") for path, m in model.named_modules()}
         patches = rand_patches(4, config)
-        reads = []  # per source read: (BatchNorm path, thread)
+        reads = []  # per regenerated read: (BatchNorm path, thread)
         bn_call = nn.BatchNorm.__call__
 
-        def bn_spy(bn, x, training, pool=None, source=None):
+        def bn_spy(bn, x, training, pool=None):
+            regenerate = x.regenerate
+
             def read(part):
                 reads.append((names[id(bn)], threading.get_ident()))
-                return source(part)
+                return regenerate(part)
 
-            return bn_call(bn, x, training, pool, read)
+            x.regenerate = read
+            return bn_call(bn, x, training, pool)
 
         monkeypatch.setattr(nn.BatchNorm, "__call__", bn_spy)
         caller = threading.get_ident()
@@ -406,9 +411,9 @@ class TestEvalChunks:
         calls = []  # per BatchNorm call: (training, its input's batch)
         bn_call = nn.BatchNorm.__call__
 
-        def spy(bn, x, training, pool=None, source=None):
+        def spy(bn, x, training, pool=None):
             calls.append((training, x.shape[0]))
-            return bn_call(bn, x, training, pool, source)
+            return bn_call(bn, x, training, pool)
 
         def no_jobs(fn, parts):
             raise AssertionError(f"chunk jobs {parts}")

@@ -315,6 +315,34 @@ def test_malformed_input_is_one_err_line(command, scene, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"ERR:{code}: "), captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seed", "3", "--height", "8", "--width", "8", "--out", "{file}"],
+    ["gen", "--seed", "3", "--height", "8", "--width", "8", "--out", "{file}/sub"],
+    ["train", "--data", "{scene}", "--config", "{config}", "--out", "{file}"],
+    ["eval", "--model", "{model}", "--data", "{scene}", "--out", "{tmp}"],
+    ["eval", "--model", "{tmp}", "--data", "{scene}", "--out", "{tmp}/r.json"],
+], ids=["gen-out-file", "gen-out-under-file", "train-out-file", "eval-out-dir",
+        "eval-model-dir"])
+def test_os_error_is_one_io_err_line(argv, scene, tmp_path, capsys):
+    # a path that exists as the wrong kind (a file where a directory goes,
+    # or a directory where a file goes) fails its read or write with an
+    # OSError, which is one ERR:io: line and no traceback
+    (tmp_path / "file").write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_RECIPE, "train": {"epochs": 1}}))
+    model = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
+                            np.random.default_rng(0))
+    save_checkpoint(model, tmp_path / "model.bin", data_recipe=GOOD_RECIPE)
+    paths = {"tmp": tmp_path, "file": tmp_path / "file", "scene": scene, "config": config,
+             "model": tmp_path / "model.bin"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERR:io: "), captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_eval_reports_objective_j_at_the_fixed_references(scene, tmp_path, capsys):
     model = PatchClassifier(replace(TINY_MODEL, num_classes=2, patch_size=3, bands=4),
                             np.random.default_rng(0))

@@ -813,10 +813,39 @@ def test_stem_batchnorm_backward_on_a_worker_regenerates_its_conv_inline(chunkin
             np.testing.assert_array_equal(one, two)
 
 
+def _regenerable(batch):
+    """A leaf taking a gradient, [batch, 6, 3, 4, 5], whose regenerator
+    returns a fresh copy of its data's slice, and the list of (start,
+    stop) of every read through it."""
+    data = (2.0 * np.random.default_rng(94).standard_normal((batch, 6, 3, 4, 5))
+            + 0.5).astype(np.float32)
+    x, reads = Tensor(data.copy(), requires_grad=True), []
+
+    def regenerate(part):
+        reads.append((part.start, part.stop))
+        return data[part].copy()
+
+    x.regenerate = regenerate
+    return x, reads
+
+
+def _random_batchnorm(channels):
+    rng = np.random.default_rng(channels)
+    bn = BatchNorm(channels, "silu")
+    bn.gamma.data[:] = 1.0 + 0.3 * rng.standard_normal(channels)
+    bn.beta.data[:] = 0.2 * rng.standard_normal(channels)
+    bn.running_mean[:] = 0.5 * rng.standard_normal(channels)
+    bn.running_var[:] = 0.5 + rng.random(channels)
+    return bn
+
+
 class TestRegenerator:
-    """A training BatchNorm over a source (the stem's) gives its output a
-    regenerator, through which a conv over that output reads it back in
-    backward once the output's last forward reader has released it."""
+    """A conv followed by its BatchNorm gives its output a regenerator,
+    the conv over a batch slice, unless it is recorded over an input that
+    takes a gradient; a training BatchNorm over such an output (the
+    stem's) gives its own output one, through which a conv over that
+    output reads it back once the output's last forward reader has
+    released it."""
 
     @pytest.mark.parametrize("channels, patch", [(64, (9, 9, 32)), (4, (5, 5, 8))],
                              ids=["cfg32_stem", "small"])
@@ -854,6 +883,77 @@ class TestRegenerator:
             leaf = Tensor(patches, requires_grad=True)
             assert conv(leaf, bn, training=True).regenerate is None
         assert conv(x, bn, training=False).regenerate is None
+
+    @pytest.mark.parametrize("pool", [None, (2, 3, 4)], ids=["unpooled", "pooled"])
+    def test_eval_batchnorm_over_a_released_input_reads_each_chunk_once(self, pool,
+                                                                         chunking, workers):
+        # a hand-made regenerable input, released to its stand-in: one
+        # sample per chunk, each chunk read once through the regenerator,
+        # and the array's output bit for bit, at 1 and 2 workers
+        x, reads = _regenerable(5)
+        x.release()
+        bn = _random_batchnorm(x.shape[1])
+        expected = bn(Tensor(x.regenerate(slice(0, 5))), False, pool).data
+        for count in (1, 2):
+            workers(count)
+            reads.clear()
+            out = bn(x, False, pool)
+            assert sorted(reads) == [(i, i + 1) for i in range(5)], count
+            np.testing.assert_array_equal(out.data, expected)
+            assert out.regenerate is None
+
+    @pytest.mark.parametrize("pool", [None, (2, 3, 4)], ids=["unpooled", "pooled"])
+    def test_training_batchnorm_reads_an_unreleased_input_only_in_backward(self, pool,
+                                                                            chunking):
+        # the forward reads the array and calls no regenerator; backward
+        # keeps no array and reads each chunk through the regenerator in
+        # each of its two passes, with the array's gradient bits. The
+        # output has a regenerator, giving its bytes, exactly when unpooled
+        results = []
+        for regenerable in (False, True):
+            x, reads = _regenerable(5)
+            if not regenerable:
+                x.regenerate = None
+            bn = _random_batchnorm(x.shape[1])
+            with Tape() as tape:
+                out = bn(x, True, pool)
+                assert reads == []
+                loss = probe_loss(out)
+            tape.backward(loss)
+            assert sorted(reads) == (sorted([(i, i + 1) for i in range(5)] * 2)
+                                     if regenerable else [])
+            assert (out.regenerate is not None) == (regenerable and pool is None)
+            if out.regenerate is not None:
+                np.testing.assert_array_equal(out.regenerate(slice(1, 3)), out.data[1:3])
+            results.append((out.data, x.grad, bn.gamma.grad, bn.beta.grad,
+                            bn.running_mean, bn.running_var))
+        for one, two in zip(*results):
+            np.testing.assert_array_equal(one, two)
+
+    def test_taped_eval_stem_batchnorm_reads_the_recorded_conv(self, chunking, monkeypatch):
+        # under a tape the stem conv runs once over the batch and its
+        # BatchNorm's eval forward reads that output, running no conv
+        # again; backward regenerates each chunk in each of its two passes.
+        # The output is the untaped stream's bit for bit
+        rng = np.random.default_rng(95)
+        conv, bn = Conv3D(1, 4, 3, rng), _random_batchnorm(4)
+        x = Tensor(rng.standard_normal((3, 1, 5, 5, 6)).astype(np.float32))
+        streamed = conv(x, bn, training=False).data
+        convs = []
+        conv_forward = nn._conv_forward
+
+        def counted(xd, *args, **kwargs):
+            convs.append(len(xd))
+            return conv_forward(xd, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "_conv_forward", counted)
+        with Tape() as tape:
+            out = conv(x, bn, training=False)
+            assert convs == [3]
+            loss = probe_loss(out)
+        np.testing.assert_array_equal(out.data, streamed)
+        tape.backward(loss)
+        assert convs == [3] + [1] * 6
 
     @pytest.mark.parametrize("channels, out", [(64, 96), (1, 64)], ids=["spectral", "stem"])
     @BOTH_CHUNKINGS
@@ -1254,8 +1354,8 @@ def test_gradcheck_conv_batchnorm_on_a_constant_input(activation, pool, chunking
     # the stem's case: the conv's input takes no gradient, so BatchNorm's
     # backward regenerates the conv's output chunk by chunk instead of
     # keeping it, and with pool writes its input gradient into a new array;
-    # in eval mode, under the tape and without it, its forward reads the
-    # regenerated chunks too
+    # in eval mode too, and without the tape its forward reads the
+    # regenerated chunks as well
     rng = np.random.default_rng(48)
     conv = Conv3D(1, 3, 3, rng).astype(np.float64)
     bn = BatchNorm(3, activation).astype(np.float64)
